@@ -17,12 +17,18 @@ Whether the numbers are read as subjective (the intermediate measurement
 happened, its record is merely unknown) or as counterfactual/objective (no
 intermediate measurement was performed) changes nothing quantitative; the
 reading is carried as context metadata only.
+
+A Context is immutable, so it computes its spectral data once, on first use,
+and keeps it for its whole life: the eigensystem of its Hamiltonian and the
+propagators over its fixed intervals t - t1, t2 - t and t2 - t1. A free
+context (no or zero Hamiltonian) never decomposes anything.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .kinematics import (
     lueders_collapse,
     prepare_eigenstate,
 )
-from .linalg import HermitianOperator, NEGLIGIBLE, unitary_exponential
+from .linalg import NEGLIGIBLE, Eigensystem, HermitianOperator, frozen_copy, hermitian_eigensystem, unitary_exponential
 
 # Below this total branch weight, post-selection is unreachable rather than
 # merely unlikely; the conditional distribution is undefined.
@@ -125,13 +131,33 @@ class Context:
         return "subjective"
 
     def is_free(self) -> bool:
+        return self._free
+
+    @cached_property
+    def _free(self) -> bool:
         return self.hamiltonian is None or self.hamiltonian.is_zero()
 
+    @cached_property
+    def _eigensystem(self) -> Eigensystem:
+        return hermitian_eigensystem(self.hamiltonian)
 
-def _propagator(ctx: Context, duration: float) -> np.ndarray:
-    if ctx.is_free():
-        return np.eye(ctx.dim, dtype=complex)
-    return unitary_exponential(ctx.hamiltonian, duration).matrix
+    def _propagator(self, duration: float) -> np.ndarray:
+        if self._free:
+            return frozen_copy(np.eye(self.dim, dtype=complex))
+        return self._eigensystem.exponential(duration).matrix
+
+    # Read-only propagators over the fixed intervals t1 -> t, t -> t2 and t1 -> t2.
+    @cached_property
+    def _forward(self) -> np.ndarray:
+        return self._propagator(_require_intermediate(self).time - self.preparation.time)
+
+    @cached_property
+    def _onward(self) -> np.ndarray:
+        return self._propagator(self.postselection.time - _require_intermediate(self).time)
+
+    @cached_property
+    def _through(self) -> np.ndarray:
+        return self._propagator(self.postselection.time - self.preparation.time)
 
 
 def _require_intermediate(ctx: Context) -> Intermediate:
@@ -143,13 +169,11 @@ def _require_intermediate(ctx: Context) -> Intermediate:
 def _branch_weights(ctx: Context) -> np.ndarray:
     """Unnormalized weight per intermediate outcome: post-selected branch norms squared."""
     inter = _require_intermediate(ctx)
-    forward = _propagator(ctx, inter.time - ctx.preparation.time)
-    onward = _propagator(ctx, ctx.postselection.time - inter.time)
     post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
-    prepared = forward @ ctx.preparation.state.amplitudes
+    prepared = ctx._forward @ ctx.preparation.state.amplitudes
     weights = np.empty(len(inter.observable.outcomes))
     for k, outcome in enumerate(inter.observable.outcomes):
-        branch = post_proj @ (onward @ (outcome.projector @ prepared))
+        branch = post_proj @ (ctx._onward @ (outcome.projector @ prepared))
         weights[k] = float(np.real(np.vdot(branch, branch)))
     return weights
 
@@ -187,8 +211,7 @@ def sequential_success_probability(ctx: Context) -> float:
 def born_context_distribution(ctx: Context) -> OutcomeDistribution:
     """Born distribution of the intermediate observable, post-selection ignored."""
     inter = _require_intermediate(ctx)
-    forward = _propagator(ctx, inter.time - ctx.preparation.time)
-    evolved = StateVector.normalized(forward @ ctx.preparation.state.amplitudes)
+    evolved = StateVector.normalized(ctx._forward @ ctx.preparation.state.amplitudes)
     return born_distribution(evolved, inter.observable)
 
 
@@ -230,10 +253,8 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     inter = _require_intermediate(ctx)
     if samples < 1:
         raise InvariantViolation("samples must be at least 1")
-    forward = _propagator(ctx, inter.time - ctx.preparation.time)
-    onward = _propagator(ctx, ctx.postselection.time - inter.time)
     post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
-    evolved = StateVector.normalized(forward @ ctx.preparation.state.amplitudes)
+    evolved = StateVector.normalized(ctx._forward @ ctx.preparation.state.amplitudes)
     born = born_distribution(evolved, inter.observable)
     probs = np.array([p for _, p in born.entries])
     probs = probs / probs.sum()
@@ -242,7 +263,7 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
         if probs[k] <= NEGLIGIBLE:
             continue
         collapsed = lueders_collapse(evolved, inter.observable, outcome.label)
-        final = onward @ collapsed.amplitudes
+        final = ctx._onward @ collapsed.amplitudes
         weight = float(np.real(np.vdot(final, post_proj @ final)))
         success[k] = min(max(weight, 0.0), 1.0)
     rng = np.random.default_rng(seed)
@@ -327,7 +348,7 @@ def time_reverse_context(ctx: Context) -> Context:
     inter = _require_intermediate(ctx)
     reversed_prep_state = StateVector(_postselection_state(ctx.postselection).amplitudes.conj())
     hamiltonian = ctx.hamiltonian
-    if hamiltonian is not None and not hamiltonian.is_zero():
+    if not ctx.is_free():
         warnings.warn(
             "time reversal with a nonvanishing Hamiltonian conjugates it; "
             "the result is convention-dependent",
@@ -436,8 +457,7 @@ def picture_consistency_check(ctx: Context) -> float:
     """
     inter = _require_intermediate(ctx)
     schrodinger = abl_distribution(ctx)
-    u_mid = _propagator(ctx, inter.time - ctx.preparation.time)
-    u_post = _propagator(ctx, ctx.postselection.time - ctx.preparation.time)
+    u_mid, u_post = ctx._forward, ctx._through
     prepared = ctx.preparation.state.amplitudes
     post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
     post_heis = u_post.conj().T @ post_proj @ u_post

@@ -20,13 +20,13 @@ from .linalg import (
     CONSTRUCTION_TOL,
     NEGLIGIBLE,
     HermitianOperator,
-    apply_projector,
     as_complex_matrix,
     as_complex_vector,
     fix_global_phase,
     frozen_copy,
     hermiticity_defect,
     max_abs,
+    projector_image,
     unitary_exponential,
 )
 
@@ -275,11 +275,9 @@ def born_distribution(state: StateVector, observable: ProjectiveDecomposition) -
     """Outcome probabilities <s|P_k|s> from the preparation alone."""
     if state.dim != observable.dim:
         raise InvariantViolation(f"dimension mismatch: state {state.dim} vs observable {observable.dim}")
-    entries = []
-    for outcome in observable.outcomes:
-        _, weight = apply_projector(outcome.projector, state.amplitudes)
-        entries.append((outcome.label, weight))
-    return OutcomeDistribution(tuple(entries))
+    return OutcomeDistribution(
+        tuple((o.label, projector_image(o.projector, state.amplitudes)[1]) for o in observable.outcomes)
+    )
 
 
 def lueders_collapse(state: StateVector, observable: ProjectiveDecomposition, label: str) -> StateVector:
@@ -287,7 +285,7 @@ def lueders_collapse(state: StateVector, observable: ProjectiveDecomposition, la
     outcome = observable.outcome(label)
     if state.dim != observable.dim:
         raise InvariantViolation(f"dimension mismatch: state {state.dim} vs observable {observable.dim}")
-    image, weight = apply_projector(outcome.projector, state.amplitudes)
+    image, weight = projector_image(outcome.projector, state.amplitudes)
     if weight <= NEGLIGIBLE:
         raise ImpossibleOutcomeError(
             f"zero-probability outcome {label!r} (weight {weight:.3e}) marks an impossible branch"

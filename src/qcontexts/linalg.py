@@ -153,6 +153,13 @@ class Eigensystem:
     def dim(self) -> int:
         return self.eigenvalues.size
 
+    def exponential(self, duration: float) -> UnitaryMap:
+        """exp(-i H t) for the operator H this eigensystem decomposes (hbar = 1)."""
+        if not np.isfinite(duration):
+            raise InvariantViolation("duration must be finite")
+        phases = np.exp(-1j * self.eigenvalues * duration)
+        return UnitaryMap((self.eigenvectors * phases) @ self.eigenvectors.conj().T)
+
 
 def _standard_basis_span(columns: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of span(columns).
@@ -207,12 +214,7 @@ def hermitian_eigensystem(operator: HermitianOperator) -> Eigensystem:
 
 def unitary_exponential(operator: HermitianOperator, duration: float) -> UnitaryMap:
     """exp(-i H t) with hbar = 1, computed through the eigendecomposition."""
-    if not np.isfinite(duration):
-        raise InvariantViolation("duration must be finite")
-    eig = hermitian_eigensystem(operator)
-    phases = np.exp(-1j * eig.eigenvalues * duration)
-    matrix = (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
-    return UnitaryMap(matrix)
+    return hermitian_eigensystem(operator).exponential(duration)
 
 
 def tensor_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -246,8 +248,14 @@ def apply_projector(projector: np.ndarray, state: np.ndarray) -> tuple[np.ndarra
     norm = float(np.linalg.norm(s))
     if abs(norm - 1.0) > CONSTRUCTION_TOL:
         raise InvariantViolation(f"state must be unit norm, got norm {norm!r}")
-    image = p @ s
-    weight = float(np.real(np.vdot(s, image)))
+    return projector_image(p, s)
+
+
+def projector_image(projector: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, float]:
+    """apply_projector for a pair already validated (a decomposition's projector, a
+    StateVector's amplitudes): only the weight's range is checked before the clamp."""
+    image = projector @ state
+    weight = float(np.real(np.vdot(state, image)))
     if weight < -CONSTRUCTION_TOL or weight > 1.0 + CONSTRUCTION_TOL:
         raise InvariantViolation(f"projector weight {weight!r} falls outside [0, 1]")
     return image, min(max(weight, 0.0), 1.0)

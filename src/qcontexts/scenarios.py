@@ -12,6 +12,7 @@ as decimal strings so serialization never depends on float repr quirks).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +127,19 @@ def _require(params: dict, key: str, field: str):
     return params[key]
 
 
-def _real_from_json(value, field: str) -> float:
+def _is_finite_number(value) -> bool:
+    """A JSON number that is a finite double; json.loads also yields NaN, Infinity and unbounded ints."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"expected a real number, got {value!r}", field=field)
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _real_from_json(value, field: str) -> float:
+    if not _is_finite_number(value):
+        raise ScenarioError(f"expected a finite real number, got {value!r}", field=field)
     return float(value)
 
 
@@ -142,9 +153,9 @@ def _complex_from_pair(value, field: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or any(isinstance(part, bool) or not isinstance(part, (int, float)) for part in value)
+        or not all(_is_finite_number(part) for part in value)
     ):
-        raise ScenarioError(f"complex numbers are [re, im] pairs, got {value!r}", field=field)
+        raise ScenarioError(f"complex numbers are finite [re, im] pairs, got {value!r}", field=field)
     return complex(value[0], value[1])
 
 
@@ -266,6 +277,8 @@ def load_scenario(path) -> Scenario:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable bytes, or an integer past the interpreter's digit limit
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
     return scenario_from_payload(payload)
 
 

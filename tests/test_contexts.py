@@ -4,6 +4,7 @@ sampler that cross-checks it, symmetries, certainty, and picture duality."""
 import numpy as np
 import pytest
 
+from qcontexts import contexts
 from qcontexts import (
     Context,
     HermitianOperator,
@@ -438,3 +439,66 @@ def test_conditioning_marginalizes_back_to_born():
                 recovered[label] += weight * conditional.probability(label)
         for label, value in recovered.items():
             assert abs(value - born.probability(label)) < 1e-10
+
+
+# --- spectral cache -------------------------------------------------------------
+
+
+def _count_eigensystems(monkeypatch) -> list:
+    calls = []
+    real = contexts.hermitian_eigensystem
+
+    def counting(operator):
+        calls.append(operator)
+        return real(operator)
+
+    monkeypatch.setattr(contexts, "hermitian_eigensystem", counting)
+    return calls
+
+
+def _query_everything_twice(ctx: Context) -> None:
+    for _ in range(2):
+        abl_distribution(ctx)
+        born_context_distribution(ctx)
+        sequential_success_probability(ctx)
+        sample_chain(ctx, 200, seed=5)
+        picture_consistency_check(ctx)
+
+
+def test_context_decomposes_its_hamiltonian_once(monkeypatch):
+    calls = _count_eigensystems(monkeypatch)
+    ctx = random_context(np.random.default_rng(11), 3)
+    _query_everything_twice(ctx)
+    assert calls == [ctx.hamiltonian]
+
+
+def test_free_context_never_decomposes(monkeypatch):
+    calls = _count_eigensystems(monkeypatch)
+    _query_everything_twice(random_context(np.random.default_rng(12), 3, free=True))
+    zero_h = three_box_context()
+    _query_everything_twice(
+        Context(zero_h.preparation, zero_h.postselection, zero_h.intermediate, HermitianOperator.zero(3))
+    )
+    assert calls == []
+
+
+def test_time_reversed_context_has_its_own_cache(monkeypatch):
+    calls = _count_eigensystems(monkeypatch)
+    ctx = random_context(np.random.default_rng(13), 3)
+    abl_distribution(ctx)
+    with pytest.warns(TimeReversalConventionWarning):
+        reversed_ctx = time_reverse_context(ctx)
+    _query_everything_twice(reversed_ctx)
+    abl_distribution(ctx)
+    assert calls == [ctx.hamiltonian, reversed_ctx.hamiltonian]
+    assert not np.allclose(reversed_ctx._forward, ctx._forward)
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_cached_propagators_are_read_only(free):
+    ctx = random_context(np.random.default_rng(14), 3, free=free)
+    picture_consistency_check(ctx)
+    for propagator in (ctx._forward, ctx._onward, ctx._through):
+        assert not propagator.flags.writeable
+        with pytest.raises(ValueError):
+            propagator[0, 0] = 0.0

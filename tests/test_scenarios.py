@@ -100,6 +100,20 @@ def test_malformed_json_reports_position(tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"name": "\xff"}', b"\xff\xfe{", b'{"name": ' + b"1" * 5000 + b"}"],
+    ids=["invalid-utf8", "truncated-utf16", "integer-past-digit-limit"],
+)
+def test_cli_undecodable_file_is_a_parse_error(tmp_path, capsysbinary, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["run", str(path)]) == 2
+    lines = capsysbinary.readouterr().err.decode().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "parse-error"
+
+
 def test_complex_entries_must_be_pairs(tmp_path):
     path = write_scenario(
         tmp_path,
@@ -295,3 +309,41 @@ def test_cli_chain_no_data_exit_code(tmp_path, capsysbinary):
     }
     path = write_scenario(tmp_path, {"name": "dead-end", "kind": "chain", "parameters": params})
     assert main(["run", path]) == 4
+
+
+def _shipped_with(name: str, path: tuple, value: str) -> str:
+    """A shipped scenario's JSON text with one entry replaced by a raw JSON token."""
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES[name]).read_text())
+    target = payload["parameters"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "__TOKEN__"
+    return json.dumps(payload).replace('"__TOKEN__"', value)
+
+
+@pytest.mark.parametrize(
+    "name, path, token, field",
+    [
+        ("spreading", ("times", 0), "NaN", "parameters.times[0]"),
+        ("spreading", ("sigma0",), "Infinity", "parameters.sigma0"),
+        ("detector", ("rate",), "NaN", "parameters.rate"),
+        ("detector", ("horizon",), "-Infinity", "parameters.horizon"),
+        ("abl", ("preparation", "state", 0), "[NaN, 0.0]", "parameters.preparation.state"),
+        ("abl", ("preparation", "time"), "1e999", "parameters.preparation.time"),
+        ("abl", ("intermediate", "time"), "1" + "0" * 400, "parameters.intermediate.time"),
+    ],
+    ids=["times-nan", "sigma0-inf", "rate-nan", "horizon-neg-inf", "state-nan", "time-1e999", "time-huge-int"],
+)
+def test_cli_non_finite_number_is_a_parse_error(tmp_path, capsysbinary, name, path, token, field):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(_shipped_with(name, path, token))
+    assert main(["run", str(scenario)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    lines = captured.err.decode().splitlines()
+    assert len(lines) == 1
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "parse-error"
+    assert diagnostic["exit_code"] == 2
+    assert diagnostic["message"].startswith(f"{field}: ")
+    assert "finite" in diagnostic["message"]
