@@ -161,30 +161,25 @@ class Eigensystem:
         return UnitaryMap((self.eigenvectors * phases) @ self.eigenvectors.conj().T)
 
 
-def _standard_basis_span(columns: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of span(columns).
+def orthonormal_extend(basis: list[np.ndarray], candidates: np.ndarray, size: int) -> list[np.ndarray]:
+    """Grow orthonormal vectors `basis` (in place) toward `size` from candidate columns.
 
-    Projects the standard basis vectors onto the subspace in index order and
-    Gram-Schmidt orthonormalizes (twice, for stability). Depends only on the
-    subspace, not on the arbitrary basis the eigensolver picked.
+    Candidates are taken in column order, Gram-Schmidt orthogonalized
+    against what is held (two passes, for stability) and kept when more
+    than 1e-7 survives; stops once `size` vectors are held. The caller
+    checks for a shortfall.
     """
-    d, r = columns.shape
-    projector = columns @ columns.conj().T
-    basis: list[np.ndarray] = []
-    for j in range(d):
-        v = projector[:, j].copy()
+    for j in range(candidates.shape[1]):
+        if len(basis) >= size:
+            break
+        v = candidates[:, j].copy()
         for _ in range(2):
             for u in basis:
                 v -= np.vdot(u, v) * u
         norm = float(np.linalg.norm(v))
         if norm > 1e-7:
             basis.append(v / norm)
-        if len(basis) == r:
-            break
-    if len(basis) < r:
-        # Pathologically conditioned projections; keep the solver's choice.
-        return columns
-    return np.column_stack(basis)
+    return basis
 
 
 def hermitian_eigensystem(operator: HermitianOperator) -> Eigensystem:
@@ -205,7 +200,11 @@ def hermitian_eigensystem(operator: HermitianOperator) -> Eigensystem:
         while j < n and values[j] - values[j - 1] <= _CLUSTER_TOL * scale:
             j += 1
         if j - i > 1:
-            out[:, i:j] = _standard_basis_span(out[:, i:j])
+            # Pathologically conditioned projections fall short; keep the solver's choice.
+            cluster = out[:, i:j]
+            span = orthonormal_extend([], cluster @ cluster.conj().T, j - i)
+            if len(span) == j - i:
+                out[:, i:j] = np.column_stack(span)
         for k in range(i, j):
             out[:, k] = fix_global_phase(out[:, k])
         i = j

@@ -31,6 +31,7 @@ from .linalg import (
     as_complex_vector,
     frozen_copy,
     max_abs,
+    orthonormal_extend,
     schmidt_decompose,
 )
 
@@ -201,23 +202,25 @@ def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
 
 def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
     """Deterministically extend orthonormal columns to a full basis of the space."""
+    if columns.shape[1] > dim:
+        raise InvariantViolation(f"{columns.shape[1]} columns cannot fit dimension {dim}")
     have = [columns[:, k].copy() for k in range(columns.shape[1])]
-    if len(have) > dim:
-        raise InvariantViolation(f"{len(have)} columns cannot fit dimension {dim}")
-    for j in range(dim):
-        if len(have) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for u in have:
-                v -= np.vdot(u, v) * u
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-7:
-            have.append(v / norm)
+    orthonormal_extend(have, np.eye(dim, dtype=complex), dim)
     if len(have) != dim:
         raise ToleranceError("failed to complete the apparatus basis")
     return np.column_stack(have)
+
+
+def pointer_basis_scored(joint: JointState) -> tuple[SchmidtDecomposition, float]:
+    """pointer_basis_select plus the orthogonality score it verified."""
+    schmidt = schmidt_decompose(joint.ambient_amplitudes())
+    completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
+    score = rebase_joint(joint, completed).orthogonality_score
+    if score < 1.0 - ALGEBRA_TOL:
+        raise ToleranceError(
+            f"recovered apparatus basis scored {score!r}, expected 1 within {ALGEBRA_TOL:.0e}"
+        )
+    return schmidt, score
 
 
 def pointer_basis_select(joint: JointState) -> SchmidtDecomposition:
@@ -228,14 +231,7 @@ def pointer_basis_select(joint: JointState) -> SchmidtDecomposition:
     The non-uniqueness flag is inherited: degenerate or rank-deficient
     coefficient spectra admit other bases that do just as well.
     """
-    schmidt = schmidt_decompose(joint.ambient_amplitudes())
-    completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
-    score = rebase_joint(joint, completed).orthogonality_score
-    if score < 1.0 - ALGEBRA_TOL:
-        raise ToleranceError(
-            f"recovered apparatus basis scored {score!r}, expected 1 within {ALGEBRA_TOL:.0e}"
-        )
-    return schmidt
+    return pointer_basis_scored(joint)[0]
 
 
 @dataclass(frozen=True)
@@ -250,6 +246,19 @@ class SpreadingModel:
             raise InvariantViolation(f"sigma0 must be positive, got {self.sigma0!r}")
         if not (np.isfinite(self.mass) and self.mass > 0):
             raise InvariantViolation(f"mass must be positive, got {self.mass!r}")
+        try:
+            timescale = self.timescale
+        except OverflowError:
+            timescale = math.inf
+        if not 0.0 < timescale < math.inf:
+            raise InvariantViolation(
+                f"2 * mass * sigma0^2 must be a positive finite double, got {timescale!r}"
+            )
+
+    @property
+    def timescale(self) -> float:
+        """2 m sigma0^2, the time over which the packet starts to widen."""
+        return 2.0 * self.mass * self.sigma0**2
 
 
 def spreading_sigma(model: SpreadingModel, t: float) -> float:
@@ -260,8 +269,11 @@ def spreading_sigma(model: SpreadingModel, t: float) -> float:
     """
     if t < 0:
         raise InvariantViolation(f"time must be nonnegative, got {t!r}")
-    x = t / (2.0 * model.mass * model.sigma0**2)
-    return model.sigma0 * math.sqrt(1.0 + x * x)
+    x = t / model.timescale
+    width = model.sigma0 * math.sqrt(1.0 + x * x)
+    if not math.isfinite(width):
+        raise InvariantViolation(f"packet width at time {t!r} overflows a double")
+    return width
 
 
 def fuzziness_resolvable(sigma: float, detector_resolution: float) -> bool:
@@ -305,14 +317,14 @@ class FactSequence:
         return self.click_time is not None
 
 
-def detector_click_simulation(rate: float, tick: float, horizon: float, seed: int) -> FactSequence:
-    """Memoryless click process on a tick clock.
+def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
+    """(ticks before the horizon, 1-based index of the first click or None).
 
-    Each tick boundary clicks with probability 1 - exp(-rate * tick);
-    earlier boundaries are recorded as nonclick facts and the sequence stops
-    at the click or at the horizon. The first-click index is drawn in one
-    geometric shot, which leaves the per-tick law untouched and keeps long
-    horizons cheap. Deterministic given seed.
+    Each tick boundary clicks with probability 1 - exp(-rate * tick), so the
+    first-click index is one geometric draw from default_rng(seed); a draw
+    past the horizon means no click. This is the detector's whole random
+    law: detector_click_simulation records it as facts, and a caller that
+    only counts can stop here.
     """
     if not (np.isfinite(rate) and rate >= 0):
         raise InvariantViolation(f"rate must be nonnegative, got {rate!r}")
@@ -320,14 +332,27 @@ def detector_click_simulation(rate: float, tick: float, horizon: float, seed: in
         raise InvariantViolation(f"tick must be positive, got {tick!r}")
     if not (np.isfinite(horizon) and horizon >= tick):
         raise InvariantViolation(f"horizon must reach the first tick, got {horizon!r}")
-    count = int(math.floor(horizon / tick + 1e-9))
+    ticks = horizon / tick + 1e-9
+    if not ticks < 2.0**53:
+        raise InvariantViolation(f"horizon / tick = {ticks!r} passes 2^53, where tick times stop being distinct")
+    count = int(math.floor(ticks))
     p = -math.expm1(-rate * tick)
-    click_index = None
     if p > 0.0:
-        rng = np.random.default_rng(seed)
-        draw = int(rng.geometric(p))
+        draw = int(np.random.default_rng(seed).geometric(p))
         if draw <= count:
-            click_index = draw
+            return count, draw
+    return count, None
+
+
+def detector_click_simulation(rate: float, tick: float, horizon: float, seed: int) -> FactSequence:
+    """Memoryless click process on a tick clock.
+
+    Earlier tick boundaries are recorded as nonclick facts and the sequence
+    stops at the click or at the horizon. The first-click index comes from
+    detector_first_click in one geometric shot, which leaves the per-tick law
+    untouched and keeps long horizons cheap. Deterministic given seed.
+    """
+    count, click_index = detector_first_click(rate, tick, horizon, seed)
     if click_index is None:
         ticks = tuple((k * tick, NONCLICK) for k in range(1, count + 1))
         return FactSequence(ticks, None)

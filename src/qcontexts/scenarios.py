@@ -3,14 +3,18 @@
 Scenario files are JSON. Complex numbers are always [re, im] pairs, states
 are lists of pairs, and observables are either the named dim-2 presets "X" /
 "Y" / "Z" or explicit labeled projector lists. Every embedded state and
-operator is validated against its type invariants on load, with the failing
-field named. Reports round every value to 12 significant digits at
+operator is validated against its type invariants when the Scenario is
+constructed, with the failing field named: construction builds the kind's
+spec once (contexts, joint states, models) and every run reuses it. A
+spreading time whose packet width overflows a double fails the run as an
+invariant violation. Reports round every value to 12 significant digits at
 construction and emit byte-deterministic CSV or JSON (JSON carries numbers
 as decimal strings so serialization never depends on float repr quirks).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -40,15 +44,12 @@ from .kinematics import (
 from .linalg import HermitianOperator
 from .pointer import (
     SpreadingModel,
-    complete_basis,
-    detector_click_simulation,
-    pointer_basis_select,
+    detector_first_click,
+    pointer_basis_scored,
     premeasurement_joint,
     rebase_joint,
     spreading_sigma,
 )
-
-KINDS = ("abl", "gap", "chain", "pointer", "spreading", "detector")
 
 NAMED_OBSERVABLES = {"X": pauli_x, "Y": pauli_y, "Z": pauli_z}
 
@@ -66,20 +67,27 @@ def _round12(value: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, validated analysis request of one of the supported kinds."""
+    """A named analysis request of one of the supported kinds, validated once.
+
+    Construction builds the kind's spec from the raw `parameters` (which are
+    kept as given, for serialization); running reuses the spec, so build a
+    new Scenario to change any parameter.
+    """
 
     name: str
     kind: str
     parameters: dict
     description: str = ""
+    spec: object = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ScenarioError("scenario name must be a nonempty string", field="name")
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ScenarioError(f"unknown kind {self.kind!r}; expected one of {list(KINDS)}", field="kind")
         if not isinstance(self.parameters, dict):
             raise ScenarioError("parameters must be an object", field="parameters")
+        object.__setattr__(self, "spec", KINDS[self.kind][0](self.parameters))
 
 
 @dataclass(frozen=True)
@@ -143,10 +151,13 @@ def _real_from_json(value, field: str) -> float:
     return float(value)
 
 
-def _int_from_json(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _integer(value, field: str, minimum: int) -> int:
+    """A JSON integer, or a seed/count override, of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ScenarioError(f"expected an integer, got {value!r}", field=field)
-    return value
+    if value < minimum:
+        raise ScenarioError(f"must be at least {minimum}, got {value}", field=field)
+    return int(value)
 
 
 def _complex_from_pair(value, field: str) -> complex:
@@ -234,34 +245,43 @@ def _hamiltonian_from_json(value, field: str, dim: int) -> HermitianOperator | N
     return operator
 
 
-def _context_from_params(params: dict, field: str = "parameters") -> Context:
+def _context_from_params(params: dict, timed: bool = True, field: str = "parameters") -> Context:
+    """The preparation / intermediate / post-selection arrangement of abl, chain and gap.
+
+    gap is untimed: it reads no times, `performed` or `hamiltonian`. Its
+    context evolves freely, so the placeholder times 0 < 1 < 2 change no
+    probability and it is the equal-time arrangement the gap is defined on.
+    """
     prep_json = _require(params, "preparation", field)
     inter_json = _require(params, "intermediate", field)
     post_json = _require(params, "postselection", field)
     state = _state_from_json(_require(prep_json, "state", f"{field}.preparation"), f"{field}.preparation.state")
-    t1 = _real_from_json(_require(prep_json, "time", f"{field}.preparation"), f"{field}.preparation.time")
     observable = _observable_from_json(
         _require(inter_json, "observable", f"{field}.intermediate"), f"{field}.intermediate.observable"
     )
-    t = _real_from_json(_require(inter_json, "time", f"{field}.intermediate"), f"{field}.intermediate.time")
-    performed = inter_json.get("performed", True)
-    if not isinstance(performed, bool):
-        raise ScenarioError("performed must be a boolean", field=f"{field}.intermediate.performed")
     post_obs = _observable_from_json(
         _require(post_json, "observable", f"{field}.postselection"), f"{field}.postselection.observable"
     )
     label = _require(post_json, "label", f"{field}.postselection")
     if not isinstance(label, str):
         raise ScenarioError("label must be a string", field=f"{field}.postselection.label")
-    t2 = _real_from_json(_require(post_json, "time", f"{field}.postselection"), f"{field}.postselection.time")
-    hamiltonian = _hamiltonian_from_json(params.get("hamiltonian"), f"{field}.hamiltonian", state.dim)
-    try:
-        return Context(
-            Preparation(state, t1),
-            PostSelection(post_obs, label, t2),
-            Intermediate(observable, t, performed),
-            hamiltonian,
+    t1, t, t2 = 0.0, 1.0, 2.0
+    performed, hamiltonian = True, None
+    if timed:
+        t1, t, t2 = (
+            _real_from_json(_require(section, "time", f"{field}.{name}"), f"{field}.{name}.time")
+            for section, name in ((prep_json, "preparation"), (inter_json, "intermediate"), (post_json, "postselection"))
         )
+        performed = inter_json.get("performed", True)
+        if not isinstance(performed, bool):
+            raise ScenarioError("performed must be a boolean", field=f"{field}.intermediate.performed")
+        hamiltonian = _hamiltonian_from_json(params.get("hamiltonian"), f"{field}.hamiltonian", state.dim)
+    try:
+        post = PostSelection(post_obs, label, t2)
+    except InvariantViolation as exc:
+        raise _named_field(exc, f"{field}.postselection.label") from exc
+    try:
+        return Context(Preparation(state, t1), post, Intermediate(observable, t, performed), hamiltonian)
     except InvariantViolation as exc:
         raise _named_field(exc, field) from exc
 
@@ -298,9 +318,7 @@ def scenario_from_payload(payload) -> Scenario:
     description = payload.get("description", "")
     if not isinstance(description, str):
         raise ScenarioError("description must be a string", field="description")
-    scenario = Scenario(name=name, kind=kind, parameters=parameters, description=description)
-    _BUILDERS[scenario.kind](scenario.parameters)  # validate eagerly, errors name the field
-    return scenario
+    return Scenario(name=name, kind=kind, parameters=parameters, description=description)
 
 
 def scenario_to_json(scenario: Scenario) -> bytes:
@@ -314,46 +332,13 @@ def scenario_to_json(scenario: Scenario) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Per-kind builders (validation) and runners
-
-
-def _build_abl(params: dict) -> Context:
-    return _context_from_params(params)
+# Per-kind builders (validation, once per Scenario) and runners (on the built spec)
 
 
 def _build_chain(params: dict) -> tuple[Context, int, int]:
     ctx = _context_from_params(params)
-    samples = params.get("samples", DEFAULT_CHAIN_SAMPLES)
-    seed = params.get("seed", 0)
-    samples = _int_from_json(samples, "parameters.samples")
-    seed = _int_from_json(seed, "parameters.seed")
-    if samples < 1:
-        raise ScenarioError("samples must be at least 1", field="parameters.samples")
-    return ctx, samples, seed
-
-
-def _build_gap(params: dict):
-    field = "parameters"
-    prep_json = _require(params, "preparation", field)
-    state = _state_from_json(_require(prep_json, "state", f"{field}.preparation"), f"{field}.preparation.state")
-    inter_json = _require(params, "intermediate", field)
-    observable = _observable_from_json(
-        _require(inter_json, "observable", f"{field}.intermediate"), f"{field}.intermediate.observable"
-    )
-    post_json = _require(params, "postselection", field)
-    post_obs = _observable_from_json(
-        _require(post_json, "observable", f"{field}.postselection"), f"{field}.postselection.observable"
-    )
-    label = _require(post_json, "label", f"{field}.postselection")
-    if not isinstance(label, str):
-        raise ScenarioError("label must be a string", field=f"{field}.postselection.label")
-    try:
-        post_obs.outcome(label)
-    except InvariantViolation as exc:
-        raise _named_field(exc, f"{field}.postselection.label") from exc
-    if post_obs.dim != state.dim or observable.dim != state.dim:
-        raise InvariantViolation(f"{field}: dimensions disagree across state and observables")
-    return state, post_obs, label, observable
+    samples = _integer(params.get("samples", DEFAULT_CHAIN_SAMPLES), "parameters.samples", 1)
+    return ctx, samples, _integer(params.get("seed", 0), "parameters.seed", 0)
 
 
 def _build_pointer(params: dict):
@@ -403,10 +388,8 @@ def _build_detector(params: dict):
     rate = _real_from_json(_require(params, "rate", field), f"{field}.rate")
     tick = _real_from_json(_require(params, "tick", field), f"{field}.tick")
     horizon = _real_from_json(_require(params, "horizon", field), f"{field}.horizon")
-    seed = _int_from_json(params.get("seed", 0), f"{field}.seed")
-    runs = _int_from_json(params.get("runs", 1), f"{field}.runs")
-    if runs < 1:
-        raise ScenarioError("runs must be at least 1", field=f"{field}.runs")
+    seed = _integer(params.get("seed", 0), f"{field}.seed", 0)
+    runs = _integer(params.get("runs", 1), f"{field}.runs", 1)
     if rate < 0:
         raise InvariantViolation(f"{field}.rate: must be nonnegative")
     if tick <= 0 or horizon < tick:
@@ -414,23 +397,13 @@ def _build_detector(params: dict):
     return rate, tick, horizon, seed, runs
 
 
-_BUILDERS = {
-    "abl": _build_abl,
-    "gap": _build_gap,
-    "chain": _build_chain,
-    "pointer": _build_pointer,
-    "spreading": _build_spreading,
-    "detector": _build_detector,
-}
-
 _COMMON_TOLERANCES = {
     "tolerance_construction": "1e-12",
     "tolerance_algebra": "1e-10",
 }
 
 
-def _run_abl(scenario: Scenario, seed, samples) -> Report:
-    ctx = _build_abl(scenario.parameters)
+def _run_abl(scenario: Scenario, ctx: Context, seed, samples) -> Report:
     abl = abl_distribution(ctx)
     born = born_context_distribution(ctx)
     rows = [(f"abl:{label}", (p,)) for label, p in abl.entries]
@@ -441,12 +414,10 @@ def _run_abl(scenario: Scenario, seed, samples) -> Report:
     return make_report(scenario, ("value",), rows, metadata)
 
 
-def _run_chain(scenario: Scenario, seed, samples) -> Report:
-    ctx, file_samples, file_seed = _build_chain(scenario.parameters)
-    samples = file_samples if samples is None else samples
-    seed = file_seed if seed is None else seed
-    if samples < 1:
-        raise ScenarioError("samples must be at least 1", field="samples")
+def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
+    ctx, file_samples, file_seed = spec
+    samples = file_samples if samples is None else _integer(samples, "samples", 1)
+    seed = file_seed if seed is None else _integer(seed, "seed", 0)
     report = sample_chain(ctx, samples, seed)
     if report.no_data:
         raise ImpossibleOutcomeError(
@@ -472,9 +443,9 @@ def _run_chain(scenario: Scenario, seed, samples) -> Report:
     return make_report(scenario, ("analytic", "frequency", "zscore"), rows, metadata)
 
 
-def _run_gap(scenario: Scenario, seed, samples) -> Report:
-    state, post_obs, label, observable = _build_gap(scenario.parameters)
-    result = total_probability_gap(state, post_obs, label, observable)
+def _run_gap(scenario: Scenario, ctx: Context, seed, samples) -> Report:
+    post = ctx.postselection
+    result = total_probability_gap(ctx.preparation.state, post.observable, post.label, ctx.intermediate.observable)
     rows = [
         ("quantum", (result.quantum,)),
         ("classical_chain", (result.classical_chain,)),
@@ -483,14 +454,11 @@ def _run_gap(scenario: Scenario, seed, samples) -> Report:
     return make_report(scenario, ("value",), rows, dict(_COMMON_TOLERANCES))
 
 
-def _run_pointer(scenario: Scenario, seed, samples) -> Report:
-    joint, rebases = _build_pointer(scenario.parameters)
-    schmidt = pointer_basis_select(joint)
+def _run_pointer(scenario: Scenario, spec, seed, samples) -> Report:
+    joint, rebases = spec
+    schmidt, pointer_score = pointer_basis_scored(joint)
     rows = [(f"coefficient:{k + 1}", (c,)) for k, c in enumerate(schmidt.coefficients)]
     rows.append(("non_unique", (1.0 if schmidt.non_unique else 0.0,)))
-    pointer_score = rebase_joint(
-        joint, complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
-    ).orthogonality_score
     rows.append(("orthogonality:pointer", (pointer_score,)))
     for name, basis in rebases:
         rows.append((f"orthogonality:{name}", (rebase_joint(joint, basis).orthogonality_score,)))
@@ -499,29 +467,28 @@ def _run_pointer(scenario: Scenario, seed, samples) -> Report:
     return make_report(scenario, ("value",), rows, metadata)
 
 
-def _run_spreading(scenario: Scenario, seed, samples) -> Report:
-    model, times = _build_spreading(scenario.parameters)
+def _run_spreading(scenario: Scenario, spec, seed, samples) -> Report:
+    model, times = spec
     rows = [(format_number(t), (spreading_sigma(model, t),)) for t in times]
     metadata = dict(_COMMON_TOLERANCES)
     metadata["labels"] = "time"
     return make_report(scenario, ("value",), rows, metadata)
 
 
-def _run_detector(scenario: Scenario, seed, samples) -> Report:
-    rate, tick, horizon, file_seed, file_runs = _build_detector(scenario.parameters)
-    seed = file_seed if seed is None else seed
-    runs = file_runs if samples is None else samples
-    if runs < 1:
-        raise ScenarioError("runs must be at least 1", field="samples")
-    clicked = 0
+def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
+    rate, tick, horizon, file_seed, file_runs = spec
+    seed = file_seed if seed is None else _integer(seed, "seed", 0)
+    runs = file_runs if samples is None else _integer(samples, "samples", 1)
     nonclick_facts = 0
     click_times = []
     for i in range(runs):  # run i draws from its own stream, seed + i
-        sequence = detector_click_simulation(rate, tick, horizon, seed + i)
-        nonclick_facts += len(sequence.ticks) - (1 if sequence.clicked else 0)
-        if sequence.clicked:
-            clicked += 1
-            click_times.append(sequence.click_time)
+        count, click_index = detector_first_click(rate, tick, horizon, seed + i)
+        if click_index is None:
+            nonclick_facts += count
+        else:
+            nonclick_facts += click_index - 1
+            click_times.append(click_index * tick)
+    clicked = len(click_times)
     rows = [
         ("runs", (float(runs),)),
         ("clicked", (float(clicked),)),
@@ -535,19 +502,22 @@ def _run_detector(scenario: Scenario, seed, samples) -> Report:
     return make_report(scenario, ("value",), rows, metadata)
 
 
-_RUNNERS = {
-    "abl": _run_abl,
-    "gap": _run_gap,
-    "chain": _run_chain,
-    "pointer": _run_pointer,
-    "spreading": _run_spreading,
-    "detector": _run_detector,
+# The one registry of scenario kinds: kind -> (build, run). build(parameters)
+# validates the raw JSON object into a spec; run(scenario, spec, seed, samples)
+# computes the report from it.
+KINDS = {
+    "abl": (_context_from_params, _run_abl),
+    "gap": (lambda params: _context_from_params(params, timed=False), _run_gap),
+    "chain": (_build_chain, _run_chain),
+    "pointer": (_build_pointer, _run_pointer),
+    "spreading": (_build_spreading, _run_spreading),
+    "detector": (_build_detector, _run_detector),
 }
 
 
 def run_scenario(scenario: Scenario, *, seed: int | None = None, samples: int | None = None) -> Report:
-    """Dispatch a scenario to its analysis; seed/samples override the file where used."""
-    return _RUNNERS[scenario.kind](scenario, seed, samples)
+    """Run a scenario's built spec; seed/samples override the file where used."""
+    return KINDS[scenario.kind][1](scenario, scenario.spec, seed, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +549,8 @@ def parse_report(data: bytes) -> Report:
     """Inverse of emit_report for the JSON format."""
     try:
         payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid report JSON: {exc.msg}") from exc
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ScenarioError(f"invalid report JSON: {exc}") from exc
     try:
         rows = tuple((row[0], tuple(float(v) for v in row[1:])) for row in payload["rows"])
         return Report(
@@ -590,5 +560,5 @@ def parse_report(data: bytes) -> Report:
             rows=rows,
             metadata=tuple(sorted(payload["metadata"].items())),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed report payload: {exc}") from exc

@@ -19,6 +19,7 @@ from qcontexts import (
     rebase_joint,
     spreading_sigma,
 )
+from qcontexts.pointer import pointer_basis_scored
 from helpers import random_unitary
 
 RNG = np.random.default_rng(90125)
@@ -157,6 +158,15 @@ def test_pointer_bell_flags_non_unique():
     assert schmidt.non_unique
 
 
+def test_pointer_score_is_the_rebase_onto_the_completed_basis():
+    for system_dim, apparatus_dim in ((2, 2), (2, 4), (3, 5)):
+        joint = random_joint(RNG, system_dim, apparatus_dim)
+        schmidt, score = pointer_basis_scored(joint)
+        completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
+        assert score == rebase_joint(joint, completed).orthogonality_score
+        assert np.array_equal(schmidt.apparatus_states, pointer_basis_select(joint).apparatus_states)
+
+
 def test_random_bases_never_beat_the_pointer_score():
     for _ in range(10):
         dim = int(RNG.integers(2, 4))
@@ -202,6 +212,18 @@ def test_spreading_monotonicity():
 def test_spreading_rejects_negative_time():
     with pytest.raises(InvariantViolation, match="nonnegative"):
         spreading_sigma(SpreadingModel(1.0, 1.0), -0.1)
+
+
+def test_spreading_rejects_a_timescale_outside_double_range():
+    with pytest.raises(InvariantViolation, match="sigma0"):
+        SpreadingModel(1e-3, 1e-320)
+    with pytest.raises(InvariantViolation, match="sigma0"):
+        SpreadingModel(1e200, 1.0)
+
+
+def test_spreading_rejects_an_overflowing_width():
+    with pytest.raises(InvariantViolation, match="overflows"):
+        spreading_sigma(SpreadingModel(1.0, 1e-10), 1e300)
 
 
 def test_fuzziness_resolvable_boundary():

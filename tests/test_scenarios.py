@@ -1,14 +1,21 @@
 """Tests for scenario loading, dispatch, deterministic emission, and the CLI."""
 
+import copy
 import json
+import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcontexts import (
     InvariantViolation,
+    Scenario,
     ScenarioError,
+    detector_click_simulation,
     emit_report,
     format_number,
     load_preset,
@@ -17,8 +24,10 @@ from qcontexts import (
     preset_names,
     run_scenario,
     scenario_to_json,
+    scenarios,
 )
 from qcontexts.cli import main
+from qcontexts.pointer import detector_first_click
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -347,3 +356,183 @@ def test_cli_non_finite_number_is_a_parse_error(tmp_path, capsysbinary, name, pa
     assert diagnostic["exit_code"] == 2
     assert diagnostic["message"].startswith(f"{field}: ")
     assert "finite" in diagnostic["message"]
+
+
+def _single_error_line(captured, code: int) -> dict:
+    """The one JSON diagnostic a failed run prints, with nothing on stdout."""
+    assert captured.out == b""
+    lines = captured.err.decode().splitlines()
+    assert len(lines) == 1
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["exit_code"] == code
+    return diagnostic
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"mass": 1e-320}, "2 * mass * sigma0^2"), ({"mass": 1e-10, "times": [1e300]}, "overflows")],
+    ids=["timescale-underflow", "width-overflow"],
+)
+def test_cli_spreading_non_finite_width_is_an_invariant_violation(tmp_path, capsysbinary, changes, message):
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["spreading"]).read_text())
+    payload["parameters"].update(changes)
+    assert main(["run", write_scenario(tmp_path, payload)]) == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert diagnostic["error"] == "invariant-violation"
+    assert message in diagnostic["message"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff", b"[1]", b'{"scenario": "s", "kind": "abl", "columns": [], "rows": [], "metadata": []}'],
+    ids=["undecodable", "not-an-object", "metadata-not-an-object"],
+)
+def test_parse_report_rejects_malformed_bytes(data):
+    with pytest.raises(ScenarioError, match="report"):
+        parse_report(data)
+
+
+@pytest.mark.parametrize("name", ["chain", "detector"])
+def test_cli_negative_seed_is_a_parse_error(tmp_path, capsysbinary, name):
+    source = str(SCENARIO_DIR / EXAMPLE_FILES[name])
+    assert main(["run", source, "--seed", "-1"]) == 2
+    assert _single_error_line(capsysbinary.readouterr(), 2)["message"].startswith("seed: ")
+    payload = json.loads(Path(source).read_text())
+    payload["parameters"]["seed"] = -1
+    assert main(["run", write_scenario(tmp_path, payload)]) == 2
+    assert _single_error_line(capsysbinary.readouterr(), 2)["message"].startswith("parameters.seed: ")
+
+
+def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation(tmp_path, capsysbinary):
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["detector"]).read_text())
+    payload["parameters"]["tick"] = 1e-320  # horizon / tick overflows to inf
+    assert main(["run", write_scenario(tmp_path, payload)]) == 3
+    assert "2^53" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
+
+
+# --- one build per scenario -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", sorted(EXAMPLE_FILES))
+def test_loading_and_running_builds_the_spec_once(monkeypatch, kind):
+    build, run = scenarios.KINDS[kind]
+    calls = []
+
+    def counting_build(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setitem(scenarios.KINDS, kind, (counting_build, run))
+    scenario = load_scenario(SCENARIO_DIR / EXAMPLE_FILES[kind])
+    first = emit_report(run_scenario(scenario), "json")
+    assert emit_report(run_scenario(scenario), "json") == first
+    assert len(calls) == 1
+
+
+def _reference_detector_rows(rate, tick, horizon, seed, runs) -> dict:
+    """The detector report counted from materialized fact sequences, run i on seed + i."""
+    nonclick_facts = 0
+    click_times = []
+    for i in range(runs):
+        sequence = detector_click_simulation(rate, tick, horizon, seed + i)
+        nonclick_facts += len(sequence.ticks) - (1 if sequence.clicked else 0)
+        if sequence.clicked:
+            click_times.append(sequence.click_time)
+    rows = {
+        "runs": runs,
+        "clicked": len(click_times),
+        "censored": runs - len(click_times),
+        "nonclick_facts": nonclick_facts,
+    }
+    if click_times:
+        rows["mean_click_time"] = sum(click_times) / len(click_times)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rate, tick, horizon",
+    [(0.0, 0.1, 2.0), (1.0, 0.1, 0.1), (2.5, 0.05, 3.0), (50.0, 0.01, 1.0), (0.3, 0.2, 1.0)],
+    ids=["never-clicks", "horizon-is-tick", "typical", "clicks-early", "mostly-censored"],
+)
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+def test_detector_counts_match_fact_sequences(rate, tick, horizon, seed):
+    parameters = {"rate": rate, "tick": tick, "horizon": horizon, "seed": seed, "runs": 40}
+    report = run_scenario(Scenario(name="counter", kind="detector", parameters=parameters))
+    expected = _reference_detector_rows(rate, tick, horizon, seed, 40)
+    assert [label for label, _ in report.rows] == list(expected)
+    for label, value in expected.items():
+        assert report.value(label) == float(format_number(value))
+
+
+def test_detector_counts_a_long_record_without_building_it():
+    parameters = {"rate": 0.0, "tick": 1e-12, "horizon": 1.0}
+    start = time.perf_counter()
+    report = run_scenario(Scenario(name="long", kind="detector", parameters=parameters))
+    assert time.perf_counter() - start < 1.0
+    count, click_index = detector_first_click(0.0, 1e-12, 1.0, 0)
+    assert click_index is None and abs(count - 10**12) <= 1
+    assert report.value("nonclick_facts") == float(count)
+
+
+# --- fuzzing the parse boundary ----------------------------------------------------
+
+SHIPPED_PAYLOADS = [json.loads((SCENARIO_DIR / name).read_text()) for name in sorted(EXAMPLE_FILES.values())]
+WRONG_TYPE_TOKENS = ('"x"', "[]", "null", "true", "false")
+NON_FINITE_TOKENS = ("NaN", "Infinity", "-Infinity")
+
+
+def _entries(node, path=()):
+    """(path, value) for every entry below node, in document order."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield path + (key,), value
+        yield from _entries(value, path + (key,))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def mutated_scenario_text(draw) -> str:
+    """A shipped payload with one field dropped, one value of the wrong type, or one
+    number made non-finite; no count is ever made larger."""
+    payload = copy.deepcopy(draw(st.sampled_from(SHIPPED_PAYLOADS)))
+    mode = draw(st.sampled_from(("drop", "wrong-type", "non-finite")))
+    if mode == "drop":
+        paths = [path for path, _ in _entries(payload) if isinstance(path[-1], str)]
+    elif mode == "wrong-type":
+        paths = [path for path, _ in _entries(payload)]
+        token = draw(st.sampled_from(WRONG_TYPE_TOKENS))
+    else:
+        paths = [path for path, value in _entries(payload) if _is_number(value)]
+        token = draw(st.sampled_from(NON_FINITE_TOKENS))
+    # Depth first, so the few structural fields are drawn as often as the many matrix entries.
+    depth = draw(st.sampled_from(sorted({len(path) for path in paths})))
+    path = draw(st.sampled_from([path for path in paths if len(path) == depth]))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if mode == "drop":
+        del parent[path[-1]]
+        return json.dumps(payload)
+    parent[path[-1]] = "__TOKEN__"
+    return json.dumps(payload).replace('"__TOKEN__"', token)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_scenario_text())
+def test_fuzzed_scenario_ends_in_a_finite_report_or_a_documented_exit(tmp_path, capsysbinary, text):
+    path = tmp_path / "fuzzed.json"
+    path.write_text(text)
+    code = main(["run", str(path)])
+    captured = capsysbinary.readouterr()
+    if code != 0:
+        assert code in (2, 3, 4, 5)
+        _single_error_line(captured, code)
+        return
+    assert captured.err == b""
+    lines = captured.out.decode().splitlines()
+    assert len(lines) > 1
+    for line in lines[1:]:
+        assert all(math.isfinite(float(value)) for value in line.split(",")[1:]), line
