@@ -21,7 +21,9 @@ reading is carried as context metadata only.
 A Context is immutable, so it computes its spectral data once, on first use,
 and keeps it for its whole life: the eigensystem of its Hamiltonian and the
 propagators over its fixed intervals t - t1, t2 - t and t2 - t1. A free
-context (no or zero Hamiltonian) never decomposes anything.
+context (no or zero Hamiltonian) never decomposes anything. Its branch table
+(per intermediate outcome, the Born weight and the post-selected branch
+weight) is also computed once; every probability above is read from it.
 """
 
 from __future__ import annotations
@@ -40,14 +42,17 @@ from .kinematics import (
     ProjectiveDecomposition,
     StateVector,
     born_distribution,
-    lueders_collapse,
+    evolve,
     prepare_eigenstate,
 )
-from .linalg import NEGLIGIBLE, Eigensystem, HermitianOperator, frozen_copy, hermitian_eigensystem, unitary_exponential
+from .linalg import NEGLIGIBLE, Eigensystem, HermitianOperator, frozen_copy, hermitian_eigensystem, projector_image
 
 # Below this total branch weight, post-selection is unreachable rather than
 # merely unlikely; the conditional distribution is undefined.
 DENOMINATOR_FLOOR = 1e-15
+
+# The chain sampler keeps a few arrays of this many draws (about 250 MB).
+MAX_CHAIN_SAMPLES = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +164,16 @@ class Context:
     def _through(self) -> np.ndarray:
         return self._propagator(self.postselection.time - self.preparation.time)
 
+    # Read-only (born, joint) over the intermediate outcomes; see _branch_table.
+    @cached_property
+    def _branches(self) -> tuple[np.ndarray, np.ndarray]:
+        prepared = self._forward @ self.preparation.state.amplitudes
+        post_proj = self.postselection.observable.projector(self.postselection.label)
+        table = _branch_table(prepared, _require_intermediate(self).observable, self._onward, post_proj)
+        for column in table:
+            column.setflags(write=False)
+        return table
+
 
 def _require_intermediate(ctx: Context) -> Intermediate:
     if ctx.intermediate is None:
@@ -166,16 +181,18 @@ def _require_intermediate(ctx: Context) -> Intermediate:
     return ctx.intermediate
 
 
-def _branch_weights(ctx: Context) -> np.ndarray:
-    """Unnormalized weight per intermediate outcome: post-selected branch norms squared."""
-    inter = _require_intermediate(ctx)
-    post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
-    prepared = ctx._forward @ ctx.preparation.state.amplitudes
-    weights = np.empty(len(inter.observable.outcomes))
-    for k, outcome in enumerate(inter.observable.outcomes):
-        branch = post_proj @ (ctx._onward @ (outcome.projector @ prepared))
-        weights[k] = float(np.real(np.vdot(branch, branch)))
-    return weights
+def _branch_table(prepared, observable: ProjectiveDecomposition, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
+    """born[k] = <s|P_k|s> and joint[k] = ||P_b U P_k s||^2 for the state s at the
+    intermediate time, the propagator U onward to the post-selection and its
+    projector P_b. joint[k] / born[k] is the success of post-selection after a
+    Lüders collapse onto outcome k."""
+    born = np.empty(len(observable.outcomes))
+    joint = np.empty(len(observable.outcomes))
+    for k, outcome in enumerate(observable.outcomes):
+        image, born[k] = projector_image(outcome.projector, prepared)
+        branch = post_proj @ (onward @ image)
+        joint[k] = float(np.real(np.vdot(branch, branch)))
+    return born, joint
 
 
 def abl_distribution(ctx: Context) -> OutcomeDistribution:
@@ -187,7 +204,7 @@ def abl_distribution(ctx: Context) -> OutcomeDistribution:
     misses the post-selection (denominator below 1e-15).
     """
     inter = _require_intermediate(ctx)
-    weights = _branch_weights(ctx)
+    weights = ctx._branches[1]
     total = float(weights.sum())
     if total <= DENOMINATOR_FLOOR:
         raise ImpossibleOutcomeError(
@@ -205,14 +222,13 @@ def sequential_success_probability(ctx: Context) -> float:
     Equals the normalizing denominator of the conditional rule, and the
     expected retention rate of the chain sampler.
     """
-    return float(_branch_weights(ctx).sum())
+    return float(ctx._branches[1].sum())
 
 
 def born_context_distribution(ctx: Context) -> OutcomeDistribution:
     """Born distribution of the intermediate observable, post-selection ignored."""
     inter = _require_intermediate(ctx)
-    evolved = StateVector.normalized(ctx._forward @ ctx.preparation.state.amplitudes)
-    return born_distribution(evolved, inter.observable)
+    return OutcomeDistribution(tuple(zip(inter.observable.labels, ctx._branches[0])))
 
 
 @dataclass(frozen=True)
@@ -246,26 +262,18 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     intermediate outcome from its Born distribution, collapses, evolves to
     the post-selection time, and draws the final outcome; runs whose final
     outcome differs from the post-selected label are discarded. The
-    per-branch distributions are precomputed, so a run costs two inverse-CDF
-    draws while the sampling law is untouched. Output is bit-identical for
-    identical (context, samples, seed).
+    per-branch distributions come from the context's branch table, so a run
+    costs two draws while the sampling law is untouched. Output is
+    bit-identical for identical (context, samples, seed); samples ≤ 10^7.
     """
     inter = _require_intermediate(ctx)
-    if samples < 1:
-        raise InvariantViolation("samples must be at least 1")
-    post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
-    evolved = StateVector.normalized(ctx._forward @ ctx.preparation.state.amplitudes)
-    born = born_distribution(evolved, inter.observable)
-    probs = np.array([p for _, p in born.entries])
-    probs = probs / probs.sum()
+    if not 1 <= samples <= MAX_CHAIN_SAMPLES:
+        raise InvariantViolation(f"samples must lie in [1, {MAX_CHAIN_SAMPLES}], got {samples}")
+    born, joint = ctx._branches
+    probs = born / born.sum()
     success = np.zeros(len(probs))
-    for k, outcome in enumerate(inter.observable.outcomes):
-        if probs[k] <= NEGLIGIBLE:
-            continue
-        collapsed = lueders_collapse(evolved, inter.observable, outcome.label)
-        final = ctx._onward @ collapsed.amplitudes
-        weight = float(np.real(np.vdot(final, post_proj @ final)))
-        success[k] = min(max(weight, 0.0), 1.0)
+    live = probs > NEGLIGIBLE
+    success[live] = np.clip(joint[live] / born[live], 0.0, 1.0)
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(probs), size=samples, p=probs)
     kept = rng.random(samples) < success[picks]
@@ -304,16 +312,10 @@ def total_probability_gap(
     if preparation.dim != post_observable.dim or preparation.dim != intermediate_observable.dim:
         raise InvariantViolation("total-probability gap needs matching dimensions throughout")
     post_proj = post_observable.projector(post_label)
-    quantum = float(np.real(np.vdot(preparation.amplitudes, post_proj @ preparation.amplitudes)))
-    quantum = min(max(quantum, 0.0), 1.0)
-    classical = 0.0
-    born = born_distribution(preparation, intermediate_observable)
-    for label, prob in born.entries:
-        if prob <= NEGLIGIBLE:
-            continue
-        collapsed = lueders_collapse(preparation, intermediate_observable, label)
-        through = float(np.real(np.vdot(collapsed.amplitudes, post_proj @ collapsed.amplitudes)))
-        classical += prob * min(max(through, 0.0), 1.0)
+    quantum = projector_image(post_proj, preparation.amplitudes)[1]
+    identity = np.eye(preparation.dim, dtype=complex)
+    born, joint = _branch_table(preparation.amplitudes, intermediate_observable, identity, post_proj)
+    classical = float(joint[born > NEGLIGIBLE].sum())
     return TotalProbabilityGap(quantum, classical, quantum - classical)
 
 
@@ -414,14 +416,10 @@ def element_of_reality(
     """
     if at_time < preparation.time:
         raise InvariantViolation("query time precedes the preparation")
-    if hamiltonian is None:
-        hamiltonian = HermitianOperator.zero(preparation.state.dim)
-    forward = (
-        np.eye(preparation.state.dim, dtype=complex)
-        if hamiltonian.is_zero()
-        else unitary_exponential(hamiltonian, at_time - preparation.time).matrix
-    )
-    evolved = StateVector.normalized(forward @ preparation.state.amplitudes)
+    if hamiltonian is None or hamiltonian.is_zero():
+        evolved = preparation.state
+    else:
+        evolved = evolve(preparation.state, hamiltonian, at_time - preparation.time)
     if observable is None:
         question = _projector_question(evolved.amplitudes)
         return ElementOfReality(question, "yes", 1.0, True)

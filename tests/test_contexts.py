@@ -24,6 +24,7 @@ from qcontexts import (
     element_of_reality,
     evolve,
     interchange_context,
+    lueders_collapse,
     pauli_x,
     pauli_z,
     picture_consistency_check,
@@ -39,6 +40,8 @@ from helpers import (
     random_context,
     random_hermitian,
     random_observable,
+    random_state,
+    random_unitary,
 )
 
 RNG = np.random.default_rng(404208)
@@ -280,6 +283,35 @@ def test_gap_angle_sweep():
         assert abs(result.quantum - np.cos(theta) ** 2) < 1e-12
 
 
+def _random_observable_with_rank_two(rng, dim: int, prefix: str) -> ProjectiveDecomposition:
+    """Random observable whose outcomes each span one or two columns of a random unitary."""
+    basis = random_unitary(rng, dim)
+    outcomes, start = [], 0
+    while start < dim:
+        columns = basis[:, start : start + int(rng.integers(1, 3))]
+        outcomes.append(Outcome(f"{prefix}{len(outcomes)}", float(start), columns @ columns.conj().T))
+        start += columns.shape[1]
+    return ProjectiveDecomposition(tuple(outcomes))
+
+
+def test_gap_classical_chain_is_the_lueders_chain():
+    # Reference: the measure-collapse-measure loop, one Born value after each Lüders collapse.
+    rng = np.random.default_rng(4242)
+    ranks = set()
+    for trial in range(40):
+        dim = 2 + trial % 4
+        a = random_state(rng, dim)
+        inter = _random_observable_with_rank_two(rng, dim, "c")
+        post = _random_observable_with_rank_two(rng, dim, "b")
+        reference = 0.0
+        for label, prob in born_distribution(a, inter).entries:
+            if prob > 1e-12:
+                reference += prob * born_distribution(lueders_collapse(a, inter, label), post).probability("b0")
+        assert abs(total_probability_gap(a, post, "b0", inter).classical_chain - reference) < 1e-12
+        ranks.update(o.rank for o in inter.outcomes + post.outcomes)
+    assert ranks == {1, 2}
+
+
 def test_gap_zero_when_preparation_is_eigenstate():
     for _ in range(10):
         obs = random_observable(RNG, 3)
@@ -444,15 +476,16 @@ def test_conditioning_marginalizes_back_to_born():
 # --- spectral cache -------------------------------------------------------------
 
 
-def _count_eigensystems(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the first argument of every call to contexts.<name>."""
     calls = []
-    real = contexts.hermitian_eigensystem
+    real = getattr(contexts, name)
 
-    def counting(operator):
-        calls.append(operator)
-        return real(operator)
+    def counting(first, *rest):
+        calls.append(first)
+        return real(first, *rest)
 
-    monkeypatch.setattr(contexts, "hermitian_eigensystem", counting)
+    monkeypatch.setattr(contexts, name, counting)
     return calls
 
 
@@ -466,14 +499,21 @@ def _query_everything_twice(ctx: Context) -> None:
 
 
 def test_context_decomposes_its_hamiltonian_once(monkeypatch):
-    calls = _count_eigensystems(monkeypatch)
+    calls = _count_calls(monkeypatch, "hermitian_eigensystem")
     ctx = random_context(np.random.default_rng(11), 3)
     _query_everything_twice(ctx)
     assert calls == [ctx.hamiltonian]
 
 
+@pytest.mark.parametrize("free", [False, True])
+def test_context_builds_its_branch_table_once(monkeypatch, free):
+    calls = _count_calls(monkeypatch, "_branch_table")
+    _query_everything_twice(random_context(np.random.default_rng(15), 3, free=free))
+    assert len(calls) == 1
+
+
 def test_free_context_never_decomposes(monkeypatch):
-    calls = _count_eigensystems(monkeypatch)
+    calls = _count_calls(monkeypatch, "hermitian_eigensystem")
     _query_everything_twice(random_context(np.random.default_rng(12), 3, free=True))
     zero_h = three_box_context()
     _query_everything_twice(
@@ -483,7 +523,7 @@ def test_free_context_never_decomposes(monkeypatch):
 
 
 def test_time_reversed_context_has_its_own_cache(monkeypatch):
-    calls = _count_eigensystems(monkeypatch)
+    calls = _count_calls(monkeypatch, "hermitian_eigensystem")
     ctx = random_context(np.random.default_rng(13), 3)
     abl_distribution(ctx)
     with pytest.warns(TimeReversalConventionWarning):
@@ -498,7 +538,7 @@ def test_time_reversed_context_has_its_own_cache(monkeypatch):
 def test_cached_propagators_are_read_only(free):
     ctx = random_context(np.random.default_rng(14), 3, free=free)
     picture_consistency_check(ctx)
-    for propagator in (ctx._forward, ctx._onward, ctx._through):
-        assert not propagator.flags.writeable
+    for cached in (ctx._forward, ctx._onward, ctx._through, *ctx._branches):
+        assert not cached.flags.writeable
         with pytest.raises(ValueError):
-            propagator[0, 0] = 0.0
+            cached[0] = 0.0

@@ -27,6 +27,7 @@ from qcontexts import (
     scenarios,
 )
 from qcontexts.cli import main
+from qcontexts.contexts import MAX_CHAIN_SAMPLES
 from qcontexts.pointer import detector_first_click
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -370,8 +371,12 @@ def _single_error_line(captured, code: int) -> dict:
 
 @pytest.mark.parametrize(
     "changes, message",
-    [({"mass": 1e-320}, "2 * mass * sigma0^2"), ({"mass": 1e-10, "times": [1e300]}, "overflows")],
-    ids=["timescale-underflow", "width-overflow"],
+    [
+        ({"mass": 1e-320}, "2 * mass * sigma0^2"),
+        ({"mass": 1e-10, "times": [1e300]}, "overflows"),
+        ({"mass": 1e-10, "times": [1.0, 1e300]}, "parameters.times[1]: packet width at time 1e+300 overflows"),
+    ],
+    ids=["timescale-underflow", "width-overflow", "width-overflow-names-the-time"],
 )
 def test_cli_spreading_non_finite_width_is_an_invariant_violation(tmp_path, capsysbinary, changes, message):
     payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["spreading"]).read_text())
@@ -401,6 +406,17 @@ def test_cli_negative_seed_is_a_parse_error(tmp_path, capsysbinary, name):
     payload["parameters"]["seed"] = -1
     assert main(["run", write_scenario(tmp_path, payload)]) == 2
     assert _single_error_line(capsysbinary.readouterr(), 2)["message"].startswith("parameters.seed: ")
+
+
+def test_cli_chain_samples_past_the_cap_are_an_invariant_violation(tmp_path, capsysbinary):
+    # Rejected before any draw is allocated; only cap + 1 is tried, which fits in memory regardless.
+    source = SCENARIO_DIR / EXAMPLE_FILES["chain"]
+    assert main(["run", str(source), "--samples", str(MAX_CHAIN_SAMPLES + 1)]) == 3
+    assert "samples must lie in" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
+    payload = json.loads(source.read_text())
+    payload["parameters"]["samples"] = MAX_CHAIN_SAMPLES + 1
+    assert main(["run", write_scenario(tmp_path, payload)]) == 3
+    assert "samples must lie in" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
 
 
 def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation(tmp_path, capsysbinary):
