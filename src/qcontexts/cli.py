@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 impossible
 post-selection / no data, 5 internal tolerance breach. Failures print one
-machine-parsable JSON line to stderr. Output bytes are written without
-newline translation so identical runs are byte-identical.
+machine-parsable JSON line to stderr, with a `field` key when the failure
+names an input field. Output bytes are written without newline translation
+so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ def _write(payload: bytes, out: str | None) -> None:
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
-    line = json.dumps(
-        {"error": kind, "exit_code": code, "message": str(exc)}, sort_keys=True
-    )
-    sys.stderr.write(line + "\n")
+    diagnostic = {"error": kind, "exit_code": code, "message": str(exc)}
+    if getattr(exc, "field", None) is not None:
+        diagnostic["field"] = exc.field
+    sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
     return code
 
 

@@ -136,10 +136,6 @@ class Context:
         return "subjective"
 
     def is_free(self) -> bool:
-        return self._free
-
-    @cached_property
-    def _free(self) -> bool:
         return self.hamiltonian is None or self.hamiltonian.is_zero()
 
     @cached_property
@@ -147,7 +143,7 @@ class Context:
         return hermitian_eigensystem(self.hamiltonian)
 
     def _propagator(self, duration: float) -> np.ndarray:
-        if self._free:
+        if self.is_free():
             return frozen_copy(np.eye(self.dim, dtype=complex))
         return self._eigensystem.exponential(duration).matrix
 

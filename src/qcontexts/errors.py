@@ -1,11 +1,20 @@
 """Exception types shared across the package.
 
 The CLI maps these onto documented process exit codes, so keep the
-hierarchy flat and the categories disjoint.
+hierarchy flat and the categories disjoint: InvariantViolation and
+ScenarioError share only the constructor that records an input field path.
 """
 
 
-class InvariantViolation(ValueError):
+class _FieldError(ValueError):
+    """A rejected input; `field` is the input path it concerns, when one is known."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message if field is None else f"{field}: {message}")
+
+
+class InvariantViolation(_FieldError):
     """A value failed one of its construction-time invariants."""
 
 
@@ -21,12 +30,8 @@ class ToleranceError(RuntimeError):
     """
 
 
-class ScenarioError(ValueError):
+class ScenarioError(_FieldError):
     """A scenario file failed to parse or is missing required fields."""
-
-    def __init__(self, message: str, field: str | None = None):
-        self.field = field
-        super().__init__(message if field is None else f"{field}: {message}")
 
 
 class TimeReversalConventionWarning(UserWarning):

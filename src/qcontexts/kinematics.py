@@ -17,14 +17,13 @@ import numpy as np
 from .errors import ImpossibleOutcomeError, InvariantViolation, ToleranceError
 from .linalg import (
     ALGEBRA_TOL,
-    CONSTRUCTION_TOL,
     NEGLIGIBLE,
     HermitianOperator,
-    as_complex_matrix,
-    as_complex_vector,
+    as_complex_array,
+    check_projector,
+    check_unit_norm,
     fix_global_phase,
     frozen_copy,
-    hermiticity_defect,
     max_abs,
     projector_image,
     unitary_exponential,
@@ -44,14 +43,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = as_complex_vector(self.amplitudes, "state amplitudes")
+        amps = as_complex_array(self.amplitudes, 1, "state amplitudes")
         if amps.size == 0:
             raise InvariantViolation("state must have at least one amplitude")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > CONSTRUCTION_TOL:
-            raise InvariantViolation(
-                f"state must be unit norm within {CONSTRUCTION_TOL:.0e}, got norm {norm!r}"
-            )
+        check_unit_norm(amps, "state")
         object.__setattr__(self, "amplitudes", frozen_copy(amps))
 
     @property
@@ -61,7 +56,7 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         """Rescale to unit norm; rejects vectors indistinguishable from zero."""
-        amps = as_complex_vector(amplitudes, "state amplitudes")
+        amps = as_complex_array(amplitudes, 1, "state amplitudes")
         norm = float(np.linalg.norm(amps))
         if norm <= 1e-9:
             raise InvariantViolation(f"cannot normalize a near-zero vector (norm {norm!r})")
@@ -96,9 +91,7 @@ class Outcome:
             raise InvariantViolation("outcome label must be a nonempty string")
         if not np.isfinite(self.value):
             raise InvariantViolation(f"outcome value for {self.label!r} must be finite")
-        proj = as_complex_matrix(self.projector, f"projector for {self.label!r}")
-        if proj.shape[0] != proj.shape[1]:
-            raise InvariantViolation(f"projector for {self.label!r} must be square")
+        proj = as_complex_array(self.projector, 2, f"projector for {self.label!r}", square=True)
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "projector", frozen_copy(proj))
 
@@ -126,10 +119,7 @@ class ProjectiveDecomposition:
             p = outcome.projector
             if p.shape != (dim, dim):
                 raise InvariantViolation(f"projector for {outcome.label!r} has mismatched dimension")
-            if hermiticity_defect(p) > ALGEBRA_TOL:
-                raise InvariantViolation(f"projector for {outcome.label!r} is not Hermitian")
-            if max_abs(p @ p - p) > ALGEBRA_TOL:
-                raise InvariantViolation(f"projector for {outcome.label!r} is not idempotent")
+            check_projector(p, f"projector for {outcome.label!r}")
             total += p
         for i, a in enumerate(outcomes):
             for b in outcomes[i + 1 :]:

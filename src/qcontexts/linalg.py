@@ -37,23 +37,15 @@ _CLUSTER_TOL = 1e-12
 NEGLIGIBLE = 1e-12
 
 
-def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting non-finite entries."""
+def as_complex_array(entries, ndim: int, name: str, square: bool = False) -> np.ndarray:
+    """Coerce to an ndim-D complex array of finite entries, square if asked."""
     arr = np.asarray(entries, dtype=complex)
-    if arr.ndim != 2:
-        raise InvariantViolation(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if arr.ndim != ndim:
+        raise InvariantViolation(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
         raise InvariantViolation(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_complex_vector(entries, name: str = "vector") -> np.ndarray:
-    """Coerce to a 1-D complex array, rejecting non-finite entries."""
-    arr = np.asarray(entries, dtype=complex)
-    if arr.ndim != 1:
-        raise InvariantViolation(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise InvariantViolation(f"{name} contains non-finite entries")
+    if square and arr.shape[0] != arr.shape[1]:
+        raise InvariantViolation(f"{name} must be square, got shape {arr.shape}")
     return arr
 
 
@@ -64,6 +56,23 @@ def max_abs(arr: np.ndarray) -> float:
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max-entry distance from the conjugate transpose."""
     return max_abs(matrix - matrix.conj().T)
+
+
+def check_unit_norm(arr: np.ndarray, name: str) -> None:
+    """Reject a vector (matrix) whose 2-norm (Frobenius norm) is not 1 within CONSTRUCTION_TOL."""
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > CONSTRUCTION_TOL:
+        raise InvariantViolation(f"{name} must be unit norm within {CONSTRUCTION_TOL:.0e}, got norm {norm!r}")
+
+
+def check_projector(p: np.ndarray, name: str) -> None:
+    """Reject a matrix that is not a Hermitian idempotent within ALGEBRA_TOL."""
+    defect_h = hermiticity_defect(p)
+    defect_i = max_abs(p @ p - p)
+    if defect_h > ALGEBRA_TOL or defect_i > ALGEBRA_TOL:
+        raise InvariantViolation(
+            f"{name} is not a projector: hermiticity defect {defect_h:.3e}, idempotency defect {defect_i:.3e}"
+        )
 
 
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -88,9 +97,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "Hermitian operator")
-        if m.shape[0] != m.shape[1]:
-            raise InvariantViolation(f"Hermitian operator must be square, got shape {m.shape}")
+        m = as_complex_array(self.matrix, 2, "Hermitian operator", square=True)
         defect = hermiticity_defect(m)
         if defect > CONSTRUCTION_TOL:
             raise InvariantViolation(
@@ -117,9 +124,7 @@ class UnitaryMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, "unitary map")
-        if m.shape[0] != m.shape[1]:
-            raise InvariantViolation(f"unitary map must be square, got shape {m.shape}")
+        m = as_complex_array(self.matrix, 2, "unitary map", square=True)
         defect = max_abs(m @ m.conj().T - np.eye(m.shape[0]))
         if defect > ALGEBRA_TOL:
             raise InvariantViolation(
@@ -141,7 +146,7 @@ class Eigensystem:
 
     def __post_init__(self):
         values = np.asarray(self.eigenvalues, dtype=float)
-        vectors = as_complex_matrix(self.eigenvectors, "eigenvectors")
+        vectors = as_complex_array(self.eigenvectors, 2, "eigenvectors")
         if values.ndim != 1 or vectors.shape != (values.size, values.size):
             raise InvariantViolation("eigensystem shapes disagree")
         if np.any(np.diff(values) < 0):
@@ -218,12 +223,10 @@ def unitary_exponential(operator: HermitianOperator, duration: float) -> Unitary
 
 def tensor_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Kronecker product of two unit vectors; amplitude (j, k) lands at index j*dim(right)+k."""
-    u = as_complex_vector(left, "left factor")
-    v = as_complex_vector(right, "right factor")
-    for name, vec in (("left factor", u), ("right factor", v)):
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > CONSTRUCTION_TOL:
-            raise InvariantViolation(f"{name} must be unit norm, got norm {norm!r}")
+    u = as_complex_array(left, 1, "left factor")
+    v = as_complex_array(right, 1, "right factor")
+    check_unit_norm(u, "left factor")
+    check_unit_norm(v, "right factor")
     return np.kron(u, v)
 
 
@@ -234,19 +237,12 @@ def apply_projector(projector: np.ndarray, state: np.ndarray) -> tuple[np.ndarra
     [0, 1]. Rejects matrices that are not projectors (Hermitian idempotents)
     within the algebraic tolerance.
     """
-    p = as_complex_matrix(projector, "projector")
-    s = as_complex_vector(state, "state")
+    p = as_complex_array(projector, 2, "projector argument")
+    s = as_complex_array(state, 1, "state")
     if p.shape != (s.size, s.size):
         raise InvariantViolation(f"projector shape {p.shape} does not match state dimension {s.size}")
-    defect_h = hermiticity_defect(p)
-    defect_i = max_abs(p @ p - p)
-    if defect_h > ALGEBRA_TOL or defect_i > ALGEBRA_TOL:
-        raise InvariantViolation(
-            f"not a projector: hermiticity defect {defect_h:.3e}, idempotency defect {defect_i:.3e}"
-        )
-    norm = float(np.linalg.norm(s))
-    if abs(norm - 1.0) > CONSTRUCTION_TOL:
-        raise InvariantViolation(f"state must be unit norm, got norm {norm!r}")
+    check_projector(p, "projector argument")
+    check_unit_norm(s, "state")
     return projector_image(p, s)
 
 
@@ -298,12 +294,8 @@ def schmidt_decompose(amplitudes: np.ndarray) -> SchmidtDecomposition:
     phase pushed into the apparatus vector, so output is deterministic and
     the reconstruction identity is exact to round-off.
     """
-    matrix = as_complex_matrix(amplitudes, "bipartite amplitudes")
-    frobenius = float(np.linalg.norm(matrix))
-    if abs(frobenius - 1.0) > CONSTRUCTION_TOL:
-        raise InvariantViolation(
-            f"bipartite amplitudes must have unit Frobenius norm, got {frobenius!r}"
-        )
+    matrix = as_complex_array(amplitudes, 2, "bipartite amplitudes")
+    check_unit_norm(matrix, "bipartite amplitudes")
     left, values, right_h = np.linalg.svd(matrix, full_matrices=False)
     full = min(matrix.shape)
     rank = max(int(np.sum(values > NEGLIGIBLE)), 1)

@@ -27,8 +27,8 @@ from .linalg import (
     CONSTRUCTION_TOL,
     NEGLIGIBLE,
     SchmidtDecomposition,
-    as_complex_matrix,
-    as_complex_vector,
+    as_complex_array,
+    check_unit_norm,
     frozen_copy,
     max_abs,
     orthonormal_extend,
@@ -50,13 +50,13 @@ def _as_basis(value, name: str) -> np.ndarray:
     Python list or tuple is taken as a sequence of state vectors.
     """
     if isinstance(value, (list, tuple)):
-        columns = [as_complex_vector(getattr(v, "amplitudes", v), name) for v in value]
+        columns = [as_complex_array(getattr(v, "amplitudes", v), 1, name) for v in value]
         basis = np.column_stack(columns)
     else:
         arr = np.asarray(value, dtype=complex)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        basis = as_complex_matrix(arr, name)
+        basis = as_complex_array(arr, 2, name)
     defect = _orthonormal_defect(basis)
     if defect > ALGEBRA_TOL:
         raise InvariantViolation(f"{name} is not orthonormal (defect {defect:.3e})")
@@ -77,7 +77,7 @@ class JointState:
     apparatus_basis: np.ndarray
 
     def __post_init__(self):
-        coeffs = as_complex_matrix(self.coefficient_matrix, "coefficient matrix")
+        coeffs = as_complex_array(self.coefficient_matrix, 2, "coefficient matrix")
         system = _as_basis(self.system_basis, "system basis")
         apparatus = _as_basis(self.apparatus_basis, "apparatus basis")
         if coeffs.shape != (system.shape[1], apparatus.shape[1]):
@@ -85,9 +85,7 @@ class JointState:
                 f"coefficient matrix shape {coeffs.shape} does not match basis counts "
                 f"({system.shape[1]}, {apparatus.shape[1]})"
             )
-        frobenius = float(np.linalg.norm(coeffs))
-        if abs(frobenius - 1.0) > CONSTRUCTION_TOL:
-            raise InvariantViolation(f"joint state must have unit norm, got {frobenius!r}")
+        check_unit_norm(coeffs, "joint state")
         object.__setattr__(self, "coefficient_matrix", frozen_copy(coeffs))
         object.__setattr__(self, "system_basis", frozen_copy(system))
         object.__setattr__(self, "apparatus_basis", frozen_copy(apparatus))
@@ -107,7 +105,7 @@ class JointState:
     @classmethod
     def from_amplitudes(cls, matrix) -> "JointState":
         """Joint state straight from an ambient amplitude matrix (standard bases)."""
-        m = as_complex_matrix(matrix, "joint amplitudes")
+        m = as_complex_array(matrix, 2, "joint amplitudes")
         return cls(m, np.eye(m.shape[0]), np.eye(m.shape[1]))
 
 
@@ -117,7 +115,7 @@ def premeasurement_joint(coefficients, system_basis=None, apparatus_basis=None) 
     The coefficient matrix is diagonal in the declared bases; bases default
     to the standard basis of the coefficient count and may be larger.
     """
-    coeffs = as_complex_vector(coefficients, "coefficients")
+    coeffs = as_complex_array(coefficients, 1, "coefficients")
     if coeffs.size == 0:
         raise InvariantViolation("need at least one coefficient")
     power = float(np.sum(np.abs(coeffs) ** 2))
@@ -152,9 +150,9 @@ class RebasedDecomposition:
     orthogonality_score: float
 
     def __post_init__(self):
-        basis = as_complex_matrix(self.new_apparatus_basis, "apparatus basis")
+        basis = as_complex_array(self.new_apparatus_basis, 2, "apparatus basis")
         coeffs = np.asarray(self.coefficients, dtype=float)
-        relative = as_complex_matrix(self.relative_states, "relative states")
+        relative = as_complex_array(self.relative_states, 2, "relative states")
         power = float(np.sum(coeffs**2))
         if abs(power - 1.0) > 1e-9:
             raise InvariantViolation(f"rebased weights must have unit power, got {power!r}")

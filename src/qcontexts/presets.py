@@ -125,6 +125,6 @@ def preset_names() -> tuple[str, ...]:
 
 
 def load_preset(name: str) -> Scenario:
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; available: {list(preset_names())}", field="preset")
     return _PRESETS[name]()

@@ -5,9 +5,9 @@ are lists of pairs, and observables are either the named dim-2 presets "X" /
 "Y" / "Z" or explicit labeled projector lists. Every embedded state and
 operator is validated against its type invariants when the Scenario is
 constructed, with the failing field named: construction builds the kind's
-spec once (contexts, joint states, models) and every run reuses it. A
-spreading time whose packet width overflows a double fails the run as an
-invariant violation. Reports round every value to 12 significant digits at
+spec once (contexts, joint states and their rebasings, models) and every
+run reuses it. A spreading time whose packet width overflows a double fails
+the run as an invariant violation. Reports round every value to 12 significant digits at
 construction and emit byte-deterministic CSV or JSON (JSON carries numbers
 as decimal strings so serialization never depends on float repr quirks).
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,15 @@ class Report:
         raise KeyError(label)
 
 
+_COMMON_TOLERANCES = {
+    "tolerance_construction": "1e-12",
+    "tolerance_algebra": "1e-10",
+}
+
+
 def make_report(scenario: Scenario, columns, rows, metadata: dict) -> Report:
-    base = {"tool_version": __version__}
+    """A Report with the tool version and the common tolerances added to `metadata`."""
+    base = {"tool_version": __version__, **_COMMON_TOLERANCES}
     base.update(metadata)
     return Report(
         scenario=scenario.name,
@@ -191,16 +199,19 @@ def _matrix_from_json(value, field: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _named_field(exc: InvariantViolation, field: str) -> InvariantViolation:
-    return InvariantViolation(f"{field}: {exc}")
+@contextmanager
+def _field(path: str):
+    """Name the input field `path` in an InvariantViolation raised inside the block."""
+    try:
+        yield
+    except InvariantViolation as exc:
+        raise InvariantViolation(str(exc), field=path) from exc
 
 
 def _state_from_json(value, field: str) -> StateVector:
     vector = _vector_from_json(value, field)
-    try:
+    with _field(field):
         return StateVector(vector)
-    except InvariantViolation as exc:
-        raise _named_field(exc, field) from exc
 
 
 def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
@@ -222,26 +233,20 @@ def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
             raise ScenarioError("label must be a string", field=f"{prefix}.label")
         out_value = _real_from_json(_require(entry, "value", prefix), f"{prefix}.value")
         projector = _matrix_from_json(_require(entry, "projector", prefix), f"{prefix}.projector")
-        try:
+        with _field(prefix):
             outcomes.append(Outcome(label, out_value, projector))
-        except InvariantViolation as exc:
-            raise _named_field(exc, prefix) from exc
-    try:
+    with _field(field):
         return ProjectiveDecomposition(tuple(outcomes))
-    except InvariantViolation as exc:
-        raise _named_field(exc, field) from exc
 
 
 def _hamiltonian_from_json(value, field: str, dim: int) -> HermitianOperator | None:
     if value is None:
         return None
     matrix = _matrix_from_json(value, field)
-    try:
+    with _field(field):
         operator = HermitianOperator(matrix)
-    except InvariantViolation as exc:
-        raise _named_field(exc, field) from exc
     if operator.dim != dim:
-        raise InvariantViolation(f"{field}: dimension {operator.dim} does not match the state ({dim})")
+        raise InvariantViolation(f"dimension {operator.dim} does not match the state ({dim})", field=field)
     return operator
 
 
@@ -276,14 +281,10 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
         if not isinstance(performed, bool):
             raise ScenarioError("performed must be a boolean", field=f"{field}.intermediate.performed")
         hamiltonian = _hamiltonian_from_json(params.get("hamiltonian"), f"{field}.hamiltonian", state.dim)
-    try:
+    with _field(f"{field}.postselection.label"):
         post = PostSelection(post_obs, label, t2)
-    except InvariantViolation as exc:
-        raise _named_field(exc, f"{field}.postselection.label") from exc
-    try:
+    with _field(field):
         return Context(Preparation(state, t1), post, Intermediate(observable, t, performed), hamiltonian)
-    except InvariantViolation as exc:
-        raise _named_field(exc, field) from exc
 
 
 def load_scenario(path) -> Scenario:
@@ -348,10 +349,8 @@ def _build_pointer(params: dict):
     apparatus_basis = params.get("apparatus_basis")
     sys_matrix = None if system_basis is None else _matrix_from_json(system_basis, f"{field}.system_basis").T
     app_matrix = None if apparatus_basis is None else _matrix_from_json(apparatus_basis, f"{field}.apparatus_basis").T
-    try:
+    with _field(field):
         joint = premeasurement_joint(coefficients, sys_matrix, app_matrix)
-    except InvariantViolation as exc:
-        raise _named_field(exc, field) from exc
     rebases = []
     rebases_json = params.get("rebases", [])
     if not isinstance(rebases_json, list):
@@ -362,7 +361,8 @@ def _build_pointer(params: dict):
         if not isinstance(name, str) or not name:
             raise ScenarioError("rebase name must be a nonempty string", field=f"{prefix}.name")
         basis = _matrix_from_json(_require(entry, "basis", prefix), f"{prefix}.basis").T
-        rebases.append((name, basis))
+        with _field(f"{prefix}.basis"):
+            rebases.append((name, rebase_joint(joint, basis)))
     return joint, rebases
 
 
@@ -374,12 +374,10 @@ def _build_spreading(params: dict):
     if not isinstance(times_json, list) or not times_json:
         raise ScenarioError("times must be a nonempty list", field=f"{field}.times")
     times = [_real_from_json(t, f"{field}.times[{i}]") for i, t in enumerate(times_json)]
-    try:
+    with _field(field):
         model = SpreadingModel(sigma0, mass)
-    except InvariantViolation as exc:
-        raise _named_field(exc, field) from exc
     if any(t < 0 for t in times):
-        raise InvariantViolation(f"{field}.times: times must be nonnegative")
+        raise InvariantViolation("times must be nonnegative", field=f"{field}.times")
     return model, times
 
 
@@ -391,16 +389,10 @@ def _build_detector(params: dict):
     seed = _integer(params.get("seed", 0), f"{field}.seed", 0)
     runs = _integer(params.get("runs", 1), f"{field}.runs", 1)
     if rate < 0:
-        raise InvariantViolation(f"{field}.rate: must be nonnegative")
+        raise InvariantViolation("must be nonnegative", field=f"{field}.rate")
     if tick <= 0 or horizon < tick:
-        raise InvariantViolation(f"{field}: need tick > 0 and horizon >= tick")
+        raise InvariantViolation("need tick > 0 and horizon >= tick", field=field)
     return rate, tick, horizon, seed, runs
-
-
-_COMMON_TOLERANCES = {
-    "tolerance_construction": "1e-12",
-    "tolerance_algebra": "1e-10",
-}
 
 
 def _run_abl(scenario: Scenario, ctx: Context, seed, samples) -> Report:
@@ -408,17 +400,17 @@ def _run_abl(scenario: Scenario, ctx: Context, seed, samples) -> Report:
     born = born_context_distribution(ctx)
     rows = [(f"abl:{label}", (p,)) for label, p in abl.entries]
     rows += [(f"born:{label}", (p,)) for label, p in born.entries]
-    metadata = dict(_COMMON_TOLERANCES)
-    metadata["tolerance_denominator"] = "1e-15"
-    metadata["reading"] = ctx.reading
+    metadata = {"tolerance_denominator": "1e-15", "reading": ctx.reading}
     return make_report(scenario, ("value",), rows, metadata)
 
 
 def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
     ctx, file_samples, file_seed = spec
+    samples_field = "parameters.samples" if samples is None else "samples"
     samples = file_samples if samples is None else _integer(samples, "samples", 1)
     seed = file_seed if seed is None else _integer(seed, "seed", 0)
-    report = sample_chain(ctx, samples, seed)
+    with _field(samples_field):
+        report = sample_chain(ctx, samples, seed)
     if report.no_data:
         raise ImpossibleOutcomeError(
             f"no run survived post-selection in {samples} samples (no-data outcome)"
@@ -430,16 +422,13 @@ def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
         spread = (p * (1.0 - p) / report.retained) ** 0.5
         zscore = 0.0 if spread == 0.0 else (frequency - p) / spread
         rows.append((label, (p, frequency, zscore)))
-    metadata = dict(_COMMON_TOLERANCES)
-    metadata.update(
-        {
-            "tolerance_denominator": "1e-15",
-            "reading": ctx.reading,
-            "seed": seed,
-            "samples": samples,
-            "retained": report.retained,
-        }
-    )
+    metadata = {
+        "tolerance_denominator": "1e-15",
+        "reading": ctx.reading,
+        "seed": seed,
+        "samples": samples,
+        "retained": report.retained,
+    }
     return make_report(scenario, ("analytic", "frequency", "zscore"), rows, metadata)
 
 
@@ -451,7 +440,7 @@ def _run_gap(scenario: Scenario, ctx: Context, seed, samples) -> Report:
         ("classical_chain", (result.classical_chain,)),
         ("gap", (result.gap,)),
     ]
-    return make_report(scenario, ("value",), rows, dict(_COMMON_TOLERANCES))
+    return make_report(scenario, ("value",), rows, {})
 
 
 def _run_pointer(scenario: Scenario, spec, seed, samples) -> Report:
@@ -460,25 +449,18 @@ def _run_pointer(scenario: Scenario, spec, seed, samples) -> Report:
     rows = [(f"coefficient:{k + 1}", (c,)) for k, c in enumerate(schmidt.coefficients)]
     rows.append(("non_unique", (1.0 if schmidt.non_unique else 0.0,)))
     rows.append(("orthogonality:pointer", (pointer_score,)))
-    for name, basis in rebases:
-        rows.append((f"orthogonality:{name}", (rebase_joint(joint, basis).orthogonality_score,)))
-    metadata = dict(_COMMON_TOLERANCES)
-    metadata["tolerance_coefficient_degeneracy"] = "1e-9"
-    return make_report(scenario, ("value",), rows, metadata)
+    for name, rebased in rebases:
+        rows.append((f"orthogonality:{name}", (rebased.orthogonality_score,)))
+    return make_report(scenario, ("value",), rows, {"tolerance_coefficient_degeneracy": "1e-9"})
 
 
 def _run_spreading(scenario: Scenario, spec, seed, samples) -> Report:
     model, times = spec
     rows = []
     for i, t in enumerate(times):
-        try:
-            width = spreading_sigma(model, t)
-        except InvariantViolation as exc:
-            raise _named_field(exc, f"parameters.times[{i}]") from exc
-        rows.append((format_number(t), (width,)))
-    metadata = dict(_COMMON_TOLERANCES)
-    metadata["labels"] = "time"
-    return make_report(scenario, ("value",), rows, metadata)
+        with _field(f"parameters.times[{i}]"):
+            rows.append((format_number(t), (spreading_sigma(model, t),)))
+    return make_report(scenario, ("value",), rows, {"labels": "time"})
 
 
 def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
@@ -504,9 +486,7 @@ def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     ]
     if clicked:
         rows.append(("mean_click_time", (click_time_total / clicked,)))
-    metadata = dict(_COMMON_TOLERANCES)
-    metadata.update({"seed": seed, "runs": runs})
-    return make_report(scenario, ("value",), rows, metadata)
+    return make_report(scenario, ("value",), rows, {"seed": seed, "runs": runs})
 
 
 # The one registry of scenario kinds: kind -> (build, run). build(parameters)

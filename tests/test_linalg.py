@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra layer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,11 @@ from hypothesis import strategies as st
 from qcontexts import (
     HermitianOperator,
     InvariantViolation,
+    JointState,
+    Outcome,
+    ProjectiveDecomposition,
+    StateVector,
+    UnitaryMap,
     apply_projector,
     hermitian_eigensystem,
     schmidt_decompose,
@@ -219,3 +226,80 @@ def test_schmidt_coefficients_local_unitary_invariant():
         # Local unitaries act as matrix @ transpose on the amplitude matrix.
         rotated = schmidt_decompose(left @ matrix @ right.T).coefficients
         np.testing.assert_allclose(np.sort(rotated), np.sort(base), atol=1e-10)
+
+
+# --- rejection paths of the shared input checks -------------------------------------
+
+NAN = float("nan")
+UNIT = np.array([1.0, 0.0])
+SKEWED = np.array([[1.0, 1.0], [0.0, 0.0]])  # idempotent, not Hermitian
+
+
+def _decomposition(projector) -> ProjectiveDecomposition:
+    return ProjectiveDecomposition((Outcome("a", 0.0, projector), Outcome("b", 1.0, np.eye(2) - projector)))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: StateVector([NAN, 0.0]), "state"),
+        (lambda: StateVector([[1.0, 0.0]]), "state"),
+        (lambda: StateVector([1.0, 1.0]), "state"),
+        (lambda: HermitianOperator([[NAN, 0.0], [0.0, 1.0]]), "Hermitian operator"),
+        (lambda: HermitianOperator([1.0, 0.0]), "Hermitian operator"),
+        (lambda: HermitianOperator(np.zeros((2, 3))), "Hermitian operator"),
+        (lambda: UnitaryMap([[NAN, 0.0], [0.0, 1.0]]), "unitary map"),
+        (lambda: UnitaryMap([1.0, 0.0]), "unitary map"),
+        (lambda: UnitaryMap(np.zeros((2, 3))), "unitary map"),
+        (lambda: Outcome("a", 0.0, [[NAN, 0.0], [0.0, 0.0]]), "projector for 'a'"),
+        (lambda: Outcome("a", 0.0, [1.0, 0.0]), "projector for 'a'"),
+        (lambda: Outcome("a", 0.0, np.zeros((2, 3))), "projector for 'a'"),
+        (lambda: _decomposition(np.diag([0.5, 0.0])), "projector for 'a'"),
+        (lambda: _decomposition(SKEWED), "projector for 'a'"),
+        (lambda: tensor_product([NAN, 0.0], UNIT), "left factor"),
+        (lambda: tensor_product(UNIT, [[1.0, 0.0]]), "right factor"),
+        (lambda: tensor_product([1.0, 1.0], UNIT), "left factor"),
+        (lambda: apply_projector([[NAN, 0.0], [0.0, 0.0]], UNIT), "projector"),
+        (lambda: apply_projector(np.eye(2), [[1.0, 0.0]]), "state"),
+        (lambda: apply_projector(np.zeros((2, 3)), UNIT), "projector"),
+        (lambda: apply_projector(np.eye(2), [1.0, 1.0]), "state"),
+        (lambda: apply_projector(SKEWED, UNIT), "projector"),
+        (lambda: schmidt_decompose([[NAN, 0.0], [0.0, 0.0]]), "bipartite amplitudes"),
+        (lambda: schmidt_decompose(UNIT), "bipartite amplitudes"),
+        (lambda: schmidt_decompose(np.ones((2, 2))), "bipartite amplitudes"),
+        (lambda: JointState([[NAN, 0.0], [0.0, 0.0]], np.eye(2), np.eye(2)), "coefficient matrix"),
+        (lambda: JointState(UNIT, np.eye(2), np.eye(2)), "coefficient matrix"),
+        (lambda: JointState(np.ones((2, 2)), np.eye(2), np.eye(2)), "joint state"),
+    ],
+    ids=[
+        f"{target}-{defect}"
+        for target, defects in [
+            ("StateVector", ["non-finite", "ndim", "norm"]),
+            ("HermitianOperator", ["non-finite", "ndim", "square"]),
+            ("UnitaryMap", ["non-finite", "ndim", "square"]),
+            ("Outcome", ["non-finite", "ndim", "square"]),
+            ("ProjectiveDecomposition", ["not-idempotent", "not-hermitian"]),
+            ("tensor_product", ["non-finite", "ndim", "norm"]),
+            ("apply_projector", ["non-finite", "ndim", "square", "norm", "not-hermitian"]),
+            ("schmidt_decompose", ["non-finite", "ndim", "norm"]),
+            ("JointState", ["non-finite", "ndim", "norm"]),
+        ]
+        for defect in defects
+    ],
+)
+def test_invalid_input_is_rejected_naming_the_object(build, name):
+    with pytest.raises(InvariantViolation, match=re.escape(name)):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda p: apply_projector(p, UNIT), _decomposition],
+    ids=["apply_projector", "ProjectiveDecomposition"],
+)
+def test_projector_check_reports_both_defects(build):
+    with pytest.raises(InvariantViolation, match="not a projector") as excinfo:
+        build(np.array([[0.5, 1.0], [0.0, 0.0]]))
+    message = str(excinfo.value)
+    assert "hermiticity defect 1.000e+00" in message
+    assert "idempotency defect 5.000e-01" in message

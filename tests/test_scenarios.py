@@ -103,6 +103,23 @@ def test_unnormalized_state_names_the_field(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]], "not orthonormal"),
+        ([[[1.0, 0.0], [0.0, 0.0]]], "complete"),
+    ],
+    ids=["not-orthonormal", "incomplete"],
+)
+def test_pointer_rebase_basis_is_checked_at_load(tmp_path, basis, message):
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["pointer"]).read_text())
+    payload["parameters"]["rebases"].append({"name": "bad", "basis": basis})
+    with pytest.raises(InvariantViolation, match=message) as excinfo:
+        load_scenario(write_scenario(tmp_path, payload))
+    assert excinfo.value.field == "parameters.rebases[1].basis"
+    assert str(excinfo.value).startswith("parameters.rebases[1].basis: ")
+
+
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x", ')
@@ -164,9 +181,18 @@ def test_presets_self_validate(tmp_path):
         assert first == second
 
 
-def test_unknown_preset():
-    with pytest.raises(ScenarioError, match="unknown preset"):
-        load_preset("four-box")
+@pytest.mark.parametrize("name", ["four-box", [], {}, 1], ids=["unknown-name", "list", "object", "number"])
+def test_unknown_preset(name):
+    with pytest.raises(ScenarioError, match="unknown preset") as excinfo:
+        load_preset(name)
+    assert excinfo.value.field == "preset"
+
+
+def test_cli_unhashable_preset_reference_is_a_parse_error(tmp_path, capsysbinary):
+    assert main(["run", write_scenario(tmp_path, {"preset": []})]) == 2
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["error"] == "parse-error"
+    assert diagnostic["field"] == "preset"
 
 
 # --- running -------------------------------------------------------------------
@@ -274,6 +300,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsysbinary):
     diagnostic = json.loads(capsysbinary.readouterr().err)
     assert diagnostic["error"] == "parse-error"
     assert diagnostic["exit_code"] == 2
+    assert "field" not in diagnostic
 
 
 def test_cli_invariant_violation_exit_code(tmp_path, capsysbinary):
@@ -356,6 +383,7 @@ def test_cli_non_finite_number_is_a_parse_error(tmp_path, capsysbinary, name, pa
     assert diagnostic["error"] == "parse-error"
     assert diagnostic["exit_code"] == 2
     assert diagnostic["message"].startswith(f"{field}: ")
+    assert diagnostic["field"] == field
     assert "finite" in diagnostic["message"]
 
 
@@ -370,21 +398,26 @@ def _single_error_line(captured, code: int) -> dict:
 
 
 @pytest.mark.parametrize(
-    "changes, message",
+    "changes, message, field",
     [
-        ({"mass": 1e-320}, "2 * mass * sigma0^2"),
-        ({"mass": 1e-10, "times": [1e300]}, "overflows"),
-        ({"mass": 1e-10, "times": [1.0, 1e300]}, "parameters.times[1]: packet width at time 1e+300 overflows"),
+        ({"mass": 1e-320}, "2 * mass * sigma0^2", "parameters"),
+        ({"mass": 1e-10, "times": [1e300]}, "overflows", "parameters.times[0]"),
+        (
+            {"mass": 1e-10, "times": [1.0, 1e300]},
+            "parameters.times[1]: packet width at time 1e+300 overflows",
+            "parameters.times[1]",
+        ),
     ],
     ids=["timescale-underflow", "width-overflow", "width-overflow-names-the-time"],
 )
-def test_cli_spreading_non_finite_width_is_an_invariant_violation(tmp_path, capsysbinary, changes, message):
+def test_cli_spreading_non_finite_width_is_an_invariant_violation(tmp_path, capsysbinary, changes, message, field):
     payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["spreading"]).read_text())
     payload["parameters"].update(changes)
     assert main(["run", write_scenario(tmp_path, payload)]) == 3
     diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
     assert diagnostic["error"] == "invariant-violation"
     assert message in diagnostic["message"]
+    assert diagnostic["field"] == field
 
 
 @pytest.mark.parametrize(
@@ -401,22 +434,30 @@ def test_parse_report_rejects_malformed_bytes(data):
 def test_cli_negative_seed_is_a_parse_error(tmp_path, capsysbinary, name):
     source = str(SCENARIO_DIR / EXAMPLE_FILES[name])
     assert main(["run", source, "--seed", "-1"]) == 2
-    assert _single_error_line(capsysbinary.readouterr(), 2)["message"].startswith("seed: ")
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["message"].startswith("seed: ")
+    assert diagnostic["field"] == "seed"
     payload = json.loads(Path(source).read_text())
     payload["parameters"]["seed"] = -1
     assert main(["run", write_scenario(tmp_path, payload)]) == 2
-    assert _single_error_line(capsysbinary.readouterr(), 2)["message"].startswith("parameters.seed: ")
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["message"].startswith("parameters.seed: ")
+    assert diagnostic["field"] == "parameters.seed"
 
 
 def test_cli_chain_samples_past_the_cap_are_an_invariant_violation(tmp_path, capsysbinary):
     # Rejected before any draw is allocated; only cap + 1 is tried, which fits in memory regardless.
     source = SCENARIO_DIR / EXAMPLE_FILES["chain"]
     assert main(["run", str(source), "--samples", str(MAX_CHAIN_SAMPLES + 1)]) == 3
-    assert "samples must lie in" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert "samples must lie in" in diagnostic["message"]
+    assert diagnostic["field"] == "samples"
     payload = json.loads(source.read_text())
     payload["parameters"]["samples"] = MAX_CHAIN_SAMPLES + 1
     assert main(["run", write_scenario(tmp_path, payload)]) == 3
-    assert "samples must lie in" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert "samples must lie in" in diagnostic["message"]
+    assert diagnostic["field"] == "parameters.samples"
 
 
 def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation(tmp_path, capsysbinary):
