@@ -75,76 +75,10 @@ from .scenarios import (
     Scenario,
     emit_report,
     format_number,
+    load_preset,
     load_scenario,
     parse_report,
+    preset_names,
     run_scenario,
     scenario_to_json,
 )
-from .presets import load_preset, preset_names
-
-__all__ = [
-    "__version__",
-    "ImpossibleOutcomeError",
-    "InvariantViolation",
-    "ScenarioError",
-    "TimeReversalConventionWarning",
-    "ToleranceError",
-    "Eigensystem",
-    "HermitianOperator",
-    "SchmidtDecomposition",
-    "UnitaryMap",
-    "apply_projector",
-    "hermitian_eigensystem",
-    "schmidt_decompose",
-    "tensor_product",
-    "unitary_exponential",
-    "Outcome",
-    "OutcomeDistribution",
-    "ProjectiveDecomposition",
-    "StateVector",
-    "born_distribution",
-    "evolve",
-    "lueders_collapse",
-    "pauli_x",
-    "pauli_y",
-    "pauli_z",
-    "prepare_eigenstate",
-    "ChainSampleReport",
-    "Context",
-    "ElementOfReality",
-    "Intermediate",
-    "PostSelection",
-    "Preparation",
-    "TotalProbabilityGap",
-    "abl_certified_element",
-    "abl_distribution",
-    "born_context_distribution",
-    "element_of_reality",
-    "interchange_context",
-    "picture_consistency_check",
-    "sample_chain",
-    "sequential_success_probability",
-    "time_reverse_context",
-    "total_probability_gap",
-    "FactSequence",
-    "JointState",
-    "RebasedDecomposition",
-    "SpreadingModel",
-    "complete_basis",
-    "detector_click_simulation",
-    "fuzziness_resolvable",
-    "pointer_basis_select",
-    "premeasurement_joint",
-    "rebase_joint",
-    "spreading_sigma",
-    "Report",
-    "Scenario",
-    "emit_report",
-    "format_number",
-    "load_scenario",
-    "parse_report",
-    "run_scenario",
-    "scenario_to_json",
-    "load_preset",
-    "preset_names",
-]

@@ -14,8 +14,7 @@ import json
 import sys
 
 from .errors import ImpossibleOutcomeError, InvariantViolation, ScenarioError, ToleranceError
-from .presets import load_preset, preset_names
-from .scenarios import emit_report, load_scenario, run_scenario, scenario_to_json
+from .scenarios import emit_report, load_preset, load_scenario, preset_names, run_scenario, scenario_to_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2

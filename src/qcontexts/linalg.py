@@ -36,6 +36,11 @@ _CLUSTER_TOL = 1e-12
 # and truncating ranks.
 NEGLIGIBLE = 1e-12
 
+# No unit vector, unit-power coefficient list, orthonormal column or projector
+# (a Hermitian p with one has p^2 - p > 2 on its diagonal) has an entry past
+# this, so checking it first keeps a sure failure's products from overflowing.
+ENTRY_BOUND = 2.0
+
 
 def as_complex_array(entries, ndim: int, name: str, square: bool = False) -> np.ndarray:
     """Coerce to an ndim-D complex array of finite entries, square if asked."""
@@ -58,8 +63,16 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return max_abs(matrix - matrix.conj().T)
 
 
+def check_entry_bound(arr: np.ndarray, name: str, kind: str) -> None:
+    """Reject an array with an entry past ENTRY_BOUND, which no `kind` has."""
+    largest = max_abs(arr)
+    if largest > ENTRY_BOUND:
+        raise InvariantViolation(f"{name} has an entry of magnitude {largest:.3e} > {ENTRY_BOUND:g}; no {kind} has one")
+
+
 def check_unit_norm(arr: np.ndarray, name: str) -> None:
     """Reject a vector (matrix) whose 2-norm (Frobenius norm) is not 1 within CONSTRUCTION_TOL."""
+    check_entry_bound(arr, name, "unit vector")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > CONSTRUCTION_TOL:
         raise InvariantViolation(f"{name} must be unit norm within {CONSTRUCTION_TOL:.0e}, got norm {norm!r}")
@@ -67,6 +80,7 @@ def check_unit_norm(arr: np.ndarray, name: str) -> None:
 
 def check_projector(p: np.ndarray, name: str) -> None:
     """Reject a matrix that is not a Hermitian idempotent within ALGEBRA_TOL."""
+    check_entry_bound(p, name, "projector")
     defect_h = hermiticity_defect(p)
     defect_i = max_abs(p @ p - p)
     if defect_h > ALGEBRA_TOL or defect_i > ALGEBRA_TOL:

@@ -28,6 +28,7 @@ from .linalg import (
     NEGLIGIBLE,
     SchmidtDecomposition,
     as_complex_array,
+    check_entry_bound,
     check_unit_norm,
     frozen_copy,
     max_abs,
@@ -37,10 +38,6 @@ from .linalg import (
 
 NONCLICK = "nonclick"
 CLICK = "click"
-
-
-def _orthonormal_defect(basis: np.ndarray) -> float:
-    return max_abs(basis.conj().T @ basis - np.eye(basis.shape[1]))
 
 
 def _as_basis(value, name: str) -> np.ndarray:
@@ -57,7 +54,8 @@ def _as_basis(value, name: str) -> np.ndarray:
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         basis = as_complex_array(arr, 2, name)
-    defect = _orthonormal_defect(basis)
+    check_entry_bound(basis, name, "orthonormal basis")
+    defect = max_abs(basis.conj().T @ basis - np.eye(basis.shape[1]))
     if defect > ALGEBRA_TOL:
         raise InvariantViolation(f"{name} is not orthonormal (defect {defect:.3e})")
     return basis
@@ -118,6 +116,7 @@ def premeasurement_joint(coefficients, system_basis=None, apparatus_basis=None) 
     coeffs = as_complex_array(coefficients, 1, "coefficients")
     if coeffs.size == 0:
         raise InvariantViolation("need at least one coefficient")
+    check_entry_bound(coeffs, "coefficients", "unit-power coefficient list")
     power = float(np.sum(np.abs(coeffs) ** 2))
     if abs(power - 1.0) > CONSTRUCTION_TOL:
         raise InvariantViolation(f"coefficients must have unit power, got {power!r}")

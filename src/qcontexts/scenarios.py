@@ -10,6 +10,7 @@ run reuses it. A spreading time whose packet width overflows a double fails
 the run as an invariant violation. Reports round every value to 12 significant digits at
 construction and emit byte-deterministic CSV or JSON (JSON carries numbers
 as decimal strings so serialization never depends on float repr quirks).
+Presets are the scenario files `<name>.json` in the package's `presets/`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from contextlib import contextmanager
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,9 @@ from .pointer import (
 NAMED_OBSERVABLES = {"X": pauli_x, "Y": pauli_y, "Z": pauli_z}
 
 DEFAULT_CHAIN_SAMPLES = 100_000
+MAX_DETECTOR_RUNS = 10**6  # about 16 s of detector runs
+
+PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
 
 def format_number(value: float) -> str:
@@ -199,19 +203,18 @@ def _matrix_from_json(value, field: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-@contextmanager
-def _field(path: str):
+class _field:
     """Name the input field `path` in an InvariantViolation raised inside the block."""
-    try:
-        yield
-    except InvariantViolation as exc:
-        raise InvariantViolation(str(exc), field=path) from exc
 
+    def __init__(self, path: str):
+        self.path = path
 
-def _state_from_json(value, field: str) -> StateVector:
-    vector = _vector_from_json(value, field)
-    with _field(field):
-        return StateVector(vector)
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, InvariantViolation):
+            raise InvariantViolation(str(exc), field=self.path) from exc
 
 
 def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
@@ -260,7 +263,9 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
     prep_json = _require(params, "preparation", field)
     inter_json = _require(params, "intermediate", field)
     post_json = _require(params, "postselection", field)
-    state = _state_from_json(_require(prep_json, "state", f"{field}.preparation"), f"{field}.preparation.state")
+    vector = _vector_from_json(_require(prep_json, "state", f"{field}.preparation"), f"{field}.preparation.state")
+    with _field(f"{field}.preparation.state"):
+        state = StateVector(vector)
     observable = _observable_from_json(
         _require(inter_json, "observable", f"{field}.intermediate"), f"{field}.intermediate.observable"
     )
@@ -307,8 +312,6 @@ def scenario_from_payload(payload) -> Scenario:
     if not isinstance(payload, dict):
         raise ScenarioError("scenario file must hold a JSON object")
     if "preset" in payload:
-        from .presets import load_preset  # local import: presets build Scenario objects
-
         extra = sorted(set(payload) - {"preset"})
         if extra:
             raise ScenarioError(f"a preset reference allows no other fields, got {extra}", field="preset")
@@ -320,6 +323,18 @@ def scenario_from_payload(payload) -> Scenario:
     if not isinstance(description, str):
         raise ScenarioError("description must be a string", field="description")
     return Scenario(name=name, kind=kind, parameters=parameters, description=description)
+
+
+def preset_names() -> tuple[str, ...]:
+    """The shipped presets: one JSON scenario file each in PRESET_DIR, named by its stem."""
+    return tuple(sorted(name.removesuffix(".json") for name in os.listdir(PRESET_DIR) if name.endswith(".json")))
+
+
+def load_preset(name: str) -> Scenario:
+    """Load a shipped preset; a name not listed by preset_names() opens no file."""
+    if not isinstance(name, str) or name not in preset_names():
+        raise ScenarioError(f"unknown preset {name!r}; available: {list(preset_names())}", field="preset")
+    return load_scenario(os.path.join(PRESET_DIR, f"{name}.json"))
 
 
 def scenario_to_json(scenario: Scenario) -> bytes:
@@ -466,7 +481,10 @@ def _run_spreading(scenario: Scenario, spec, seed, samples) -> Report:
 def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     rate, tick, horizon, file_seed, file_runs = spec
     seed = file_seed if seed is None else _integer(seed, "seed", 0)
+    runs_field = "parameters.runs" if samples is None else "samples"
     runs = file_runs if samples is None else _integer(samples, "samples", 1)
+    if runs > MAX_DETECTOR_RUNS:
+        raise InvariantViolation(f"runs must lie in [1, {MAX_DETECTOR_RUNS}], got {runs}", field=runs_field)
     nonclick_facts = clicked = 0
     # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
     click_time_total = 0.0

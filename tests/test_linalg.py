@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra layer."""
 
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,9 @@ from qcontexts import (
     UnitaryMap,
     apply_projector,
     hermitian_eigensystem,
+    linalg,
+    premeasurement_joint,
+    rebase_joint,
     schmidt_decompose,
     tensor_product,
     unitary_exponential,
@@ -303,3 +307,32 @@ def test_projector_check_reports_both_defects(build):
     message = str(excinfo.value)
     assert "hermiticity defect 1.000e+00" in message
     assert "idempotency defect 5.000e-01" in message
+
+
+# One build per guarded check; each puts `x` into a single entry of its input.
+ENTRY_GUARDED = [
+    lambda x: StateVector([x, 0.0]),
+    lambda x: _decomposition(np.array([[0.5, x], [x, 0.5]])),
+    lambda x: premeasurement_joint([x, 0.0]),
+    lambda x: rebase_joint(premeasurement_joint([1.0, 0.0]), np.array([[x, 0.0], [0.0, 1.0]])),
+]
+ENTRY_GUARDED_IDS = ["unit-norm", "projector", "unit-power", "orthonormal-basis"]
+
+
+@pytest.mark.parametrize("build", ENTRY_GUARDED, ids=ENTRY_GUARDED_IDS)
+def test_huge_entry_is_rejected_before_its_check_overflows(build):
+    # RuntimeWarnings are errors under the suite's filterwarnings, so an overflowing product fails here.
+    with pytest.raises(InvariantViolation, match="entry of magnitude 1.000e\\+300"):
+        build(1e300)
+
+
+@pytest.mark.parametrize("build", ENTRY_GUARDED, ids=ENTRY_GUARDED_IDS)
+def test_entry_bound_rejects_only_what_its_check_already_rejects(monkeypatch, build):
+    # Just past the bound nothing overflows, so the check behind the guard can judge the input alone.
+    past_bound = np.nextafter(linalg.ENTRY_BOUND, math.inf)
+    with pytest.raises(InvariantViolation, match="entry of magnitude"):
+        build(past_bound)
+    monkeypatch.setattr(linalg, "ENTRY_BOUND", math.inf)
+    with pytest.raises(InvariantViolation) as excinfo:
+        build(past_bound)
+    assert "entry of magnitude" not in str(excinfo.value)

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from qcontexts import (
 from qcontexts.cli import main
 from qcontexts.contexts import MAX_CHAIN_SAMPLES
 from qcontexts.pointer import detector_first_click
+from qcontexts.scenarios import MAX_DETECTOR_RUNS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -167,8 +169,25 @@ def test_unknown_kind_rejected(tmp_path):
 # --- presets ---------------------------------------------------------------------
 
 
+PRESET_FILES = {"three-box": "three_box.json", "two-slit": "two_slit_gap.json", "geiger": "geiger_counter.json"}
+PACKAGE_PRESET_DIR = Path(scenarios.__file__).resolve().parent / "presets"
+
+
 def test_preset_names_stable():
     assert preset_names() == ("geiger", "three-box", "two-slit")
+
+
+def test_preset_names_are_the_package_files():
+    stems = sorted(name[: -len(".json")] for name in os.listdir(PACKAGE_PRESET_DIR) if name.endswith(".json"))
+    assert list(preset_names()) == stems
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_FILES))
+def test_shipped_scenario_file_is_the_preset_file(name):
+    # The scenario file and the package copy are one payload; `preset show` prints it back unchanged.
+    shipped = (SCENARIO_DIR / PRESET_FILES[name]).read_bytes()
+    assert (PACKAGE_PRESET_DIR / f"{name}.json").read_bytes() == shipped
+    assert scenario_to_json(load_preset(name)) == shipped
 
 
 def test_presets_self_validate(tmp_path):
@@ -181,8 +200,16 @@ def test_presets_self_validate(tmp_path):
         assert first == second
 
 
-@pytest.mark.parametrize("name", ["four-box", [], {}, 1], ids=["unknown-name", "list", "object", "number"])
-def test_unknown_preset(name):
+@pytest.mark.parametrize(
+    "name",
+    ["four-box", [], {}, 1, "../presets/three-box", "three-box.json", ""],
+    ids=["unknown-name", "list", "object", "number", "relative-path", "file-name", "empty"],
+)
+def test_unknown_preset(monkeypatch, name):
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]} for an unknown preset")
+
+    monkeypatch.setattr(scenarios, "open", no_open, raising=False)
     with pytest.raises(ScenarioError, match="unknown preset") as excinfo:
         load_preset(name)
     assert excinfo.value.field == "preset"
@@ -460,6 +487,41 @@ def test_cli_chain_samples_past_the_cap_are_an_invariant_violation(tmp_path, cap
     assert diagnostic["field"] == "parameters.samples"
 
 
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_cli_detector_runs_past_the_cap_are_an_invariant_violation(tmp_path, capsysbinary, source):
+    # Rejected before the first run; at about 16 us a run, the cap alone would take 16 s.
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["detector"]).read_text())
+    args = ["run", write_scenario(tmp_path, payload), "--samples", str(MAX_DETECTOR_RUNS + 1)]
+    if source == "file":
+        payload["parameters"]["runs"] = MAX_DETECTOR_RUNS + 1
+        args = ["run", write_scenario(tmp_path, payload)]
+    assert main(args) == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert "runs must lie in" in diagnostic["message"]
+    assert diagnostic["field"] == ("parameters.runs" if source == "file" else "samples")
+
+
+@pytest.mark.parametrize(
+    "name, path, field",
+    [
+        ("abl", ("preparation", "state", 0), "parameters.preparation.state"),
+        ("abl", ("intermediate", "observable", "outcomes", 0, "projector", 0, 1), "parameters.intermediate.observable"),
+        ("pointer", ("rebases", 0, "basis", 0, 1), "parameters.rebases[0].basis"),
+        ("pointer", ("coefficients", 0), "parameters"),
+    ],
+    ids=["state", "projector", "rebase-basis", "coefficients"],
+)
+def test_cli_huge_entry_is_one_invariant_violation_line(tmp_path, capsysbinary, name, path, field):
+    # Under the suite's filterwarnings an overflow warning raises instead of returning 3.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(_shipped_with(name, path, "[1e300, 0.0]"))
+    assert main(["run", str(scenario)]) == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert diagnostic["error"] == "invariant-violation"
+    assert diagnostic["field"] == field
+    assert "entry of magnitude 1.000e+300" in diagnostic["message"]
+
+
 def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation(tmp_path, capsysbinary):
     payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["detector"]).read_text())
     payload["parameters"]["tick"] = 1e-320  # horizon / tick overflows to inf
@@ -535,7 +597,7 @@ def test_detector_counts_a_long_record_without_building_it():
 
 SHIPPED_PAYLOADS = [json.loads((SCENARIO_DIR / name).read_text()) for name in sorted(EXAMPLE_FILES.values())]
 WRONG_TYPE_TOKENS = ('"x"', "[]", "null", "true", "false")
-NON_FINITE_TOKENS = ("NaN", "Infinity", "-Infinity")
+NUMBER_TOKENS = ("NaN", "Infinity", "-Infinity", "1e300")
 
 
 def _entries(node, path=()):
@@ -553,9 +615,9 @@ def _is_number(value) -> bool:
 @st.composite
 def mutated_scenario_text(draw) -> str:
     """A shipped payload with one field dropped, one value of the wrong type, or one
-    number made non-finite; no count is ever made larger."""
+    number made non-finite or huge; no count is ever made larger (1e300 is not an integer)."""
     payload = copy.deepcopy(draw(st.sampled_from(SHIPPED_PAYLOADS)))
-    mode = draw(st.sampled_from(("drop", "wrong-type", "non-finite")))
+    mode = draw(st.sampled_from(("drop", "wrong-type", "number")))
     if mode == "drop":
         paths = [path for path, _ in _entries(payload) if isinstance(path[-1], str)]
     elif mode == "wrong-type":
@@ -563,7 +625,7 @@ def mutated_scenario_text(draw) -> str:
         token = draw(st.sampled_from(WRONG_TYPE_TOKENS))
     else:
         paths = [path for path, value in _entries(payload) if _is_number(value)]
-        token = draw(st.sampled_from(NON_FINITE_TOKENS))
+        token = draw(st.sampled_from(NUMBER_TOKENS))
     # Depth first, so the few structural fields are drawn as often as the many matrix entries.
     depth = draw(st.sampled_from(sorted({len(path) for path in paths})))
     path = draw(st.sampled_from([path for path in paths if len(path) == depth]))
