@@ -45,7 +45,15 @@ from .kinematics import (
     evolve,
     prepare_eigenstate,
 )
-from .linalg import NEGLIGIBLE, Eigensystem, HermitianOperator, frozen_copy, hermitian_eigensystem, projector_image
+from .linalg import (
+    NEGLIGIBLE,
+    Eigensystem,
+    HermitianOperator,
+    frozen_copy,
+    hermitian_eigensystem,
+    max_abs,
+    projector_image,
+)
 
 # Below this total branch weight, post-selection is unreachable rather than
 # merely unlikely; the conditional distribution is undefined.
@@ -53,6 +61,11 @@ DENOMINATOR_FLOOR = 1e-15
 
 # The chain sampler keeps a few arrays of this many draws (about 250 MB).
 MAX_CHAIN_SAMPLES = 10**7
+
+# Largest phase lambda t (rad) a Context propagates, bounding lambda by
+# dim x max|H_ij| and t by t2 - t1: exp(-i lambda t) carries the round-off
+# 2^-52 lambda t of its argument, which stays under 1e-10 up to 4.5e5.
+MAX_PHASE = 4.5e5
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +113,10 @@ class PostSelection:
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """A full preparation / (intermediate) / post-selection arrangement."""
+    """A full preparation / (intermediate) / post-selection arrangement.
+
+    A Hamiltonian must keep dim x max|H_ij| x (t2 - t1) within MAX_PHASE.
+    """
 
     preparation: Preparation
     postselection: PostSelection
@@ -123,6 +139,14 @@ class Context:
             t = self.intermediate.time
             if not t1 < t < t2:
                 raise InvariantViolation(f"times must satisfy t1 < t < t2, got {t1}, {t}, {t2}")
+        if self.hamiltonian is not None:
+            phase = max_abs(self.hamiltonian.matrix) * dim * (t2 - t1)
+            if phase > MAX_PHASE:
+                raise InvariantViolation(
+                    f"largest entry x dimension x time span is {phase:.3e} rad, past {MAX_PHASE:g}, "
+                    "where exp(-iHt) would lose 1e-10 phase accuracy",
+                    field="hamiltonian",
+                )
 
     @property
     def dim(self) -> int:

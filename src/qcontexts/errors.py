@@ -11,6 +11,7 @@ class _FieldError(ValueError):
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
+        self.message = message
         super().__init__(message if field is None else f"{field}: {message}")
 
 

@@ -47,7 +47,7 @@ def as_complex_array(entries, ndim: int, name: str, square: bool = False) -> np.
     arr = np.asarray(entries, dtype=complex)
     if arr.ndim != ndim:
         raise InvariantViolation(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvariantViolation(f"{name} contains non-finite entries")
     if square and arr.shape[0] != arr.shape[1]:
         raise InvariantViolation(f"{name} must be square, got shape {arr.shape}")
@@ -55,7 +55,7 @@ def as_complex_array(entries, ndim: int, name: str, square: bool = False) -> np.
 
 
 def max_abs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -82,7 +82,9 @@ def check_projector(p: np.ndarray, name: str) -> None:
     """Reject a matrix that is not a Hermitian idempotent within ALGEBRA_TOL."""
     check_entry_bound(p, name, "projector")
     defect_h = hermiticity_defect(p)
-    defect_i = max_abs(p @ p - p)
+    square = p @ p
+    square -= p
+    defect_i = max_abs(square)
     if defect_h > ALGEBRA_TOL or defect_i > ALGEBRA_TOL:
         raise InvariantViolation(
             f"{name} is not a projector: hermiticity defect {defect_h:.3e}, idempotency defect {defect_i:.3e}"

@@ -39,6 +39,11 @@ from .linalg import (
 NONCLICK = "nonclick"
 CLICK = "click"
 
+# detector_click_simulation records one fact per tick up to the click or the
+# horizon; past this many (about 100 MB of tuples) it refuses, as a scenario
+# refuses more detector runs than scenarios.MAX_DETECTOR_RUNS, the same 10^6.
+MAX_RECORDED_TICKS = 10**6
+
 
 def _as_basis(value, name: str) -> np.ndarray:
     """Coerce to orthonormal basis columns.
@@ -348,8 +353,13 @@ def detector_click_simulation(rate: float, tick: float, horizon: float, seed: in
     stops at the click or at the horizon. The first-click index comes from
     detector_first_click in one geometric shot, which leaves the per-tick law
     untouched and keeps long horizons cheap. Deterministic given seed.
+    More than MAX_RECORDED_TICKS facts is an InvariantViolation, raised
+    before any is built.
     """
     count, click_index = detector_first_click(rate, tick, horizon, seed)
+    recorded = count if click_index is None else click_index
+    if recorded > MAX_RECORDED_TICKS:
+        raise InvariantViolation(f"{recorded} tick facts to record, past {MAX_RECORDED_TICKS}")
     if click_index is None:
         ticks = tuple((k * tick, NONCLICK) for k in range(1, count + 1))
         return FactSequence(ticks, None)

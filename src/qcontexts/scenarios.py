@@ -204,7 +204,8 @@ def _matrix_from_json(value, field: str) -> np.ndarray:
 
 
 class _field:
-    """Name the input field `path` in an InvariantViolation raised inside the block."""
+    """Name the input field `path` in an InvariantViolation raised inside the block;
+    a field the violation already names is taken as relative to `path`."""
 
     def __init__(self, path: str):
         self.path = path
@@ -214,7 +215,8 @@ class _field:
 
     def __exit__(self, kind, exc, traceback) -> None:
         if kind is not None and issubclass(kind, InvariantViolation):
-            raise InvariantViolation(str(exc), field=self.path) from exc
+            field = self.path if exc.field is None else f"{self.path}.{exc.field}"
+            raise InvariantViolation(exc.message, field=field) from exc
 
 
 def _observable_from_json(value, field: str) -> ProjectiveDecomposition:

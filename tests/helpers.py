@@ -8,6 +8,8 @@ from qcontexts import (
     Context,
     HermitianOperator,
     Intermediate,
+    InvariantViolation,
+    Outcome,
     PostSelection,
     Preparation,
     ProjectiveDecomposition,
@@ -16,6 +18,7 @@ from qcontexts import (
     evolve,
     lueders_collapse,
 )
+from qcontexts.linalg import ALGEBRA_TOL, max_abs
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -97,3 +100,28 @@ def conditional_from_joint(
     """Bayesian conditioning of the enumerated chain on the final outcome."""
     total = sum(joint[(c, b_label)] for c in c_labels)
     return {c: joint[(c, b_label)] / total for c in c_labels}
+
+
+def decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
+    """The message ProjectiveDecomposition rejects `outcomes` with, or None."""
+    try:
+        ProjectiveDecomposition(outcomes)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def reference_decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
+    """decomposition_error by multiplying out every projector pair, i < j in order.
+
+    The orthogonality and resolution checks as they stood before pairs could be
+    certified from a Gram product; the outcomes must pass the per-projector checks.
+    """
+    for i, a in enumerate(outcomes):
+        for b in outcomes[i + 1 :]:
+            if max_abs(a.projector @ b.projector) > ALGEBRA_TOL:
+                return f"projectors for {a.label!r} and {b.label!r} are not orthogonal"
+    total = sum(o.projector for o in outcomes)
+    if max_abs(total - np.eye(total.shape[0])) > ALGEBRA_TOL:
+        return "projectors do not sum to the identity"
+    return None

@@ -89,6 +89,23 @@ def test_context_requires_time_ordering():
         )
 
 
+def test_context_bounds_the_hamiltonian_phase():
+    # dim 2 x max|H_ij| 1e5 = 2e5 rad per unit time: a span of 2.25 reaches MAX_PHASE exactly, 2.26 passes it.
+    def build(t2):
+        return Context(
+            Preparation(StateVector.basis_state(2, 0), 0.0),
+            PostSelection(pauli_z(), "+1", t2),
+            None,
+            HermitianOperator(np.diag([1e5, -1e5])),
+        )
+
+    assert build(1.0).dim == 2
+    assert build(2.25).dim == 2
+    with pytest.raises(InvariantViolation, match="past 450000") as excinfo:
+        build(2.26)
+    assert excinfo.value.field == "hamiltonian"
+
+
 def test_context_requires_matching_dims():
     with pytest.raises(InvariantViolation, match="dimension"):
         Context(

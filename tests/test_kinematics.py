@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcontexts import (
@@ -22,7 +22,15 @@ from qcontexts import (
     pauli_z,
     prepare_eigenstate,
 )
-from helpers import random_hermitian, random_observable, random_state
+from qcontexts.kinematics import CERTIFY_PAIRS, _pairs_to_multiply
+from helpers import (
+    decomposition_error,
+    random_hermitian,
+    random_observable,
+    random_state,
+    random_unitary,
+    reference_decomposition_error,
+)
 
 RNG = np.random.default_rng(1186)
 
@@ -53,6 +61,107 @@ def test_decomposition_rejects_incomplete_sum():
     p = np.array([[1, 0], [0, 0]], dtype=complex)
     with pytest.raises(InvariantViolation, match="identity"):
         ProjectiveDecomposition((Outcome("a", 1.0, p),))
+
+
+def _block_outcomes(u: np.ndarray, ranks, tilts: dict) -> tuple[Outcome, ...]:
+    """Outcome n projects onto the n-th block of `ranks` columns of unitary u.
+
+    For each (a, b): t in tilts, the first column of b's block is tilted by t
+    toward the first column of a's, so only P_a P_b stops vanishing.
+    """
+    starts = np.cumsum([0, *ranks])
+    columns = u.copy()
+    for (a, b), t in tilts.items():
+        w = columns[:, starts[b]] + t * u[:, starts[a]]
+        columns[:, starts[b]] = w / np.linalg.norm(w)
+    blocks = [columns[:, starts[n] : starts[n + 1]] for n in range(len(ranks))]
+    return tuple(Outcome(f"c{n}", float(n), v @ v.conj().T) for n, v in enumerate(blocks))
+
+
+def _overlap(outcomes, a: int, b: int) -> float:
+    return float(np.abs(outcomes[a].projector @ outcomes[b].projector).max())
+
+
+def _with_overlap(u: np.ndarray, ranks, a: int, b: int, target: float) -> tuple[Outcome, ...]:
+    """_block_outcomes with one tilt, tuned so that max|P_a P_b| = target."""
+    tilt = 1e-10
+    for _ in range(2):  # the overlap is linear in the tilt up to O(tilt^2)
+        tilt *= target / _overlap(_block_outcomes(u, ranks, {(a, b): tilt}), a, b)
+    outcomes = _block_outcomes(u, ranks, {(a, b): tilt})
+    assert _overlap(outcomes, a, b) == pytest.approx(target, rel=1e-5)
+    return outcomes
+
+
+def _near_identity_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Columns close to the standard basis, where the certificate's bound is tight."""
+    return np.linalg.qr(np.eye(dim) + 1e-3 * random_unitary(rng, dim))[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 24),
+    high_ranks=st.sampled_from(((), (2,), (3,), (2, 2), (2, 3))),
+    concentrated=st.booleans(),
+    delta=st.sampled_from((0.0, 1e-6, 1e-4, 1e-2, 0.05, 0.2, 0.5)),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_orthogonality_verdict_matches_pairwise_reference(seed, dim, high_ranks, concentrated, delta, sign):
+    """One pair's overlap is set to max|P_a P_b| = 1e-10 (1 +- delta); the verdict and message
+    must be the reference loop's on both sides of CERTIFY_PAIRS, rank-1 or mixed."""
+    assume(sum(high_ranks) <= dim and dim - sum(high_ranks) + len(high_ranks) >= 2)
+    rng = np.random.default_rng(seed)
+    ranks = list(rng.permutation([*high_ranks] + [1] * (dim - sum(high_ranks))))
+    u = _near_identity_unitary(rng, dim) if concentrated else random_unitary(rng, dim)
+    a, b = sorted(int(n) for n in rng.choice(len(ranks), 2, replace=False))
+    outcomes = _with_overlap(u, ranks, a, b, 1e-10 * (1.0 + sign * delta))
+    assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
+
+
+@pytest.mark.parametrize("delta", [-0.5, -0.05, -0.01, 0.0, 0.01, 0.5])
+def test_near_tolerance_pair_is_certified_only_below_the_margin(delta):
+    """With a tight bound, a pair is certified once its overlap is clear of ALGEBRA_TOL by
+    CERTIFY_MARGIN (1%); nearer pairs and failing ones go to the product, as in the reference."""
+    rng = np.random.default_rng(2024)
+    outcomes = _with_overlap(_near_identity_unitary(rng, 16), [1] * 16, 3, 11, 1e-10 * (1.0 + delta))
+    assert list(_pairs_to_multiply(outcomes)) == ([] if delta <= -0.05 else [(3, 11)])
+    assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
+    if delta > 0:
+        assert decomposition_error(outcomes) == "projectors for 'c3' and 'c11' are not orthogonal"
+
+
+def test_certificate_multiplies_only_the_pairs_it_cannot_clear():
+    rng = np.random.default_rng(1186)
+    below = _block_outcomes(random_unitary(rng, 9), [1] * 9, {})
+    assert 9 * 8 // 2 <= CERTIFY_PAIRS
+    assert len(list(_pairs_to_multiply(below))) == 36
+    # Two non-orthogonal pairs among 496: both are left to the product and the first is named.
+    outcomes = _block_outcomes(random_unitary(rng, 32), [1] * 32, {(5, 17): 1e-6, (20, 30): 1e-6})
+    assert list(_pairs_to_multiply(outcomes)) == [(5, 17), (20, 30)]
+    message = "projectors for 'c5' and 'c17' are not orthogonal"
+    assert decomposition_error(outcomes) == reference_decomposition_error(outcomes) == message
+    mixed = _block_outcomes(random_unitary(rng, 32), [2, 3] + [1] * 27, {})
+    assert list(_pairs_to_multiply(mixed)) == []
+    assert decomposition_error(mixed) is None
+
+
+def test_certificate_leaves_pairs_without_a_usable_basis_to_the_product():
+    dim = 12
+    # Rank 2 on u and w: its two largest-diagonal columns are both u / sqrt(2), so their QR
+    # factor misses w and every pair of this outcome must be multiplied out.
+    u = np.zeros(dim, dtype=complex)
+    u[:2] = 1 / np.sqrt(2)
+    w = np.zeros(dim, dtype=complex)
+    w[2:] = 1 / np.sqrt(dim - 2)
+    rest = np.linalg.qr(np.column_stack([u, w, random_unitary(np.random.default_rng(7), dim)[:, 2:]]))[0][:, 2:]
+    dependent = (Outcome("uw", 0.0, np.outer(u, u.conj()) + np.outer(w, w.conj())),)
+    dependent += tuple(Outcome(f"c{n}", float(n + 1), np.outer(v, v.conj())) for n, v in enumerate(rest.T))
+    assert list(_pairs_to_multiply(dependent)) == [(0, j) for j in range(1, len(dependent))]
+    assert decomposition_error(dependent) is None
+    # A zero projector has no range basis: every pair is multiplied out.
+    with_zero = dependent + (Outcome("zero", -1.0, np.zeros((dim, dim))),)
+    assert len(list(_pairs_to_multiply(with_zero))) == 12 * 11 // 2
+    assert decomposition_error(with_zero) == reference_decomposition_error(with_zero) is None
 
 
 def test_pauli_decompositions_are_valid():

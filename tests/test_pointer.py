@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qcontexts import (
     rebase_joint,
     spreading_sigma,
 )
-from qcontexts.pointer import pointer_basis_scored
+from qcontexts.pointer import MAX_RECORDED_TICKS, pointer_basis_scored
 from helpers import random_unitary
 
 RNG = np.random.default_rng(90125)
@@ -277,6 +278,20 @@ def test_detector_click_times_follow_exponential_law():
         cdf = 1.0 - math.exp(-rate * t)
         worst = max(worst, abs((i + 1) / n - cdf), abs(i / n - cdf))
     assert worst <= 0.03
+
+
+def test_detector_facts_past_the_cap_are_refused_before_any_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvariantViolation, match=f"{MAX_RECORDED_TICKS + 1} tick facts"):
+            detector_click_simulation(0.0, 0.5, 0.5 * (MAX_RECORDED_TICKS + 1), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # one fact tuple alone is about 100 bytes
+    # The cap is on facts recorded, not on the horizon: an early click records few.
+    sequence = detector_click_simulation(1e3, 0.5, 0.5 * (MAX_RECORDED_TICKS + 1), seed=1)
+    assert sequence.clicked and len(sequence.ticks) == 1
 
 
 def test_fact_sequence_is_append_only():

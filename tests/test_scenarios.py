@@ -28,7 +28,7 @@ from qcontexts import (
     scenarios,
 )
 from qcontexts.cli import main
-from qcontexts.contexts import MAX_CHAIN_SAMPLES
+from qcontexts.contexts import MAX_CHAIN_SAMPLES, MAX_PHASE
 from qcontexts.pointer import detector_first_click
 from qcontexts.scenarios import MAX_DETECTOR_RUNS
 
@@ -520,6 +520,23 @@ def test_cli_huge_entry_is_one_invariant_violation_line(tmp_path, capsysbinary, 
     assert diagnostic["error"] == "invariant-violation"
     assert diagnostic["field"] == field
     assert "entry of magnitude 1.000e+300" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("entry", [1e300, 1e200, 1.01 * MAX_PHASE / 6, 0.99 * MAX_PHASE / 6])
+def test_cli_hamiltonian_past_the_phase_range_is_one_invariant_violation_line(tmp_path, capsysbinary, entry):
+    # dim 3 x time span 2 = 6: the (0, 0) entry sets dim x max|H_ij| x (t2 - t1).
+    payload = json.loads((SCENARIO_DIR.parent / "tests" / "golden" / "inputs" / "hamiltonian_abl.json").read_text())
+    payload["parameters"]["hamiltonian"][0][0] = [entry, 0.0]
+    code = main(["run", write_scenario(tmp_path, payload)])
+    captured = capsysbinary.readouterr()
+    if entry * 6 <= MAX_PHASE:
+        assert code == 0 and captured.err == b""
+        return
+    assert code == 3
+    diagnostic = _single_error_line(captured, 3)
+    assert diagnostic["error"] == "invariant-violation"
+    assert diagnostic["field"] == "parameters.hamiltonian"
+    assert f"past {MAX_PHASE:g}" in diagnostic["message"]
 
 
 def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation(tmp_path, capsysbinary):
