@@ -479,9 +479,10 @@ def picture_consistency_check(ctx: Context) -> float:
     prepared = ctx.preparation.state.amplitudes
     post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
     post_heis = u_post.conj().T @ post_proj @ u_post
+    u_mid_dagger = u_mid.conj().T
     weights = np.empty(len(inter.observable.outcomes))
     for k, outcome in enumerate(inter.observable.outcomes):
-        proj_heis = u_mid.conj().T @ outcome.projector @ u_mid
+        proj_heis = u_mid_dagger @ outcome.projector @ u_mid
         branch = post_heis @ (proj_heis @ prepared)
         weights[k] = float(np.real(np.vdot(branch, branch)))
     total = float(weights.sum())

@@ -21,6 +21,7 @@ from .linalg import (
     NEGLIGIBLE,
     HermitianOperator,
     as_complex_array,
+    check_entry_bound,
     check_projector,
     check_unit_norm,
     fix_global_phase,
@@ -116,7 +117,7 @@ def _range_basis(p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
 
     V is the QR factor of p's `rank` columns with the largest diagonal
     entries. Any orthonormal V keeps the certificate sound; a poor one only
-    leaves more pairs to multiply.
+    leaves more to check exactly.
     """
     columns = p[:, np.argsort(p.diagonal().real)[p.shape[0] - rank :]]
     # The QR factor of one column is that column normalized, without np.linalg.qr's call cost.
@@ -125,21 +126,29 @@ def _range_basis(p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
     return v, float(np.sqrt(np.vdot(residual, residual).real))  # vdot flattens: the Frobenius norm
 
 
-def _pairs_to_multiply(outcomes: tuple[Outcome, ...]):
+def _checked_basis(outcome: Outcome) -> tuple[np.ndarray, float] | None:
+    """The projector's _range_basis (V, e), or None if its trace rounds outside [1, dim];
+    check_projector runs unless 3e + e^2 <= ALGEBRA_TOL - CERTIFY_MARGIN."""
+    p, name, rank = outcome.projector, f"projector for {outcome.label!r}", outcome.rank
+    check_entry_bound(p, name, "projector")  # before any product, which could overflow
+    basis = _range_basis(p, rank) if 1 <= rank <= p.shape[0] else None
+    if basis is None or 3 * basis[1] + basis[1] ** 2 > ALGEBRA_TOL - CERTIFY_MARGIN:
+        check_projector(p, name)
+    return basis
+
+
+def _pairs_to_multiply(bases: list[tuple[np.ndarray, float] | None]):
     """The pairs (i, j), i < j in order, whose product P_i P_j must be formed.
 
-    All of them up to CERTIFY_PAIRS; past that, only those
-    ProjectiveDecomposition's bound does not certify.
+    All of them when an outcome has no range basis (none has at or below
+    CERTIFY_PAIRS); else those ProjectiveDecomposition's bound does not clear.
     """
-    k = len(outcomes)
-    if k * (k - 1) // 2 <= CERTIFY_PAIRS:
+    k = len(bases)
+    if None in bases:
         return itertools.combinations(range(k), 2)
-    ranks = [o.rank for o in outcomes]
-    if 0 in ranks:  # a zero projector has no range basis to certify with
-        return itertools.combinations(range(k), 2)
-    bases, errors = zip(*(_range_basis(o.projector, r) for o, r in zip(outcomes, ranks)))
-    w = np.hstack(bases)
-    starts = np.cumsum([0, *ranks[:-1]])
+    vs, errors = zip(*bases)
+    w = np.hstack(vs)
+    starts = np.cumsum([0, *(v.shape[1] for v in vs[:-1])])
     squares = np.abs(w.conj().T @ w) ** 2
     block_norms = np.sqrt(np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts, axis=1))
     e = np.array(errors)
@@ -152,16 +161,16 @@ def _pairs_to_multiply(outcomes: tuple[Outcome, ...]):
 class ProjectiveDecomposition:
     """Labeled orthogonal projectors resolving the identity.
 
-    Outcomes i < j are orthogonal when max|P_i P_j| <= ALGEBRA_TOL. Past
-    CERTIFY_PAIRS (see _pairs_to_multiply) most pairs are cleared without
-    their product: with an orthonormal range basis V_i of each P_i and
-    e_i = ||P_i - V_i V_i^H||_F,
-    max|P_i P_j| <= ||V_i^H V_j||_F + e_i + e_j + e_i e_j,
-    and every block V_i^H V_j comes from one Gram product W^H W with
-    W = [V_1 ... V_k]. A pair whose bound is at most ALGEBRA_TOL -
-    CERTIFY_MARGIN would pass the exact test; every other pair is multiplied
-    out in i < j order, so the accepted inputs, the first failing pair and
-    its message are those of multiplying every pair.
+    Each P_i is a Hermitian idempotent and outcomes i < j are orthogonal,
+    max|P_i P_j| <= ALGEBRA_TOL. Past CERTIFY_PAIRS, one pass takes an
+    orthonormal range basis V_i of each P_i and e_i = ||R_i||_F with
+    R_i = P_i - V_i V_i^H (_checked_basis). Then max|P_i - P_i^H| <= 2 e_i,
+    max|P_i^2 - P_i| <= 3 e_i + e_i^2 and max|P_i P_j| <= ||V_i^H V_j||_F +
+    e_i + e_j + e_i e_j, every V_i^H V_j from one W^H W, W = [V_1 ... V_k].
+    A projector or pair whose bound is at most ALGEBRA_TOL - CERTIFY_MARGIN
+    would pass the exact test; every other one is checked exactly, pairs in
+    i < j order, so the accepted inputs, the first failing check and its
+    message are those of checking every projector and multiplying every pair.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -174,14 +183,19 @@ class ProjectiveDecomposition:
         if len(set(labels)) != len(labels):
             raise InvariantViolation(f"outcome labels must be unique, got {labels}")
         dim = outcomes[0].projector.shape[0]
+        certify = len(outcomes) * (len(outcomes) - 1) // 2 > CERTIFY_PAIRS
         total = np.zeros((dim, dim), dtype=complex)
-        for outcome in outcomes:
+        bases = [None] * len(outcomes)
+        for n, outcome in enumerate(outcomes):
             p = outcome.projector
             if p.shape != (dim, dim):
                 raise InvariantViolation(f"projector for {outcome.label!r} has mismatched dimension")
-            check_projector(p, f"projector for {outcome.label!r}")
+            if certify:
+                bases[n] = _checked_basis(outcome)
+            else:
+                check_projector(p, f"projector for {outcome.label!r}")
             total += p
-        for i, j in _pairs_to_multiply(outcomes):
+        for i, j in _pairs_to_multiply(bases):
             a, b = outcomes[i], outcomes[j]
             if max_abs(a.projector @ b.projector) > ALGEBRA_TOL:
                 raise InvariantViolation(f"projectors for {a.label!r} and {b.label!r} are not orthogonal")

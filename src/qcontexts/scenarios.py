@@ -490,14 +490,15 @@ def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     nonclick_facts = clicked = 0
     # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
     click_time_total = 0.0
-    for i in range(runs):  # run i draws from its own stream, seed + i
-        count, click_index = detector_first_click(rate, tick, horizon, seed + i)
-        if click_index is None:
-            nonclick_facts += count
-        else:
-            nonclick_facts += click_index - 1
-            clicked += 1
-            click_time_total += click_index * tick
+    with _field("parameters.horizon"):  # the build checked the rest; horizon / tick may pass 2^53
+        for i in range(runs):  # run i draws from its own stream, seed + i
+            count, click_index = detector_first_click(rate, tick, horizon, seed + i)
+            if click_index is None:
+                nonclick_facts += count
+            else:
+                nonclick_facts += click_index - 1
+                clicked += 1
+                click_time_total += click_index * tick
     rows = [
         ("runs", (float(runs),)),
         ("clicked", (float(clicked),)),

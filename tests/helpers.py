@@ -18,7 +18,7 @@ from qcontexts import (
     evolve,
     lueders_collapse,
 )
-from qcontexts.linalg import ALGEBRA_TOL, max_abs
+from qcontexts.linalg import ALGEBRA_TOL, check_projector, max_abs
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -112,11 +112,20 @@ def decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
 
 
 def reference_decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
-    """decomposition_error by multiplying out every projector pair, i < j in order.
+    """decomposition_error by checking every projector, then multiplying out every pair.
 
-    The orthogonality and resolution checks as they stood before pairs could be
-    certified from a Gram product; the outcomes must pass the per-projector checks.
+    The checks as they stood before projectors and pairs could be certified from
+    range bases: each outcome's shape and check_projector in order, every pair
+    i < j in order, then the resolution of the identity.
     """
+    dim = outcomes[0].projector.shape[0]
+    for o in outcomes:
+        if o.projector.shape != (dim, dim):
+            return f"projector for {o.label!r} has mismatched dimension"
+        try:
+            check_projector(o.projector, f"projector for {o.label!r}")
+        except InvariantViolation as exc:
+            return str(exc)
     for i, a in enumerate(outcomes):
         for b in outcomes[i + 1 :]:
             if max_abs(a.projector @ b.projector) > ALGEBRA_TOL:

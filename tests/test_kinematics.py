@@ -1,5 +1,8 @@
 """Tests for states, observables, Born statistics, collapse, and evolution."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +25,9 @@ from qcontexts import (
     pauli_z,
     prepare_eigenstate,
 )
-from qcontexts.kinematics import CERTIFY_PAIRS, _pairs_to_multiply
+from qcontexts import kinematics
+from qcontexts.kinematics import CERTIFY_MARGIN, CERTIFY_PAIRS
+from qcontexts.linalg import ALGEBRA_TOL, hermiticity_defect
 from helpers import (
     decomposition_error,
     random_hermitian,
@@ -92,6 +97,28 @@ def _with_overlap(u: np.ndarray, ranks, a: int, b: int, target: float) -> tuple[
     return outcomes
 
 
+def _multiplied_pairs(outcomes) -> list[tuple[int, int]]:
+    """The pairs (i, j) whose product ProjectiveDecomposition(outcomes) forms, in order."""
+    seen = []
+    pairs_to_multiply = kinematics._pairs_to_multiply
+
+    def spy(bases):
+        pairs = list(pairs_to_multiply(bases))
+        seen.extend(pairs)
+        return pairs
+
+    with mock.patch.object(kinematics, "_pairs_to_multiply", spy):
+        decomposition_error(outcomes)
+    return seen
+
+
+def _exactly_checked(outcomes) -> list[str]:
+    """Labels of the outcomes ProjectiveDecomposition(outcomes) runs check_projector on."""
+    with mock.patch.object(kinematics, "check_projector", wraps=kinematics.check_projector) as check:
+        decomposition_error(outcomes)
+    return [name.split("'")[1] for (_, name), _ in check.call_args_list]
+
+
 def _near_identity_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Columns close to the standard basis, where the certificate's bound is tight."""
     return np.linalg.qr(np.eye(dim) + 1e-3 * random_unitary(rng, dim))[0]
@@ -124,7 +151,7 @@ def test_near_tolerance_pair_is_certified_only_below_the_margin(delta):
     CERTIFY_MARGIN (1%); nearer pairs and failing ones go to the product, as in the reference."""
     rng = np.random.default_rng(2024)
     outcomes = _with_overlap(_near_identity_unitary(rng, 16), [1] * 16, 3, 11, 1e-10 * (1.0 + delta))
-    assert list(_pairs_to_multiply(outcomes)) == ([] if delta <= -0.05 else [(3, 11)])
+    assert _multiplied_pairs(outcomes) == ([] if delta <= -0.05 else [(3, 11)])
     assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
     if delta > 0:
         assert decomposition_error(outcomes) == "projectors for 'c3' and 'c11' are not orthogonal"
@@ -134,14 +161,15 @@ def test_certificate_multiplies_only_the_pairs_it_cannot_clear():
     rng = np.random.default_rng(1186)
     below = _block_outcomes(random_unitary(rng, 9), [1] * 9, {})
     assert 9 * 8 // 2 <= CERTIFY_PAIRS
-    assert len(list(_pairs_to_multiply(below))) == 36
+    assert len(_multiplied_pairs(below)) == 36
+    assert _exactly_checked(below) == [f"c{n}" for n in range(9)]
     # Two non-orthogonal pairs among 496: both are left to the product and the first is named.
     outcomes = _block_outcomes(random_unitary(rng, 32), [1] * 32, {(5, 17): 1e-6, (20, 30): 1e-6})
-    assert list(_pairs_to_multiply(outcomes)) == [(5, 17), (20, 30)]
+    assert _multiplied_pairs(outcomes) == [(5, 17), (20, 30)]
     message = "projectors for 'c5' and 'c17' are not orthogonal"
     assert decomposition_error(outcomes) == reference_decomposition_error(outcomes) == message
     mixed = _block_outcomes(random_unitary(rng, 32), [2, 3] + [1] * 27, {})
-    assert list(_pairs_to_multiply(mixed)) == []
+    assert _multiplied_pairs(mixed) == []
     assert decomposition_error(mixed) is None
 
 
@@ -156,12 +184,119 @@ def test_certificate_leaves_pairs_without_a_usable_basis_to_the_product():
     rest = np.linalg.qr(np.column_stack([u, w, random_unitary(np.random.default_rng(7), dim)[:, 2:]]))[0][:, 2:]
     dependent = (Outcome("uw", 0.0, np.outer(u, u.conj()) + np.outer(w, w.conj())),)
     dependent += tuple(Outcome(f"c{n}", float(n + 1), np.outer(v, v.conj())) for n, v in enumerate(rest.T))
-    assert list(_pairs_to_multiply(dependent)) == [(0, j) for j in range(1, len(dependent))]
+    assert _multiplied_pairs(dependent) == [(0, j) for j in range(1, len(dependent))]
     assert decomposition_error(dependent) is None
     # A zero projector has no range basis: every pair is multiplied out.
     with_zero = dependent + (Outcome("zero", -1.0, np.zeros((dim, dim))),)
-    assert len(list(_pairs_to_multiply(with_zero))) == 12 * 11 // 2
+    assert len(_multiplied_pairs(with_zero)) == 12 * 11 // 2
     assert decomposition_error(with_zero) == reference_decomposition_error(with_zero) is None
+
+
+def _with_defect(outcome: Outcome, kind: str, target: float) -> Outcome:
+    """The outcome's projector P rescaled to z P, whose hermiticity defect 2 |Im z| max|P|
+    or idempotency defect |z^2 - z| max|P| is `target`."""
+    m = float(np.abs(outcome.projector).max())
+    if kind == "hermiticity":
+        z = 1.0 + 0.5j * target / m
+    else:
+        z = (1.0 + np.sqrt(1.0 + 4.0 * target / m)) / 2.0
+    return Outcome(outcome.label, outcome.value, z * outcome.projector)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 24),
+    high_ranks=st.sampled_from(((), (2,), (3,), (2, 2), (2, 3))),
+    concentrated=st.booleans(),
+    kind=st.sampled_from(("hermiticity", "idempotency")),
+    delta=st.sampled_from((0.0, 1e-6, 1e-4, 1e-2, 0.05, 0.2, 0.5, 0.9)),
+    sign=st.sampled_from((-1.0, 1.0)),
+)
+def test_projector_verdict_matches_per_projector_reference(seed, dim, high_ranks, concentrated, kind, delta, sign):
+    """One outcome gets a hermiticity or idempotency defect of 1e-10 (1 +- delta); the verdict
+    and message must be the reference's on both sides of CERTIFY_PAIRS, rank-1 or mixed."""
+    assume(sum(high_ranks) <= dim and dim - sum(high_ranks) + len(high_ranks) >= 2)
+    rng = np.random.default_rng(seed)
+    ranks = list(rng.permutation([*high_ranks] + [1] * (dim - sum(high_ranks))))
+    u = _near_identity_unitary(rng, dim) if concentrated else random_unitary(rng, dim)
+    outcomes = list(_block_outcomes(u, ranks, {}))
+    n = int(rng.integers(len(outcomes)))
+    target = 1e-10 * (1.0 + sign * delta)
+    outcomes[n] = _with_defect(outcomes[n], kind, target)
+    p = outcomes[n].projector
+    defect = hermiticity_defect(p) if kind == "hermiticity" else float(np.abs(p @ p - p).max())
+    assert defect == pytest.approx(target, rel=1e-4)
+    outcomes = tuple(outcomes)
+    assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
+
+
+@pytest.mark.parametrize(
+    "kind, target, certified",
+    [
+        ("hermiticity", 0.0, True),
+        ("hermiticity", 6.5e-11, True),
+        ("hermiticity", 6.7e-11, False),
+        ("hermiticity", 1.01e-10, False),
+        ("idempotency", 1e-11, True),
+        ("idempotency", 3.2e-11, True),
+        ("idempotency", 3.4e-11, False),
+        ("idempotency", 1e-10, False),
+        ("idempotency", 1.01e-10, False),
+    ],
+)
+def test_projector_is_certified_only_when_its_bound_clears_the_margin(kind, target, certified):
+    """With near-standard-basis columns e = |z - 1| is tight (z P has hermiticity defect about
+    2e, idempotency defect about e): a projector whose 3e + e^2 is at most
+    ALGEBRA_TOL - CERTIFY_MARGIN skips check_projector, every other one runs it."""
+    rng = np.random.default_rng(2024)
+    clean = _block_outcomes(_near_identity_unitary(rng, 16), [2, 3] + [1] * 11, {})
+    assert _exactly_checked(clean) == []
+    outcomes = clean[:4] + (_with_defect(clean[4], kind, target),) + clean[5:]
+    e = kinematics._range_basis(outcomes[4].projector, 1)[1]
+    assert (3 * e + e * e <= ALGEBRA_TOL - CERTIFY_MARGIN) == certified
+    assert _exactly_checked(outcomes) == ([] if certified else ["c4"])
+    assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
+    if target > ALGEBRA_TOL:
+        assert decomposition_error(outcomes).startswith("projector for 'c4' is not a projector")
+
+
+@pytest.mark.parametrize(
+    "entries, first_failure",
+    [
+        (np.zeros((12, 12)), None),
+        (np.diag([0.3, -0.3] + [0.0] * 10), "projector for 'bad' is not a projector"),
+        (np.diag([1.9] * 12), "projector for 'bad' is not a projector"),
+        (np.diag([-1.0] * 12), "projector for 'bad' is not a projector"),
+    ],
+    ids=["zero-projector", "trace-rounds-to-0", "trace-past-dim", "negative-trace"],
+)
+def test_outcome_without_a_rank_in_range_falls_back_to_the_exact_checks(entries, first_failure):
+    """An outcome whose trace does not round into [1, dim] has no range basis: check_projector
+    runs on it and every pair is multiplied, as in the reference."""
+    outcomes = _block_outcomes(random_unitary(np.random.default_rng(5), 12), [1] * 12, {})
+    outcomes = outcomes[:6] + (Outcome("bad", -1.0, entries),) + outcomes[6:]
+    error = decomposition_error(outcomes)
+    assert error == reference_decomposition_error(outcomes)
+    assert "bad" in _exactly_checked(outcomes)
+    if first_failure is None:
+        assert error is None
+        assert len(_multiplied_pairs(outcomes)) == 13 * 12 // 2
+    else:
+        assert error.startswith(first_failure)
+
+
+def test_huge_entry_past_the_gate_fails_the_entry_bound_before_any_product():
+    outcomes = list(_block_outcomes(random_unitary(np.random.default_rng(9), 12), [1] * 12, {}))
+    huge = outcomes[3].projector.copy()
+    huge[0, 1] = 1e300  # off the diagonal, so the trace, and with it the rank, stays 1
+    outcomes[3] = Outcome("c3", 3.0, huge)
+    outcomes = tuple(outcomes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        error = decomposition_error(outcomes)
+    assert error == "projector for 'c3' has an entry of magnitude 1.000e+300 > 2; no projector has one"
+    assert error == reference_decomposition_error(outcomes)
 
 
 def test_pauli_decompositions_are_valid():

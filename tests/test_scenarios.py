@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,15 @@ def test_cli_detector_runs_past_the_cap_are_an_invariant_violation(tmp_path, cap
     assert diagnostic["field"] == ("parameters.runs" if source == "file" else "samples")
 
 
+def test_cli_detector_horizon_past_2_53_ticks_names_its_field(tmp_path, capsysbinary):
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["detector"]).read_text())
+    payload["parameters"]["horizon"] = payload["parameters"]["tick"] * 2.0**53
+    assert main(["run", write_scenario(tmp_path, payload)]) == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert "passes 2^53" in diagnostic["message"]
+    assert diagnostic["field"] == "parameters.horizon"
+
+
 @pytest.mark.parametrize(
     "name, path, field",
     [
@@ -629,12 +639,28 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# Each count field, set one past its cap (horizon / tick is a tick count).
+PAST_CAP = {
+    "samples": lambda parameters: MAX_CHAIN_SAMPLES + 1,
+    "runs": lambda parameters: MAX_DETECTOR_RUNS + 1,
+    "horizon": lambda parameters: parameters["tick"] * 2.0**53,
+}
+COUNTED_PAYLOADS = [payload for payload in SHIPPED_PAYLOADS if PAST_CAP.keys() & payload["parameters"].keys()]
+MUTATION_MODES = ("drop", "wrong-type", "number", "count")
+
+
 @st.composite
-def mutated_scenario_text(draw) -> str:
-    """A shipped payload with one field dropped, one value of the wrong type, or one
-    number made non-finite or huge; no count is ever made larger (1e300 is not an integer)."""
+def mutated_scenario_text(draw, modes=MUTATION_MODES) -> str:
+    """A shipped payload with one field dropped, one value of the wrong type, one number made
+    non-finite or huge (1e300 is not an integer, so no count), or one count set past its cap."""
+    mode = draw(st.sampled_from(modes))
+    if mode == "count":
+        payload = copy.deepcopy(draw(st.sampled_from(COUNTED_PAYLOADS)))
+        parameters = payload["parameters"]
+        name = draw(st.sampled_from(sorted(PAST_CAP.keys() & parameters.keys())))
+        parameters[name] = PAST_CAP[name](parameters)
+        return json.dumps(payload)
     payload = copy.deepcopy(draw(st.sampled_from(SHIPPED_PAYLOADS)))
-    mode = draw(st.sampled_from(("drop", "wrong-type", "number")))
     if mode == "drop":
         paths = [path for path, _ in _entries(payload) if isinstance(path[-1], str)]
     elif mode == "wrong-type":
@@ -672,3 +698,23 @@ def test_fuzzed_scenario_ends_in_a_finite_report_or_a_documented_exit(tmp_path, 
     assert len(lines) > 1
     for line in lines[1:]:
         assert all(math.isfinite(float(value)) for value in line.split(",")[1:]), line
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_scenario_text(modes=("count",)))
+def test_fuzzed_count_past_its_cap_is_one_invariant_violation_line(tmp_path, capsysbinary, text):
+    # Refused before anything is allocated in proportion to the count.
+    path = tmp_path / "fuzzed.json"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    parameters = json.loads(text)["parameters"]
+    name = diagnostic["field"].removeprefix("parameters.")
+    assert parameters[name] == PAST_CAP[name](parameters)
+    assert peak < 1_000_000
