@@ -129,8 +129,9 @@ def _range_basis(p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
 def _checked_basis(outcome: Outcome) -> tuple[np.ndarray, float] | None:
     """The projector's _range_basis (V, e), or None if its trace rounds outside [1, dim];
     check_projector runs unless 3e + e^2 <= ALGEBRA_TOL - CERTIFY_MARGIN."""
-    p, name, rank = outcome.projector, f"projector for {outcome.label!r}", outcome.rank
-    check_entry_bound(p, name, "projector")  # before any product, which could overflow
+    p, name = outcome.projector, f"projector for {outcome.label!r}"
+    check_entry_bound(p, name, "projector")  # before the trace or any product, which could overflow
+    rank = outcome.rank
     basis = _range_basis(p, rank) if 1 <= rank <= p.shape[0] else None
     if basis is None or 3 * basis[1] + basis[1] ** 2 > ALGEBRA_TOL - CERTIFY_MARGIN:
         check_projector(p, name)

@@ -286,16 +286,28 @@ def test_outcome_without_a_rank_in_range_falls_back_to_the_exact_checks(entries,
         assert error.startswith(first_failure)
 
 
-def test_huge_entry_past_the_gate_fails_the_entry_bound_before_any_product():
+def _huge_off_diagonal(p: np.ndarray) -> np.ndarray:
+    huge = p.copy()
+    huge[0, 1] = 1e300  # the trace, and with it the rank, stays 1
+    return huge
+
+
+@pytest.mark.parametrize(
+    "huge, magnitude",
+    [
+        (_huge_off_diagonal, "1.000e+300"),
+        (lambda p: np.diag([1e308, 1e308] + [0.0] * 10).astype(complex), "1.000e+308"),  # the trace overflows
+    ],
+    ids=["off-diagonal", "diagonal"],
+)
+def test_huge_entry_past_the_gate_fails_the_entry_bound_before_any_product(huge, magnitude):
     outcomes = list(_block_outcomes(random_unitary(np.random.default_rng(9), 12), [1] * 12, {}))
-    huge = outcomes[3].projector.copy()
-    huge[0, 1] = 1e300  # off the diagonal, so the trace, and with it the rank, stays 1
-    outcomes[3] = Outcome("c3", 3.0, huge)
+    outcomes[3] = Outcome("c3", 3.0, huge(outcomes[3].projector))
     outcomes = tuple(outcomes)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         error = decomposition_error(outcomes)
-    assert error == "projector for 'c3' has an entry of magnitude 1.000e+300 > 2; no projector has one"
+    assert error == f"projector for 'c3' has an entry of magnitude {magnitude} > 2; no projector has one"
     assert error == reference_decomposition_error(outcomes)
 
 

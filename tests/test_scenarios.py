@@ -502,15 +502,6 @@ def test_cli_detector_runs_past_the_cap_are_an_invariant_violation(tmp_path, cap
     assert diagnostic["field"] == ("parameters.runs" if source == "file" else "samples")
 
 
-def test_cli_detector_horizon_past_2_53_ticks_names_its_field(tmp_path, capsysbinary):
-    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["detector"]).read_text())
-    payload["parameters"]["horizon"] = payload["parameters"]["tick"] * 2.0**53
-    assert main(["run", write_scenario(tmp_path, payload)]) == 3
-    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
-    assert "passes 2^53" in diagnostic["message"]
-    assert diagnostic["field"] == "parameters.horizon"
-
-
 @pytest.mark.parametrize(
     "name, path, field",
     [
@@ -530,6 +521,33 @@ def test_cli_huge_entry_is_one_invariant_violation_line(tmp_path, capsysbinary, 
     assert diagnostic["error"] == "invariant-violation"
     assert diagnostic["field"] == field
     assert "entry of magnitude 1.000e+300" in diagnostic["message"]
+
+
+def _diagonal_projector_json(diagonal) -> list:
+    return np.stack([np.diag(diagonal), np.zeros((len(diagonal),) * 2)], axis=-1).tolist()
+
+
+def test_cli_huge_diagonal_past_the_certify_gate_is_one_invariant_violation_line(tmp_path, capsysbinary):
+    # 12 outcomes make 66 pairs, past CERTIFY_PAIRS; two 1e308 diagonal entries overflow the trace.
+    def observable(huge=None):
+        return {"outcomes": [
+            {
+                "label": f"c{n}",
+                "value": float(n),
+                "projector": _diagonal_projector_json([1e308, 1e308] + [0.0] * 10 if n == huge else np.eye(12)[n]),
+            }
+            for n in range(12)
+        ]}
+
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["abl"]).read_text())
+    parameters = payload["parameters"]
+    parameters["preparation"]["state"] = np.stack([np.eye(12)[0], np.zeros(12)], axis=-1).tolist()
+    parameters["intermediate"]["observable"] = observable(huge=3)
+    parameters["postselection"].update(observable=observable(), label="c0")
+    assert main(["run", write_scenario(tmp_path, payload)]) == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert diagnostic["field"] == "parameters.intermediate.observable"
+    assert "projector for 'c3' has an entry of magnitude 1.000e+308" in diagnostic["message"]
 
 
 @pytest.mark.parametrize("entry", [1e300, 1e200, 1.01 * MAX_PHASE / 6, 0.99 * MAX_PHASE / 6])
@@ -646,14 +664,13 @@ PAST_CAP = {
     "horizon": lambda parameters: parameters["tick"] * 2.0**53,
 }
 COUNTED_PAYLOADS = [payload for payload in SHIPPED_PAYLOADS if PAST_CAP.keys() & payload["parameters"].keys()]
-MUTATION_MODES = ("drop", "wrong-type", "number", "count")
 
 
 @st.composite
-def mutated_scenario_text(draw, modes=MUTATION_MODES) -> str:
+def mutated_scenario_text(draw) -> str:
     """A shipped payload with one field dropped, one value of the wrong type, one number made
     non-finite or huge (1e300 is not an integer, so no count), or one count set past its cap."""
-    mode = draw(st.sampled_from(modes))
+    mode = draw(st.sampled_from(("drop", "wrong-type", "number", "count")))
     if mode == "count":
         payload = copy.deepcopy(draw(st.sampled_from(COUNTED_PAYLOADS)))
         parameters = payload["parameters"]
@@ -700,21 +717,22 @@ def test_fuzzed_scenario_ends_in_a_finite_report_or_a_documented_exit(tmp_path, 
         assert all(math.isfinite(float(value)) for value in line.split(",")[1:]), line
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=mutated_scenario_text(modes=("count",)))
-def test_fuzzed_count_past_its_cap_is_one_invariant_violation_line(tmp_path, capsysbinary, text):
+@pytest.mark.parametrize(
+    "name, message", [("samples", "samples must lie in"), ("runs", "runs must lie in"), ("horizon", "passes 2^53")]
+)
+def test_cli_count_past_its_cap_is_one_invariant_violation_line(tmp_path, capsysbinary, name, message):
     # Refused before anything is allocated in proportion to the count.
-    path = tmp_path / "fuzzed.json"
-    path.write_text(text)
+    payload = copy.deepcopy(next(payload for payload in COUNTED_PAYLOADS if name in payload["parameters"]))
+    payload["parameters"][name] = PAST_CAP[name](payload["parameters"])
+    path = write_scenario(tmp_path, payload)
     tracemalloc.start()
     try:
-        code = main(["run", str(path)])
+        code = main(["run", path])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 3
     diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
-    parameters = json.loads(text)["parameters"]
-    name = diagnostic["field"].removeprefix("parameters.")
-    assert parameters[name] == PAST_CAP[name](parameters)
+    assert message in diagnostic["message"]
+    assert diagnostic["field"] == f"parameters.{name}"
     assert peak < 1_000_000
