@@ -144,9 +144,8 @@ def _pairs_to_multiply(bases: list[tuple[np.ndarray, float] | None]):
     All of them when an outcome has no range basis (none has at or below
     CERTIFY_PAIRS); else those ProjectiveDecomposition's bound does not clear.
     """
-    k = len(bases)
     if None in bases:
-        return itertools.combinations(range(k), 2)
+        return itertools.combinations(range(len(bases)), 2)
     vs, errors = zip(*bases)
     w = np.hstack(vs)
     starts = np.cumsum([0, *(v.shape[1] for v in vs[:-1])])
