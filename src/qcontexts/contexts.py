@@ -23,7 +23,8 @@ and keeps it for its whole life: the eigensystem of its Hamiltonian and the
 propagators over its fixed intervals t - t1, t2 - t and t2 - t1. A free
 context (no or zero Hamiltonian) never decomposes anything. Its branch table
 (per intermediate outcome, the Born weight and the post-selected branch
-weight) is also computed once; every probability above is read from it.
+weight) is also computed once; every probability above is read from it,
+and the chain sampler draws its tallies from it per outcome, not per run.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from .linalg import (
 # merely unlikely; the conditional distribution is undefined.
 DENOMINATOR_FLOOR = 1e-15
 
-# The chain sampler keeps a few arrays of this many draws (about 250 MB).
+# Most runs one chain report tallies. The sampler draws per outcome, so neither
+# its memory nor its time grows with this.
 MAX_CHAIN_SAMPLES = 10**7
 
 # Largest phase lambda t (rad) a Context propagates, bounding lambda by
@@ -276,14 +278,16 @@ class ChainSampleReport:
 
 
 def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
-    """Simulate the explicit chain run by run and post-select.
+    """Tally the measure-collapse-measure chain over samples runs and post-select.
 
     Each run evolves the preparation to the intermediate time, draws the
     intermediate outcome from its Born distribution, collapses, evolves to
     the post-selection time, and draws the final outcome; runs whose final
-    outcome differs from the post-selected label are discarded. The
-    per-branch distributions come from the context's branch table, so a run
-    costs two draws while the sampling law is untouched. Output is
+    outcome differs from the post-selected label are discarded. The tallies
+    are drawn from the context's branch table in O(outcomes): the runs per
+    intermediate outcome are multinomial in the Born weights, and given
+    them the retained runs are binomial in each branch's post-selection
+    success, which is exactly the joint law of run-by-run tallies. Output is
     bit-identical for identical (context, samples, seed); samples ≤ 10^7.
     """
     inter = _require_intermediate(ctx)
@@ -295,12 +299,10 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     live = probs > NEGLIGIBLE
     success[live] = np.clip(joint[live] / born[live], 0.0, 1.0)
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(probs), size=samples, p=probs)
-    kept = rng.random(samples) < success[picks]
-    retained = int(kept.sum())
+    counts = rng.binomial(rng.multinomial(samples, probs), success)
+    retained = int(counts.sum())
     if retained == 0:
         return ChainSampleReport(samples, 0, None, seed)
-    counts = np.bincount(picks[kept], minlength=len(probs))
     frequencies = OutcomeDistribution(
         tuple((label, counts[k] / retained) for k, label in enumerate(inter.observable.labels))
     )

@@ -319,14 +319,11 @@ class FactSequence:
         return self.click_time is not None
 
 
-def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
-    """(ticks before the horizon, 1-based index of the first click or None).
+def detector_law(rate: float, tick: float, horizon: float) -> tuple[int, float]:
+    """(ticks before the horizon, click probability per tick boundary).
 
-    Each tick boundary clicks with probability 1 - exp(-rate * tick), so the
-    first-click index is one geometric draw from default_rng(seed); a draw
-    past the horizon means no click. This is the detector's whole random
-    law: detector_click_simulation records it as facts, and a caller that
-    only counts can stop here.
+    Each tick boundary clicks with probability 1 - exp(-rate * tick). The
+    parameters are checked here, once, however many runs then draw from it.
     """
     if not (np.isfinite(rate) and rate >= 0):
         raise InvariantViolation(f"rate must be nonnegative, got {rate!r}")
@@ -337,8 +334,18 @@ def detector_first_click(rate: float, tick: float, horizon: float, seed: int) ->
     ticks = horizon / tick + 1e-9
     if not ticks < 2.0**53:
         raise InvariantViolation(f"horizon / tick = {ticks!r} passes 2^53, where tick times stop being distinct")
-    count = int(math.floor(ticks))
-    p = -math.expm1(-rate * tick)
+    return int(math.floor(ticks)), -math.expm1(-rate * tick)
+
+
+def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
+    """(ticks before the horizon, 1-based index of the first click or None).
+
+    The first-click index is one geometric draw in the detector_law
+    probability from default_rng(seed); a draw past the horizon means no
+    click. This is the detector's whole random law: detector_click_simulation
+    records it as facts, and a caller that only counts can stop here.
+    """
+    count, p = detector_law(rate, tick, horizon)
     if p > 0.0:
         draw = int(np.random.default_rng(seed).geometric(p))
         if draw <= count:

@@ -46,7 +46,7 @@ from .kinematics import (
 from .linalg import HermitianOperator
 from .pointer import (
     SpreadingModel,
-    detector_first_click,
+    detector_law,
     pointer_basis_scored,
     premeasurement_joint,
     rebase_joint,
@@ -445,6 +445,7 @@ def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
         "seed": seed,
         "samples": samples,
         "retained": report.retained,
+        "sampler": "multinomial-binomial",
     }
     return make_report(scenario, ("analytic", "frequency", "zscore"), rows, metadata)
 
@@ -487,18 +488,18 @@ def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     runs = file_runs if samples is None else _integer(samples, "samples", 1)
     if runs > MAX_DETECTOR_RUNS:
         raise InvariantViolation(f"runs must lie in [1, {MAX_DETECTOR_RUNS}], got {runs}", field=runs_field)
+    with _field("parameters.horizon"):  # the build checked the rest; horizon / tick may pass 2^53
+        count, p = detector_law(rate, tick, horizon)
     nonclick_facts = clicked = 0
     # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
     click_time_total = 0.0
-    with _field("parameters.horizon"):  # the build checked the rest; horizon / tick may pass 2^53
-        for i in range(runs):  # run i draws from its own stream, seed + i
-            count, click_index = detector_first_click(rate, tick, horizon, seed + i)
-            if click_index is None:
-                nonclick_facts += count
-            else:
-                nonclick_facts += click_index - 1
-                clicked += 1
-                click_time_total += click_index * tick
+    for i in range(runs) if p > 0.0 else ():  # run i draws from its own stream, seed + i
+        click_index = int(np.random.default_rng(seed + i).geometric(p))
+        if click_index <= count:
+            nonclick_facts += click_index - 1
+            clicked += 1
+            click_time_total += click_index * tick
+    nonclick_facts += (runs - clicked) * count  # a run without a click records every tick
     rows = [
         ("runs", (float(runs),)),
         ("clicked", (float(clicked),)),

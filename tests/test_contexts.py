@@ -1,8 +1,12 @@
 """Tests for pre/post-selected contexts: the conditional rule, the chain
 sampler that cross-checks it, symmetries, certainty, and picture duality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontexts import contexts
 from qcontexts import (
@@ -270,6 +274,60 @@ def test_chain_deterministic():
     first = sample_chain(ctx, 50_000, seed=77)
     second = sample_chain(ctx, 50_000, seed=77)
     assert first == second
+
+
+# An amplitude of 1e-8 gives a Born weight near 1e-16: nonzero, yet at most NEGLIGIBLE.
+@st.composite
+def sparse_amplitudes(draw, dim: int) -> np.ndarray:
+    values = draw(st.lists(st.sampled_from((0.0, 1e-8, 0.3, 0.5, 1.0)), min_size=dim, max_size=dim))
+    return np.array(values) if max(values) >= 0.3 else np.eye(dim)[0]
+
+
+def basis_chain_context(a: np.ndarray, b: np.ndarray) -> Context:
+    """Free context with a computational-basis intermediate: outcome k has Born
+    weight |a_k|^2 and post-selection success |b_k|^2 (states normalized)."""
+    dim = len(a)
+    target = StateVector.normalized(b).amplitudes
+    target = np.outer(target, target.conj())
+    b_obs = ProjectiveDecomposition((Outcome("b", 1.0, target), Outcome("other", 0.0, np.eye(dim) - target)))
+    c_obs = ProjectiveDecomposition(
+        tuple(Outcome(f"c{k}", float(k), np.diag(np.eye(dim)[k]).astype(complex)) for k in range(dim))
+    )
+    return simple_context(StateVector.normalized(a), b_obs, "b", c_obs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.integers(2, 4),
+    samples=st.integers(1, contexts.MAX_CHAIN_SAMPLES),
+    seed=st.integers(0, 2**32),
+)
+def test_chain_counts_are_whole_runs_on_the_reachable_branches(data, dim, samples, seed):
+    a, b = data.draw(sparse_amplitudes(dim)), data.draw(sparse_amplitudes(dim))
+    report = sample_chain(basis_chain_context(a, b), samples, seed)
+    assert report == sample_chain(basis_chain_context(a, b), samples, seed)
+    assert 0 <= report.retained <= samples
+    if report.no_data:
+        assert report.frequencies is None
+        return
+    counts = np.array([report.frequencies.probability(f"c{k}") * report.retained for k in range(dim)])
+    assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-6)
+    assert int(np.round(counts).sum()) == report.retained
+    unreachable = (a <= 1e-8) | (b == 0.0)
+    assert not np.round(counts)[unreachable].any()
+
+
+def test_chain_at_the_sample_cap_allocates_per_outcome_not_per_run():
+    ctx = three_box_context()
+    tracemalloc.start()
+    try:
+        report = sample_chain(ctx, contexts.MAX_CHAIN_SAMPLES, seed=17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.requested == contexts.MAX_CHAIN_SAMPLES
+    assert peak < 1 << 20
 
 
 # --- total_probability_gap -----------------------------------------------------------

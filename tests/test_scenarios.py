@@ -30,7 +30,7 @@ from qcontexts import (
 )
 from qcontexts.cli import main
 from qcontexts.contexts import MAX_CHAIN_SAMPLES, MAX_PHASE
-from qcontexts.pointer import detector_first_click
+from qcontexts.pointer import detector_first_click, detector_law
 from qcontexts.scenarios import MAX_DETECTOR_RUNS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -626,6 +626,19 @@ def test_detector_counts_match_fact_sequences(rate, tick, horizon, seed):
     assert [label for label, _ in report.rows] == list(expected)
     for label, value in expected.items():
         assert report.value(label) == float(format_number(value))
+
+
+def test_detector_checks_its_law_once_per_scenario(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return detector_law(*args)
+
+    monkeypatch.setattr(scenarios, "detector_law", counting)
+    report = run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES["detector"]))
+    assert report.value("runs") == 1000.0
+    assert calls == [(1.0, 0.01, 10.0)]
 
 
 def test_detector_counts_a_long_record_without_building_it():
