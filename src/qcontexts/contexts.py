@@ -23,8 +23,7 @@ and keeps it for its whole life: the eigensystem of its Hamiltonian and the
 propagators over its fixed intervals t - t1, t2 - t and t2 - t1. A free
 context (no or zero Hamiltonian) never decomposes anything. Its branch table
 (per intermediate outcome, the Born weight and the post-selected branch
-weight) is also computed once; every probability above is read from it,
-and the chain sampler draws its tallies from it per outcome, not per run.
+weight) is also computed once; every probability and chain tally comes from it.
 """
 
 from __future__ import annotations
@@ -60,8 +59,7 @@ from .linalg import (
 # merely unlikely; the conditional distribution is undefined.
 DENOMINATOR_FLOOR = 1e-15
 
-# Most runs one chain report tallies. The sampler draws per outcome, so neither
-# its memory nor its time grows with this.
+# Most runs one chain report tallies; the per-outcome sampler's cost does not grow with it.
 MAX_CHAIN_SAMPLES = 10**7
 
 # Largest phase lambda t (rad) a Context propagates, bounding lambda by
@@ -284,10 +282,9 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     intermediate outcome from its Born distribution, collapses, evolves to
     the post-selection time, and draws the final outcome; runs whose final
     outcome differs from the post-selected label are discarded. The tallies
-    are drawn from the context's branch table in O(outcomes): the runs per
-    intermediate outcome are multinomial in the Born weights, and given
-    them the retained runs are binomial in each branch's post-selection
-    success, which is exactly the joint law of run-by-run tallies. Output is
+    come from the context's branch table in O(outcomes): multinomial runs per
+    outcome in the Born weights, then binomial retained runs in each branch's
+    post-selection success, exactly the joint law of run-by-run tallies. Output is
     bit-identical for identical (context, samples, seed); samples ≤ 10^7.
     """
     inter = _require_intermediate(ctx)

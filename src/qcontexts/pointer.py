@@ -337,20 +337,22 @@ def detector_law(rate: float, tick: float, horizon: float) -> tuple[int, float]:
     return int(math.floor(ticks)), -math.expm1(-rate * tick)
 
 
-def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
-    """(ticks before the horizon, 1-based index of the first click or None).
+def first_click(count: int, p: float, seed: int) -> int | None:
+    """1-based index of the first of count ticks to click, or None.
 
-    The first-click index is one geometric draw in the detector_law
-    probability from default_rng(seed); a draw past the horizon means no
-    click. This is the detector's whole random law: detector_click_simulation
-    records it as facts, and a caller that only counts can stop here.
+    One geometric draw in p from default_rng(seed): the detector's whole random law.
     """
-    count, p = detector_law(rate, tick, horizon)
     if p > 0.0:
         draw = int(np.random.default_rng(seed).geometric(p))
         if draw <= count:
-            return count, draw
-    return count, None
+            return draw
+    return None
+
+
+def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
+    """(ticks before the horizon, first_click index or None), after the detector_law checks."""
+    count, p = detector_law(rate, tick, horizon)
+    return count, first_click(count, p, seed)
 
 
 def detector_click_simulation(rate: float, tick: float, horizon: float, seed: int) -> FactSequence:

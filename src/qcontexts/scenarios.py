@@ -47,6 +47,7 @@ from .linalg import HermitianOperator
 from .pointer import (
     SpreadingModel,
     detector_law,
+    first_click,
     pointer_basis_scored,
     premeasurement_joint,
     rebase_joint,
@@ -493,9 +494,9 @@ def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     nonclick_facts = clicked = 0
     # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
     click_time_total = 0.0
-    for i in range(runs) if p > 0.0 else ():  # run i draws from its own stream, seed + i
-        click_index = int(np.random.default_rng(seed + i).geometric(p))
-        if click_index <= count:
+    for i in range(runs):  # run i draws from its own stream, seed + i
+        click_index = first_click(count, p, seed + i)
+        if click_index is not None:
             nonclick_facts += click_index - 1
             clicked += 1
             click_time_total += click_index * tick
