@@ -16,7 +16,10 @@ ordered, append-only record of nonclick facts closed by at most one click.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,22 +340,80 @@ def detector_law(rate: float, tick: float, horizon: float) -> tuple[int, float]:
     return int(math.floor(ticks)), -math.expm1(-rate * tick)
 
 
-def first_click(count: int, p: float, seed: int) -> int | None:
-    """1-based index of the first of count ticks to click, or None.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx; O'Neill's seed_seq), pinned to
+# default_rng(seed + i) by test_pointer.py and test_scenarios.py.
+INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R, POOL_SIZE, MASK32 = 0xCA01F9DD, 0x4973F715, 4, 0xFFFFFFFF
+_SEED_BLOCK, _MIN_BLOCK = 4096, 16  # seeds hashed at once: at most (flat memory), at least (faster)
 
-    One geometric draw in p from default_rng(seed): the detector's whole random law.
+
+def _hashmix(init: int, mult: int):
+    """numpy's hashmix: xor in the running constant, step it by mult, multiply by it."""
+    running = itertools.accumulate(itertools.repeat(mult), lambda c, m: c * m & MASK32, initial=init)
+    steps = itertools.pairwise(running)
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        xor, multiplier = next(steps)
+        value = (value ^ xor) * multiplier
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_words(first: int, size: int) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for s in [first, first + size), a row each.
+    The block must not wrap the low 32-bit word, so that its seeds share their high words."""
+    entropy = [np.arange(size, dtype=np.uint32) + (first & MASK32)]
+    entropy += [np.array([first >> 32 * k & MASK32], np.uint32) for k in range(1, (first.bit_length() + 31) // 32)]
+    hashmix = _hashmix(INIT_A, MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32)) for i in range(POOL_SIZE)]
+    for src in range(max(len(entropy), POOL_SIZE)):  # the pool's words, then any further ones
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                mixed = pool[dst] * MIX_MULT_L - hashmix(pool[src] if src < POOL_SIZE else entropy[src]) * MIX_MULT_R
+                pool[dst] = mixed ^ mixed >> 16
+    hashmix = _hashmix(INIT_B, MULT_B)
+    state = np.stack([hashmix(pool[i % POOL_SIZE]) for i in range(2 * POOL_SIZE)], axis=1)
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seeded_generator():
+    """words -> Generator(PCG64) seeded from them; built on first use, so qcontexts imports without numpy.random."""
+
+    class Seeded(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return lambda words: np.random.Generator(np.random.PCG64(Seeded(words)))
+
+
+def first_clicks(count: int, p: float, seed: int, runs: int) -> Iterator[int]:
+    """1-based index of the first of count ticks to click in run i, or 0, for i < runs.
+
+    Run i makes one geometric draw in p from exactly the stream of default_rng(seed + i);
+    a block's seeds are hashed together (_seed_words). Nothing is drawn when p = 0.
     """
-    if p > 0.0:
-        draw = int(np.random.default_rng(seed).geometric(p))
-        if draw <= count:
-            return draw
-    return None
+    if p == 0.0:
+        yield from itertools.repeat(0, runs)
+        return
+    start, stop, seeded = seed, seed + runs, _seeded_generator()
+    while start < stop:
+        size = min(stop - start, _SEED_BLOCK, MASK32 + 1 - (start & MASK32))
+        draws = ((np.random.default_rng(s).geometric(p) for s in range(start, start + size)) if size < _MIN_BLOCK
+                 else (seeded(words).geometric(p) for words in _seed_words(start, size)))
+        for draw in draws:
+            yield int(draw) if draw <= count else 0
+        start += size
 
 
 def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
-    """(ticks before the horizon, first_click index or None), after the detector_law checks."""
+    """(ticks before the horizon, first click index or None), after the detector_law checks."""
     count, p = detector_law(rate, tick, horizon)
-    return count, first_click(count, p, seed)
+    return count, (next(first_clicks(count, p, seed, 1)) or None)
 
 
 def detector_click_simulation(rate: float, tick: float, horizon: float, seed: int) -> FactSequence:

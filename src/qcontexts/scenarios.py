@@ -47,7 +47,7 @@ from .linalg import HermitianOperator
 from .pointer import (
     SpreadingModel,
     detector_law,
-    first_click,
+    first_clicks,
     pointer_basis_scored,
     premeasurement_joint,
     rebase_joint,
@@ -494,9 +494,8 @@ def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     nonclick_facts = clicked = 0
     # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
     click_time_total = 0.0
-    for i in range(runs):  # run i draws from its own stream, seed + i
-        click_index = first_click(count, p, seed + i)
-        if click_index is not None:
+    for click_index in first_clicks(count, p, seed, runs):  # run i draws from default_rng(seed + i)
+        if click_index:
             nonclick_facts += click_index - 1
             clicked += 1
             click_time_total += click_index * tick

@@ -20,7 +20,7 @@ from qcontexts import (
     rebase_joint,
     spreading_sigma,
 )
-from qcontexts.pointer import MAX_RECORDED_TICKS, pointer_basis_scored
+from qcontexts.pointer import _SEED_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
 from helpers import random_unitary
 
 RNG = np.random.default_rng(90125)
@@ -292,6 +292,29 @@ def test_detector_facts_past_the_cap_are_refused_before_any_is_built():
     # The cap is on facts recorded, not on the horizon: an early click records few.
     sequence = detector_click_simulation(1e3, 0.5, 0.5 * (MAX_RECORDED_TICKS + 1), seed=1)
     assert sequence.clicked and len(sequence.ticks) == 1
+
+
+# Seeds where the hash changes shape: one zero word, a wrap of the low word (one word to
+# two; then a short block, drawn through default_rng), two words to three, four to five
+# (the first seed with an entropy word past the pool), and seven words.
+SEED_STARTS = [0, 7, 2**32 - 50, 5 * 2**32 - 3, 2**64 - 49, 2**128 - 50, 2**200 + 3]
+
+
+def _default_rng_first_clicks(count, p, seed, runs):
+    if p == 0.0:
+        return [0] * runs
+    return [d if (d := int(np.random.default_rng(seed + i).geometric(p))) <= count else 0 for i in range(runs)]
+
+
+@pytest.mark.parametrize("p", [0.00995, 0.5, 1.0, 0.0], ids=["inversion", "search", "certain", "never"])
+@pytest.mark.parametrize("seed", SEED_STARTS)
+def test_first_clicks_draw_exactly_from_default_rng_of_seed_plus_i(seed, p):
+    assert list(first_clicks(40, p, seed, 100)) == _default_rng_first_clicks(40, p, seed, 100)
+
+
+def test_first_clicks_past_one_block_keep_every_stream():
+    runs = _SEED_BLOCK + 100
+    assert list(first_clicks(40, 0.00995, 11, runs)) == _default_rng_first_clicks(40, 0.00995, 11, runs)
 
 
 def test_fact_sequence_is_append_only():

@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qcontexts
 from qcontexts import (
     InvariantViolation,
     Scenario,
@@ -618,7 +621,7 @@ def _reference_detector_rows(rate, tick, horizon, seed, runs) -> dict:
     [(0.0, 0.1, 2.0), (1.0, 0.1, 0.1), (2.5, 0.05, 3.0), (50.0, 0.01, 1.0), (0.3, 0.2, 1.0)],
     ids=["never-clicks", "horizon-is-tick", "typical", "clicks-early", "mostly-censored"],
 )
-@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("seed", [0, 7, 12345, 2**32 - 20, 2**64 - 20, 2**130 + 1])
 def test_detector_counts_match_fact_sequences(rate, tick, horizon, seed):
     parameters = {"rate": rate, "tick": tick, "horizon": horizon, "seed": seed, "runs": 40}
     report = run_scenario(Scenario(name="counter", kind="detector", parameters=parameters))
@@ -641,6 +644,19 @@ def test_detector_checks_its_law_once_per_scenario(monkeypatch):
     assert calls == [(1.0, 0.01, 10.0)]
 
 
+def test_detector_runs_in_flat_memory():
+    parameters = {"rate": 1.0, "tick": 0.01, "horizon": 10.0, "seed": 3, "runs": 10**5}
+    scenario = Scenario(name="many", kind="detector", parameters=parameters)
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.value("runs") == 1e5
+    assert peak < 1_000_000  # the 10^5 draws alone, held at once, take several MB
+
+
 def test_detector_counts_a_long_record_without_building_it():
     parameters = {"rate": 0.0, "tick": 1e-12, "horizon": 1.0}
     start = time.perf_counter()
@@ -649,6 +665,15 @@ def test_detector_counts_a_long_record_without_building_it():
     count, click_index = detector_first_click(0.0, 1e-12, 1.0, 0)
     assert click_index is None and abs(count - 10**12) <= 1
     assert report.value("nonclick_facts") == float(count)
+
+
+def test_cli_import_leaves_numpy_random_unimported():
+    # numpy.random costs about 20 ms of import; the detector reaches it on its first draw.
+    source = str(Path(qcontexts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qcontexts.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
 
 
 # --- fuzzing the parse boundary ----------------------------------------------------
