@@ -466,28 +466,26 @@ def abl_certified_element(ctx: Context) -> ElementOfReality | None:
 def picture_consistency_check(ctx: Context) -> float:
     """Max per-label gap between Schrödinger- and Heisenberg-picture evaluations.
 
-    Schrödinger: propagate the kets, keep the projectors fixed. Heisenberg:
-    keep the kets fixed at the preparation time and conjugate every
-    projector to its event time. The two orderings compute the same
-    conditional distribution; the return value is the numerical daylight
-    between them (contract: at most 1e-10).
+    Schrödinger: the context's branch table propagates the kets and keeps the
+    projectors fixed. Heisenberg: every projector is conjugated to its event
+    time and applied to the preparation ket, right to left and never
+    multiplied out: P_k U_mid a for every k (k matvecs), then U_mid^H and
+    post_heis = U_through^H P_b U_through (two products, formed once) over
+    all k columns in two d x k products. It reads only the propagators t1 -> t
+    and t1 -> t2, never the onward propagator or the branch table, so it stays
+    an independent route. Returns the numerical daylight between the two
+    conditional distributions as a float (contract: at most 1e-10).
     """
     inter = _require_intermediate(ctx)
     schrodinger = abl_distribution(ctx)
     u_mid, u_post = ctx._forward, ctx._through
-    prepared = ctx.preparation.state.amplitudes
     post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
     post_heis = u_post.conj().T @ post_proj @ u_post
-    u_mid_dagger = u_mid.conj().T
-    weights = np.empty(len(inter.observable.outcomes))
-    for k, outcome in enumerate(inter.observable.outcomes):
-        proj_heis = u_mid_dagger @ outcome.projector @ u_mid
-        branch = post_heis @ (proj_heis @ prepared)
-        weights[k] = float(np.real(np.vdot(branch, branch)))
+    evolved = u_mid @ ctx.preparation.state.amplitudes
+    images = np.stack([outcome.projector @ evolved for outcome in inter.observable.outcomes], axis=1)
+    branches = post_heis @ (u_mid.conj().T @ images)
+    weights = np.real(np.einsum("ij,ij->j", branches.conj(), branches))
     total = float(weights.sum())
     if total <= DENOMINATOR_FLOOR:
         raise ImpossibleOutcomeError("post-selection unreachable in the Heisenberg evaluation")
-    discrepancy = 0.0
-    for k, label in enumerate(inter.observable.labels):
-        discrepancy = max(discrepancy, abs(schrodinger.probability(label) - weights[k] / total))
-    return discrepancy
+    return float(max(abs(p - w / total) for (_, p), w in zip(schrodinger.entries, weights)))

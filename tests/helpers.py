@@ -7,6 +7,7 @@ import numpy as np
 from qcontexts import (
     Context,
     HermitianOperator,
+    ImpossibleOutcomeError,
     Intermediate,
     InvariantViolation,
     Outcome,
@@ -14,10 +15,12 @@ from qcontexts import (
     Preparation,
     ProjectiveDecomposition,
     StateVector,
+    abl_distribution,
     born_distribution,
     evolve,
     lueders_collapse,
 )
+from qcontexts.contexts import DENOMINATOR_FLOOR
 from qcontexts.linalg import ALGEBRA_TOL, check_projector, max_abs
 
 
@@ -134,3 +137,31 @@ def reference_decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
     if max_abs(total - np.eye(total.shape[0])) > ALGEBRA_TOL:
         return "projectors do not sum to the identity"
     return None
+
+
+def heisenberg_discrepancy_reference(ctx: Context) -> float:
+    """picture_consistency_check by conjugating every projector explicitly.
+
+    The Heisenberg loop as it stood before the operators were applied to the
+    ket: U_mid^H P_k U_mid multiplied out per outcome (2k dense products),
+    then the per-label gap by a linear label lookup.
+    """
+    inter = ctx.intermediate
+    schrodinger = abl_distribution(ctx)
+    u_mid, u_post = ctx._forward, ctx._through
+    prepared = ctx.preparation.state.amplitudes
+    post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
+    post_heis = u_post.conj().T @ post_proj @ u_post
+    u_mid_dagger = u_mid.conj().T
+    weights = np.empty(len(inter.observable.outcomes))
+    for k, outcome in enumerate(inter.observable.outcomes):
+        proj_heis = u_mid_dagger @ outcome.projector @ u_mid
+        branch = post_heis @ (proj_heis @ prepared)
+        weights[k] = float(np.real(np.vdot(branch, branch)))
+    total = float(weights.sum())
+    if total <= DENOMINATOR_FLOOR:
+        raise ImpossibleOutcomeError("post-selection unreachable in the Heisenberg evaluation")
+    discrepancy = 0.0
+    for k, label in enumerate(inter.observable.labels):
+        discrepancy = max(discrepancy, abs(schrodinger.probability(label) - weights[k] / total))
+    return discrepancy

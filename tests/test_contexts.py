@@ -41,6 +41,7 @@ from qcontexts import (
 from helpers import (
     conditional_from_joint,
     enumerate_chain,
+    heisenberg_discrepancy_reference,
     random_context,
     random_hermitian,
     random_observable,
@@ -520,6 +521,66 @@ def test_pictures_agree_commuting_evolution():
     assert picture_consistency_check(ctx) < 1e-14
     dist = abl_distribution(ctx)
     assert abs(dist.probability("c1") - 1.0) < 1e-12
+
+
+def _observable_with_leading_rank(rng, dim: int, rank: int, prefix: str) -> ProjectiveDecomposition:
+    """Random observable whose first outcome spans `rank` columns of a random unitary, the rest one each."""
+    basis = random_unitary(rng, dim)
+    spans = [basis[:, :rank]] + [basis[:, k : k + 1] for k in range(rank, dim)]
+    return ProjectiveDecomposition(
+        tuple(Outcome(f"{prefix}{n}", float(n), v @ v.conj().T) for n, v in enumerate(spans))
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(dim=st.sampled_from([8, 32, 64]), rank=st.integers(2, 4), seed=st.integers(0, 2**32))
+def test_picture_check_matches_the_explicit_conjugation(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    ctx = Context(
+        Preparation(random_state(rng, dim), 0.0),
+        PostSelection(_observable_with_leading_rank(rng, dim, 2, "b"), "b0", 1.5),
+        Intermediate(_observable_with_leading_rank(rng, dim, rank, "c"), 0.7),
+        random_hermitian(rng, dim),
+    )
+    assert ctx.intermediate.observable.outcomes[0].rank == rank
+    assert abs(picture_consistency_check(ctx) - heisenberg_discrepancy_reference(ctx)) <= 1e-12
+
+
+def test_picture_check_reads_neither_the_onward_propagator_nor_the_branch_table():
+    # Swap the cached onward propagator for another unitary and rebuild the branch
+    # table from it: the Schrödinger route goes wrong, the Heisenberg route must not follow.
+    rng = np.random.default_rng(31)
+    ctx = random_context(rng, 4)
+    assert picture_consistency_check(ctx) <= 1e-10
+    before = abl_distribution(ctx)
+    ctx.__dict__["_onward"] = random_unitary(rng, 4)
+    del ctx.__dict__["_branches"]
+    wrong = abl_distribution(ctx)
+    assert max(abs(wrong.probability(label) - p) for label, p in before.entries) > 1e-3
+    assert picture_consistency_check(ctx) > 1e-10
+
+
+def test_picture_check_over_a_single_outcome():
+    rng = np.random.default_rng(32)
+    trivial = ProjectiveDecomposition((Outcome("all", 1.0, np.eye(3, dtype=complex)),))
+    ctx = simple_context(random_state(rng, 3), random_observable(rng, 3, "b"), "b1", trivial, random_hermitian(rng, 3))
+    gap = picture_consistency_check(ctx)
+    assert type(gap) is float
+    assert gap < 1e-14
+
+
+def test_picture_check_raises_when_the_heisenberg_route_is_unreachable():
+    rng = np.random.default_rng(33)
+    post = random_observable(rng, 3, "b")
+    prep = prepare_eigenstate(post, "b1")
+    ctx = simple_context(prep, post, "b0", post)  # measuring b in between keeps b1 in b1
+    with pytest.raises(ImpossibleOutcomeError):
+        picture_consistency_check(ctx)
+    # A branch table that wrongly reaches the post-selection leaves the Heisenberg
+    # evaluation to find the post-selection unreachable on its own.
+    ctx.__dict__["_branches"] = (np.full(3, 1 / 3), np.full(3, 0.1))
+    with pytest.raises(ImpossibleOutcomeError, match="Heisenberg"):
+        picture_consistency_check(ctx)
 
 
 # --- marginalization identity -----------------------------------------------------------
