@@ -19,10 +19,8 @@ from .linalg import (
     HermitianOperator,
     SchmidtDecomposition,
     UnitaryMap,
-    apply_projector,
     hermitian_eigensystem,
     schmidt_decompose,
-    tensor_product,
     unitary_exponential,
 )
 from .kinematics import (
@@ -46,7 +44,6 @@ from .contexts import (
     PostSelection,
     Preparation,
     TotalProbabilityGap,
-    abl_certified_element,
     abl_distribution,
     born_context_distribution,
     element_of_reality,
@@ -64,7 +61,6 @@ from .pointer import (
     SpreadingModel,
     complete_basis,
     detector_click_simulation,
-    fuzziness_resolvable,
     pointer_basis_select,
     premeasurement_joint,
     rebase_joint,

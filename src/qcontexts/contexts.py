@@ -338,17 +338,15 @@ def total_probability_gap(
     return TotalProbabilityGap(quantum, classical, quantum - classical)
 
 
-def _projector_question(
-    amplitudes: np.ndarray, yes_label: str = "yes", no_label: str = "no"
-) -> ProjectiveDecomposition:
-    """Two-outcome indicator observable "is the system in this state?"."""
+def _projector_question(amplitudes: np.ndarray) -> ProjectiveDecomposition:
+    """Two-outcome indicator observable "is the system in this state?" (yes / no)."""
     projector = np.outer(amplitudes, amplitudes.conj())
     dim = amplitudes.size
     if dim == 1:
-        return ProjectiveDecomposition((Outcome(yes_label, 1.0, projector),))
+        return ProjectiveDecomposition((Outcome("yes", 1.0, projector),))
     return ProjectiveDecomposition((
-        Outcome(yes_label, 1.0, projector),
-        Outcome(no_label, 0.0, np.eye(dim) - projector),
+        Outcome("yes", 1.0, projector),
+        Outcome("no", 0.0, np.eye(dim) - projector),
     ))
 
 
@@ -447,19 +445,6 @@ def element_of_reality(
     label, prob = born_distribution(evolved, observable).most_likely()
     if prob >= 1.0 - CERTAINTY_TOL:
         return ElementOfReality(observable, label, prob, True)
-    return None
-
-
-def abl_certified_element(ctx: Context) -> ElementOfReality | None:
-    """Certainty under both boundary conditions.
-
-    Returns the intermediate outcome whose conditional probability reaches
-    one — certain even when its Born weight is far from it — or None.
-    """
-    inter = _require_intermediate(ctx)
-    label, prob = abl_distribution(ctx).most_likely()
-    if prob >= 1.0 - CERTAINTY_TOL:
-        return ElementOfReality(inter.observable, label, prob, True)
     return None
 
 

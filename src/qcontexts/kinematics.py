@@ -11,6 +11,7 @@ real-positive) so equality testing is reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps)
 
-    def phase_fixed(self) -> "StateVector":
-        return StateVector(fix_global_phase(self.amplitudes))
-
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>."""
         if self.dim != other.dim:
@@ -109,7 +107,7 @@ class Outcome:
 
     @property
     def rank(self) -> int:
-        return int(round(float(np.real(np.trace(self.projector)))))
+        return int(round(float(self.projector.diagonal().real.sum())))  # the trace
 
 
 def _range_basis(p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
@@ -119,11 +117,16 @@ def _range_basis(p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
     entries. Any orthonormal V keeps the certificate sound; a poor one only
     leaves more to check exactly.
     """
-    columns = p[:, np.argsort(p.diagonal().real)[p.shape[0] - rank :]]
-    # The QR factor of one column is that column normalized, without np.linalg.qr's call cost.
-    v = columns / np.sqrt(np.vdot(columns, columns).real) if rank == 1 else np.linalg.qr(columns)[0]
-    residual = p - v @ v.conj().T
-    return v, float(np.sqrt(np.vdot(residual, residual).real))  # vdot flattens: the Frobenius norm
+    diagonal = p.diagonal().real
+    if rank == 1:  # one column normalized is its QR factor, and V V^H broadcasts: no LAPACK or BLAS call
+        v = p[:, diagonal.argmax(), None]
+        v = v / math.sqrt(np.vdot(v, v).real)
+        outer = v * v.conj().T
+    else:
+        v = np.linalg.qr(p[:, np.argsort(diagonal)[p.shape[0] - rank :]])[0]
+        outer = v @ v.conj().T
+    residual = np.subtract(p, outer, out=outer)
+    return v, math.sqrt(np.vdot(residual, residual).real)  # vdot flattens: the Frobenius norm
 
 
 def _checked_basis(outcome: Outcome) -> tuple[np.ndarray, float] | None:

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Hermitian eigensystems, unitary exponentials, tensor products, projector
-application, and singular-value (biorthogonal) decomposition, all on plain
-numpy arrays. Scope is desk scale — dimensions up to a few dozen — so every
+Input checks, Hermitian eigensystems, unitary exponentials, projector
+images and singular-value (biorthogonal) decomposition, all on plain numpy
+arrays. Scope is desk scale — dimensions up to a few dozen — so every
 routine favors exactness and reproducibility over asymptotic speed:
 exponentials go through the eigendecomposition rather than a series, and
 degenerate eigenspaces are re-based deterministically so that equal inputs
@@ -11,6 +11,7 @@ always produce identical matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,19 @@ NEGLIGIBLE = 1e-12
 # this, so checking it first keeps a sure failure's products from overflowing.
 ENTRY_BOUND = 2.0
 
+# A sum of squared magnitudes at most this leaves no entry past ENTRY_BOUND, with
+# a 25% margin over the sum's round-off: the Frobenius norm bounds every entry.
+ENTRY_SCREEN = ENTRY_BOUND**2 - 1
+
 
 def as_complex_array(entries, ndim: int, name: str, square: bool = False) -> np.ndarray:
-    """Coerce to an ndim-D complex array of finite entries, square if asked."""
+    """Coerce to an ndim-D complex array of finite entries, square if asked. IEEE + and x carry
+    an inf or nan into the BLAS sum of squares vdot(arr, arr), whose real part adds no negative
+    term, so the per-entry scan runs only when it is not finite (or finite squares overflow)."""
     arr = np.asarray(entries, dtype=complex)
     if arr.ndim != ndim:
         raise InvariantViolation(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not math.isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
         raise InvariantViolation(f"{name} contains non-finite entries")
     if square and arr.shape[0] != arr.shape[1]:
         raise InvariantViolation(f"{name} must be square, got shape {arr.shape}")
@@ -64,7 +71,10 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
 
 
 def check_entry_bound(arr: np.ndarray, name: str, kind: str) -> None:
-    """Reject an array with an entry past ENTRY_BOUND, which no `kind` has."""
+    """Reject an array with an entry past ENTRY_BOUND, which no `kind` has; a sum of
+    squares at most ENTRY_SCREEN clears it without the per-entry scan."""
+    if np.vdot(arr, arr).real <= ENTRY_SCREEN:
+        return
     largest = max_abs(arr)
     if largest > ENTRY_BOUND:
         raise InvariantViolation(f"{name} has an entry of magnitude {largest:.3e} > {ENTRY_BOUND:g}; no {kind} has one")
@@ -98,12 +108,30 @@ def frozen_copy(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def canonical_phases(columns: np.ndarray) -> np.ndarray:
+    """Per column, conj(a) / |a| for its first entry a with |a| > NEGLIGIBLE (1 if none), the
+    phase that makes a real-positive. np.hypot is the scalar abs bit for bit and decides; np.abs,
+    a few ulp off it, only screens, and an entry hypot rejects leaves the screen for a new search."""
+    if not columns.shape[0]:
+        return np.ones(columns.shape[1], dtype=complex)
+    leading = columns[0]
+    size = np.hypot(leading.real, leading.imag)
+    if size.min(initial=math.inf) > NEGLIGIBLE:  # the usual case: every first entry decides, no scan
+        return leading.conj() / size
+    screen, cols = np.abs(columns) > NEGLIGIBLE * (1 - 1e-15), np.arange(columns.shape[1])
+    while True:
+        rows = screen.argmax(axis=0)
+        leading = columns[rows, cols]
+        size = np.hypot(leading.real, leading.imag)
+        clear = size > NEGLIGIBLE
+        if not (screen[rows, cols] > clear).any():  # no screened entry that hypot rejects
+            return np.divide(leading.conj(), size, out=np.ones(cols.size, dtype=complex), where=clear)
+        screen[rows, cols] = clear
+
+
 def fix_global_phase(vector: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first non-negligible entry is real-positive."""
-    for entry in vector:
-        if abs(entry) > NEGLIGIBLE:
-            return vector * (entry.conjugate() / abs(entry))
-    return vector
+    return vector * canonical_phases(vector[:, None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,26 +237,19 @@ def hermitian_eigensystem(operator: HermitianOperator) -> Eigensystem:
     Within a degenerate cluster the eigenvectors coming back from LAPACK are
     an arbitrary orthonormal set; they are replaced by standard-basis
     projections orthonormalized in index order, and every eigenvector's
-    global phase is fixed, so repeated runs emit identical output.
+    global phase is fixed (canonical_phases), so repeated runs emit
+    identical output.
     """
-    values, vectors = np.linalg.eigh(operator.matrix)
-    scale = max(1.0, max_abs(values))
-    out = vectors.copy()
-    n = values.size
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and values[j] - values[j - 1] <= _CLUSTER_TOL * scale:
-            j += 1
+    values, out = np.linalg.eigh(operator.matrix)
+    ends = [*np.flatnonzero(np.diff(values) > _CLUSTER_TOL * max(1.0, max_abs(values))) + 1, values.size]
+    for i, j in zip([0, *ends], ends):
         if j - i > 1:
             # Pathologically conditioned projections fall short; keep the solver's choice.
             cluster = out[:, i:j]
             span = orthonormal_extend([], cluster @ cluster.conj().T, j - i)
             if len(span) == j - i:
                 out[:, i:j] = np.column_stack(span)
-        for k in range(i, j):
-            out[:, k] = fix_global_phase(out[:, k])
-        i = j
+    out *= canonical_phases(out)
     return Eigensystem(values, out)
 
 
@@ -237,34 +258,10 @@ def unitary_exponential(operator: HermitianOperator, duration: float) -> Unitary
     return hermitian_eigensystem(operator).exponential(duration)
 
 
-def tensor_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Kronecker product of two unit vectors; amplitude (j, k) lands at index j*dim(right)+k."""
-    u = as_complex_array(left, 1, "left factor")
-    v = as_complex_array(right, 1, "right factor")
-    check_unit_norm(u, "left factor")
-    check_unit_norm(v, "right factor")
-    return np.kron(u, v)
-
-
-def apply_projector(projector: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply an orthogonal projector to a unit vector.
-
-    Returns the unnormalized image P|s> and the weight <s|P|s>, clamped to
-    [0, 1]. Rejects matrices that are not projectors (Hermitian idempotents)
-    within the algebraic tolerance.
-    """
-    p = as_complex_array(projector, 2, "projector argument")
-    s = as_complex_array(state, 1, "state")
-    if p.shape != (s.size, s.size):
-        raise InvariantViolation(f"projector shape {p.shape} does not match state dimension {s.size}")
-    check_projector(p, "projector argument")
-    check_unit_norm(s, "state")
-    return projector_image(p, s)
-
-
 def projector_image(projector: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, float]:
-    """apply_projector for a pair already validated (a decomposition's projector, a
-    StateVector's amplitudes): only the weight's range is checked before the clamp."""
+    """The image P|s> and weight <s|P|s>, clamped to [0, 1], of a pair already validated
+    (a decomposition's projector, a StateVector's amplitudes): only the weight's range
+    is checked before the clamp."""
     image = projector @ state
     weight = float(np.real(np.vdot(state, image)))
     if weight < -CONSTRUCTION_TOL or weight > 1.0 + CONSTRUCTION_TOL:
@@ -306,9 +303,9 @@ def schmidt_decompose(amplitudes: np.ndarray) -> SchmidtDecomposition:
 
     Entry (i, j) of the input is the amplitude on system index i, apparatus
     index j. Zero coefficients are truncated; phases are fixed on the system
-    side (first non-negligible entry real-positive) with the compensating
-    phase pushed into the apparatus vector, so output is deterministic and
-    the reconstruction identity is exact to round-off.
+    side (canonical_phases: first non-negligible entry real-positive) with the
+    compensating phase pushed into the apparatus vector, so output is
+    deterministic and the reconstruction identity is exact to round-off.
     """
     matrix = as_complex_array(amplitudes, 2, "bipartite amplitudes")
     check_unit_norm(matrix, "bipartite amplitudes")
@@ -320,11 +317,7 @@ def schmidt_decompose(amplitudes: np.ndarray) -> SchmidtDecomposition:
     coefficients = values[:rank].copy()
     system_states = left[:, :rank].copy()
     apparatus_states = right_h[:rank, :].T.copy()
-    for k in range(rank):
-        for entry in system_states[:, k]:
-            if abs(entry) > NEGLIGIBLE:
-                phase = entry.conjugate() / abs(entry)
-                system_states[:, k] = system_states[:, k] * phase
-                apparatus_states[:, k] = apparatus_states[:, k] * phase.conjugate()
-                break
+    phases = canonical_phases(system_states)
+    system_states *= phases
+    apparatus_states *= phases.conj()
     return SchmidtDecomposition(coefficients, system_states, apparatus_states, non_unique)

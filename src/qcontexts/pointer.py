@@ -187,17 +187,13 @@ def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
             f"new apparatus basis must be complete ({joint.apparatus_dim} columns of "
             f"dimension {joint.apparatus_dim}), got shape {basis.shape}"
         )
-    ambient = joint.ambient_amplitudes()
-    images = ambient @ basis.conj()
+    images = joint.ambient_amplitudes() @ basis.conj()
     weights = np.linalg.norm(images, axis=0)
+    significant = np.flatnonzero(weights > NEGLIGIBLE)
     relative = np.zeros_like(images)
-    significant = []
-    for l in range(basis.shape[1]):
-        if weights[l] > NEGLIGIBLE:
-            relative[:, l] = images[:, l] / weights[l]
-            significant.append(l)
+    relative[:, significant] = images[:, significant] / weights[significant]
     score = 1.0
-    if len(significant) > 1:
+    if significant.size > 1:
         block = relative[:, significant]
         gram = np.abs(block.conj().T @ block)
         np.fill_diagonal(gram, 0.0)
@@ -209,7 +205,7 @@ def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
     """Deterministically extend orthonormal columns to a full basis of the space."""
     if columns.shape[1] > dim:
         raise InvariantViolation(f"{columns.shape[1]} columns cannot fit dimension {dim}")
-    have = [columns[:, k].copy() for k in range(columns.shape[1])]
+    have = list(columns.T)  # views of the given columns, only read
     orthonormal_extend(have, np.eye(dim, dtype=complex), dim)
     if len(have) != dim:
         raise ToleranceError("failed to complete the apparatus basis")
@@ -279,13 +275,6 @@ def spreading_sigma(model: SpreadingModel, t: float) -> float:
     if not math.isfinite(width):
         raise InvariantViolation(f"packet width at time {t!r} overflows a double")
     return width
-
-
-def fuzziness_resolvable(sigma: float, detector_resolution: float) -> bool:
-    """True iff the packet width strictly exceeds what the detector resolves."""
-    if sigma <= 0 or detector_resolution <= 0:
-        raise InvariantViolation("width and resolution must both be positive")
-    return sigma > detector_resolution
 
 
 @dataclass(frozen=True)

@@ -117,16 +117,9 @@ class Report:
         raise KeyError(label)
 
 
-_COMMON_TOLERANCES = {
-    "tolerance_construction": "1e-12",
-    "tolerance_algebra": "1e-10",
-}
-
-
 def make_report(scenario: Scenario, columns, rows, metadata: dict) -> Report:
     """A Report with the tool version and the common tolerances added to `metadata`."""
-    base = {"tool_version": __version__, **_COMMON_TOLERANCES}
-    base.update(metadata)
+    base = {"tool_version": __version__, "tolerance_construction": "1e-12", "tolerance_algebra": "1e-10", **metadata}
     return Report(
         scenario=scenario.name,
         kind=scenario.kind,

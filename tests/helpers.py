@@ -21,7 +21,17 @@ from qcontexts import (
     lueders_collapse,
 )
 from qcontexts.contexts import DENOMINATOR_FLOOR
-from qcontexts.linalg import ALGEBRA_TOL, check_projector, max_abs
+from qcontexts.linalg import (
+    _CLUSTER_TOL,
+    ALGEBRA_TOL,
+    COEFFICIENT_DEGENERACY_TOL,
+    ENTRY_BOUND,
+    NEGLIGIBLE,
+    check_projector,
+    max_abs,
+    orthonormal_extend,
+)
+from qcontexts.pointer import _as_basis
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -165,3 +175,96 @@ def heisenberg_discrepancy_reference(ctx: Context) -> float:
     for k, label in enumerate(inter.observable.labels):
         discrepancy = max(discrepancy, abs(schrodinger.probability(label) - weights[k] / total))
     return discrepancy
+
+
+# --- the per-entry scans and per-column loops that the vectorized kernels replaced ---------
+
+
+def as_complex_array_reference(entries, ndim: int, name: str, square: bool = False) -> np.ndarray:
+    """linalg.as_complex_array with the exact per-entry finiteness scan on every call."""
+    arr = np.asarray(entries, dtype=complex)
+    if arr.ndim != ndim:
+        raise InvariantViolation(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvariantViolation(f"{name} contains non-finite entries")
+    if square and arr.shape[0] != arr.shape[1]:
+        raise InvariantViolation(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
+def check_entry_bound_reference(arr: np.ndarray, name: str, kind: str) -> None:
+    """linalg.check_entry_bound with the per-entry max_abs scan on every call."""
+    largest = max_abs(arr)
+    if largest > ENTRY_BOUND:
+        raise InvariantViolation(f"{name} has an entry of magnitude {largest:.3e} > {ENTRY_BOUND:g}; no {kind} has one")
+
+
+def fix_global_phase_reference(vector: np.ndarray) -> np.ndarray:
+    """linalg.fix_global_phase as a scalar loop over the entries."""
+    for entry in vector:
+        if abs(entry) > NEGLIGIBLE:
+            return vector * (entry.conjugate() / abs(entry))
+    return vector
+
+
+def eigensystem_reference(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """linalg.hermitian_eigensystem's (values, vectors), fixing each column's phase in the cluster loop."""
+    values, vectors = np.linalg.eigh(operator.matrix)
+    scale = max(1.0, max_abs(values))
+    out = vectors.copy()
+    n = values.size
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and values[j] - values[j - 1] <= _CLUSTER_TOL * scale:
+            j += 1
+        if j - i > 1:
+            cluster = out[:, i:j]
+            span = orthonormal_extend([], cluster @ cluster.conj().T, j - i)
+            if len(span) == j - i:
+                out[:, i:j] = np.column_stack(span)
+        for k in range(i, j):
+            out[:, k] = fix_global_phase_reference(out[:, k])
+        i = j
+    return values, out
+
+
+def schmidt_reference(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """linalg.schmidt_decompose's fields from a valid amplitude matrix, phases fixed column by column."""
+    left, values, right_h = np.linalg.svd(matrix, full_matrices=False)
+    full = min(matrix.shape)
+    rank = max(int(np.sum(values > NEGLIGIBLE)), 1)
+    adjacent_close = bool(np.any(values[:-1] - values[1:] <= COEFFICIENT_DEGENERACY_TOL)) if full > 1 else False
+    non_unique = adjacent_close or rank < full
+    coefficients = values[:rank].copy()
+    system_states = left[:, :rank].copy()
+    apparatus_states = right_h[:rank, :].T.copy()
+    for k in range(rank):
+        for entry in system_states[:, k]:
+            if abs(entry) > NEGLIGIBLE:
+                phase = entry.conjugate() / abs(entry)
+                system_states[:, k] = system_states[:, k] * phase
+                apparatus_states[:, k] = apparatus_states[:, k] * phase.conjugate()
+                break
+    return coefficients, system_states, apparatus_states, non_unique
+
+
+def rebase_reference(joint, new_basis) -> tuple[np.ndarray, np.ndarray, float]:
+    """pointer.rebase_joint's (weights, relative states, unclamped score) for a complete basis,
+    normalizing the significant columns one at a time."""
+    basis = _as_basis(new_basis, "new apparatus basis")
+    images = joint.ambient_amplitudes() @ basis.conj()
+    weights = np.linalg.norm(images, axis=0)
+    relative = np.zeros_like(images)
+    significant = []
+    for l in range(basis.shape[1]):
+        if weights[l] > NEGLIGIBLE:
+            relative[:, l] = images[:, l] / weights[l]
+            significant.append(l)
+    score = 1.0
+    if len(significant) > 1:
+        block = relative[:, significant]
+        gram = np.abs(block.conj().T @ block)
+        np.fill_diagonal(gram, 0.0)
+        score = 1.0 - float(np.max(gram))
+    return weights, relative, score

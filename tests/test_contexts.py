@@ -21,7 +21,6 @@ from qcontexts import (
     ProjectiveDecomposition,
     StateVector,
     TimeReversalConventionWarning,
-    abl_certified_element,
     abl_distribution,
     born_context_distribution,
     born_distribution,
@@ -478,16 +477,6 @@ def test_element_present_for_aligned_observable():
     prep = Preparation(StateVector.basis_state(2, 0), 0.0)
     element = element_of_reality(prep, None, 1.0, pauli_z())
     assert element is not None and element.label == "+1" and element.certified
-
-
-def test_abl_certified_element_three_box():
-    element = abl_certified_element(three_box_context())
-    assert element is not None
-    assert element.label == "box1"
-    assert element.certified
-    # Unconditional certification has no business here: Born weight is 1/3.
-    ctx = three_box_context()
-    assert element_of_reality(ctx.preparation, None, 1.0, ctx.intermediate.observable) is None
 
 
 # --- picture consistency --------------------------------------------------------------

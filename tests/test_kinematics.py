@@ -27,7 +27,7 @@ from qcontexts import (
 )
 from qcontexts import kinematics
 from qcontexts.kinematics import CERTIFY_MARGIN, CERTIFY_PAIRS
-from qcontexts.linalg import ALGEBRA_TOL, hermiticity_defect
+from qcontexts.linalg import ALGEBRA_TOL, fix_global_phase, hermiticity_defect
 from helpers import (
     decomposition_error,
     random_hermitian,
@@ -231,6 +231,23 @@ def test_projector_verdict_matches_per_projector_reference(seed, dim, high_ranks
     assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
 
 
+@pytest.mark.parametrize("dim", [12, 32, 64])
+@pytest.mark.parametrize("kind, target", [(None, 0.0), ("idempotency", 1.01e-10), ("hermiticity", 1.01e-10)])
+def test_tied_diagonal_rank1_projector_matches_the_reference(dim, kind, target):
+    """The uniform vector's projector has every diagonal entry tied at 1/dim: any of its columns
+    is a range basis, so it is certified when clean and fails as the reference does when not."""
+    uniform = np.ones((dim, 1)) / np.sqrt(dim)
+    u = np.linalg.qr(np.hstack([uniform, random_unitary(np.random.default_rng(dim), dim)[:, 1:]]))[0]
+    outcomes = list(_block_outcomes(u, [1] * dim, {}))
+    np.testing.assert_allclose(outcomes[0].projector, uniform @ uniform.T, atol=1e-15)
+    if kind is not None:
+        outcomes[0] = _with_defect(outcomes[0], kind, target)
+    outcomes = tuple(outcomes)
+    assert _exactly_checked(outcomes) == ([] if kind is None else ["c0"])
+    assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
+    assert (decomposition_error(outcomes) is None) == (kind is None)
+
+
 @pytest.mark.parametrize(
     "kind, target, certified",
     [
@@ -431,7 +448,7 @@ def test_collapse_then_born_is_certain():
 def test_evolve_free_is_identity():
     state = random_state(RNG, 3)
     evolved = evolve(state, HermitianOperator.zero(3), 2.5)
-    np.testing.assert_allclose(evolved.amplitudes, state.phase_fixed().amplitudes, atol=1e-12)
+    np.testing.assert_allclose(evolved.amplitudes, fix_global_phase(state.amplitudes), atol=1e-12)
 
 
 def test_evolve_sigma_z_quarter_turn():
@@ -453,7 +470,7 @@ def test_evolve_preserves_norm():
 
 def test_evolve_reversible():
     for _ in range(10):
-        state = random_state(RNG, 3).phase_fixed()
+        state = StateVector(fix_global_phase(random_state(RNG, 3).amplitudes))
         h = random_hermitian(RNG, 3)
         t = float(RNG.uniform(0.1, 2.0))
         back = evolve(evolve(state, h, t), h, -t)

@@ -2,11 +2,10 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qcontexts import (
     HermitianOperator,
@@ -16,16 +15,22 @@ from qcontexts import (
     ProjectiveDecomposition,
     StateVector,
     UnitaryMap,
-    apply_projector,
     hermitian_eigensystem,
     linalg,
     premeasurement_joint,
     rebase_joint,
     schmidt_decompose,
-    tensor_product,
     unitary_exponential,
 )
-from helpers import random_state, random_unitary
+from helpers import (
+    as_complex_array_reference,
+    check_entry_bound_reference,
+    eigensystem_reference,
+    fix_global_phase_reference,
+    random_unitary,
+    rebase_reference,
+    schmidt_reference,
+)
 
 RNG = np.random.default_rng(20260811)
 
@@ -127,62 +132,6 @@ def test_exponential_composes():
         assert np.max(np.abs(whole - split)) < 1e-9
 
 
-# --- tensor_product ----------------------------------------------------------
-
-
-def test_tensor_basis_vectors():
-    e0 = np.array([1.0, 0.0])
-    out = tensor_product(e0, e0)
-    np.testing.assert_allclose(out, [1, 0, 0, 0])
-
-
-def test_tensor_superposition():
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    e0 = np.array([1.0, 0.0])
-    np.testing.assert_allclose(tensor_product(plus, e0), [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(2, 4), st.integers(2, 4), st.integers(0, 2**31 - 1))
-def test_tensor_norm_multiplicative(dim_u, dim_v, seed):
-    rng = np.random.default_rng(seed)
-    u = random_state(rng, dim_u).amplitudes
-    v = random_state(rng, dim_v).amplitudes
-    assert abs(np.linalg.norm(tensor_product(u, v)) - 1.0) < 1e-12
-
-
-def test_tensor_rejects_unnormalized():
-    with pytest.raises(InvariantViolation, match="unit norm"):
-        tensor_product(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-
-
-# --- apply_projector ---------------------------------------------------------
-
-
-def test_projector_on_superposition():
-    p = np.array([[1, 0], [0, 0]], dtype=complex)
-    s = np.array([1, 1]) / np.sqrt(2)
-    image, weight = apply_projector(p, s)
-    np.testing.assert_allclose(image, [1 / np.sqrt(2), 0])
-    assert abs(weight - 0.5) < 1e-12
-
-
-def test_projector_identity_and_orthogonal():
-    s = np.array([0, 0, 1.0])
-    image, weight = apply_projector(np.eye(3), s)
-    np.testing.assert_allclose(image, s)
-    assert weight == 1.0
-    rank2 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    image, weight = apply_projector(rank2, s)
-    np.testing.assert_allclose(image, [0, 0, 0])
-    assert weight == 0.0
-
-
-def test_projector_rejects_non_idempotent():
-    with pytest.raises(InvariantViolation, match="not a projector"):
-        apply_projector(np.diag([0.5, 0.0]), np.array([1.0, 0.0]))
-
-
 # --- schmidt_decompose -------------------------------------------------------
 
 
@@ -260,14 +209,6 @@ def _decomposition(projector) -> ProjectiveDecomposition:
         (lambda: Outcome("a", 0.0, np.zeros((2, 3))), "projector for 'a'"),
         (lambda: _decomposition(np.diag([0.5, 0.0])), "projector for 'a'"),
         (lambda: _decomposition(SKEWED), "projector for 'a'"),
-        (lambda: tensor_product([NAN, 0.0], UNIT), "left factor"),
-        (lambda: tensor_product(UNIT, [[1.0, 0.0]]), "right factor"),
-        (lambda: tensor_product([1.0, 1.0], UNIT), "left factor"),
-        (lambda: apply_projector([[NAN, 0.0], [0.0, 0.0]], UNIT), "projector"),
-        (lambda: apply_projector(np.eye(2), [[1.0, 0.0]]), "state"),
-        (lambda: apply_projector(np.zeros((2, 3)), UNIT), "projector"),
-        (lambda: apply_projector(np.eye(2), [1.0, 1.0]), "state"),
-        (lambda: apply_projector(SKEWED, UNIT), "projector"),
         (lambda: schmidt_decompose([[NAN, 0.0], [0.0, 0.0]]), "bipartite amplitudes"),
         (lambda: schmidt_decompose(UNIT), "bipartite amplitudes"),
         (lambda: schmidt_decompose(np.ones((2, 2))), "bipartite amplitudes"),
@@ -283,8 +224,6 @@ def _decomposition(projector) -> ProjectiveDecomposition:
             ("UnitaryMap", ["non-finite", "ndim", "square"]),
             ("Outcome", ["non-finite", "ndim", "square"]),
             ("ProjectiveDecomposition", ["not-idempotent", "not-hermitian"]),
-            ("tensor_product", ["non-finite", "ndim", "norm"]),
-            ("apply_projector", ["non-finite", "ndim", "square", "norm", "not-hermitian"]),
             ("schmidt_decompose", ["non-finite", "ndim", "norm"]),
             ("JointState", ["non-finite", "ndim", "norm"]),
         ]
@@ -298,8 +237,8 @@ def test_invalid_input_is_rejected_naming_the_object(build, name):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda p: apply_projector(p, UNIT), _decomposition],
-    ids=["apply_projector", "ProjectiveDecomposition"],
+    [_decomposition],
+    ids=["ProjectiveDecomposition"],
 )
 def test_projector_check_reports_both_defects(build):
     with pytest.raises(InvariantViolation, match="not a projector") as excinfo:
@@ -336,3 +275,126 @@ def test_entry_bound_rejects_only_what_its_check_already_rejects(monkeypatch, bu
     with pytest.raises(InvariantViolation) as excinfo:
         build(past_bound)
     assert "entry of magnitude" not in str(excinfo.value)
+
+
+# --- screens in front of the per-entry scans -------------------------------------------
+
+PAST_BOUND = float(np.nextafter(linalg.ENTRY_BOUND, math.inf))
+BELOW_BOUND = float(np.nextafter(linalg.ENTRY_BOUND, 0.0))
+SCREENED_ENTRIES = [
+    0.5, BELOW_BOUND, linalg.ENTRY_BOUND, PAST_BOUND, -1j * PAST_BOUND, 1e200, -1e300j,
+    math.inf, -math.inf, complex(0.5, math.inf), complex(0.5, -math.inf), NAN, complex(0.5, NAN),
+]
+
+
+def _screened_layouts(x) -> list[np.ndarray]:
+    """Arrays holding `x` once (or everywhere): 1-D and 2-D, contiguous, transposed, strided, empty."""
+    base = np.full((5, 6), 0.1 + 0.05j)
+    base[2, 3] = x
+    return [base, base[2], base.T, base[::2, ::3], base[2, ::3], base[:0], base[2, :0], np.full((3, 4), x)]
+
+
+def _rejection(call) -> str | None:
+    """The InvariantViolation message of call(), or None; any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except InvariantViolation as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("x", SCREENED_ENTRIES, ids=repr)
+def test_screens_reject_exactly_what_the_per_entry_scans_reject(x):
+    for arr in _screened_layouts(x):
+        for reference, screened in [
+            (as_complex_array_reference, linalg.as_complex_array),
+            (check_entry_bound_reference, linalg.check_entry_bound),
+        ]:
+            args = (arr, arr.ndim, "array") if screened is linalg.as_complex_array else (arr, "array", "projector")
+            assert _rejection(lambda: screened(*args)) == _rejection(lambda: reference(*args))
+
+
+# --- vectorized phase and rebase kernels against the per-column loops -------------------
+
+KERNEL_DIMS = [2, 8, 32, 64]
+
+
+def _near_negligible(rng, size) -> np.ndarray:
+    """Entries within an ulp or two of |z| = NEGLIGIBLE, where np.abs and the scalar abs can disagree."""
+    ulps = rng.integers(-2, 3, size) * 2.0**-52
+    return linalg.NEGLIGIBLE * np.exp(2j * np.pi * rng.uniform(size=size)) * (1 + ulps)
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_phase_kernel_matches_the_scalar_loop(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m[0] *= 1e-13  # every leading entry is at or below NEGLIGIBLE
+    m[: dim // 2, dim // 2] = linalg.NEGLIGIBLE  # exactly at it
+    m[: dim - 1, 0] = _near_negligible(rng, dim - 1)
+    m[:, -1] = _near_negligible(rng, dim) * 0.5  # an all-negligible column
+    straddling = _near_negligible(rng, 4096).reshape(64, 64)
+    for matrix in (m, straddling):
+        expected = np.column_stack([fix_global_phase_reference(column) for column in matrix.T])
+        np.testing.assert_array_equal(matrix * linalg.canonical_phases(matrix), expected)
+        for k in range(matrix.shape[1]):
+            np.testing.assert_array_equal(linalg.fix_global_phase(matrix[:, k]), expected[:, k])
+
+
+def _hamiltonians(rng, dim) -> list[np.ndarray]:
+    """Generic, degenerate-cluster and block-diagonal (leading entries ~0) Hermitian matrices."""
+    u = random_unitary(rng, dim)
+    spectrum = np.repeat(np.arange(dim // 2 + 1.0), 2)[:dim]  # clusters of two
+    block = np.zeros((dim, dim), dtype=complex)
+    block[0, 0] = 5.0
+    block[1:, 1:] = random_hermitian_matrix(rng, dim - 1)
+    return [random_hermitian_matrix(rng, dim), u @ np.diag(spectrum) @ u.conj().T, np.diag(spectrum), block]
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_eigensystem_phases_match_the_per_column_loop(dim):
+    for h in _hamiltonians(np.random.default_rng(dim), dim):
+        operator = HermitianOperator((h + h.conj().T) / 2)
+        eig = hermitian_eigensystem(operator)
+        values, vectors = eigensystem_reference(operator)
+        np.testing.assert_array_equal(eig.eigenvalues, values)
+        np.testing.assert_array_equal(eig.eigenvectors, vectors)
+
+
+def _joints(rng, dim) -> list[np.ndarray]:
+    """Unit-norm amplitude matrices: generic, rank-deficient, with a zero first row, and wide (d/2 x d)."""
+    generic = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    low_rank = generic[:, :1] @ generic[:1, :] + generic[:, 1:2] @ generic[1:2, :]
+    zero_lead = generic.copy()
+    zero_lead[0] = 0.0
+    wide = generic[: max(dim // 2, 1)]
+    return [m / np.linalg.norm(m) for m in (generic, low_rank, zero_lead, wide)]
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_schmidt_phases_match_the_per_column_loop(dim):
+    for matrix in _joints(np.random.default_rng(dim), dim):
+        schmidt = schmidt_decompose(matrix)
+        coefficients, system, apparatus, non_unique = schmidt_reference(matrix)
+        np.testing.assert_array_equal(schmidt.coefficients, coefficients)
+        np.testing.assert_array_equal(schmidt.system_states, system)
+        np.testing.assert_array_equal(schmidt.apparatus_states, apparatus)
+        assert schmidt.non_unique == non_unique
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_rebase_matches_the_per_column_loop(dim):
+    rng = np.random.default_rng(dim)
+    coefficients = np.zeros(dim, dtype=complex)
+    coefficients[: dim // 2] = 1e-14  # weights at or below NEGLIGIBLE: zero relative states
+    coefficients[: max(dim // 4, 1)] = 1.0  # the rest are zero-weight columns
+    sparse = premeasurement_joint(coefficients / np.linalg.norm(coefficients))
+    for joint in [sparse, JointState.from_amplitudes(_joints(rng, dim)[1])]:
+        for basis in (np.eye(dim), random_unitary(rng, dim)):
+            rebased = rebase_joint(joint, basis)
+            weights, relative, score = rebase_reference(joint, basis)
+            np.testing.assert_array_equal(rebased.coefficients, weights)
+            np.testing.assert_array_equal(rebased.relative_states, relative)
+            assert rebased.orthogonality_score == min(max(score, 0.0), 1.0)

@@ -14,7 +14,6 @@ from qcontexts import (
     SpreadingModel,
     complete_basis,
     detector_click_simulation,
-    fuzziness_resolvable,
     pointer_basis_select,
     premeasurement_joint,
     rebase_joint,
@@ -225,12 +224,6 @@ def test_spreading_rejects_a_timescale_outside_double_range():
 def test_spreading_rejects_an_overflowing_width():
     with pytest.raises(InvariantViolation, match="overflows"):
         spreading_sigma(SpreadingModel(1.0, 1e-10), 1e300)
-
-
-def test_fuzziness_resolvable_boundary():
-    assert fuzziness_resolvable(1e-3, 1e-6)
-    assert not fuzziness_resolvable(1e-9, 1e-6)
-    assert not fuzziness_resolvable(1e-6, 1e-6)  # strict inequality at the boundary
 
 
 # --- detector facts ---------------------------------------------------------------------
