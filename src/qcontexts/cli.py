@@ -1,10 +1,10 @@
 """Command-line front end: run scenario files, list and show presets.
 
-Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 impossible
-post-selection / no data, 5 internal tolerance breach. Failures print one
-machine-parsable JSON line to stderr, with a `field` key when the failure
-names an input field. Output bytes are written without newline translation
-so identical runs are byte-identical.
+Exit codes: 0 success, 2 parse error or unwritable --out file, 3 invariant
+violation, 4 impossible post-selection / no data, 5 internal tolerance breach.
+Failures print one machine-parsable JSON line to stderr, with a `field` key
+when the failure names an input field or `out`. Output bytes are written
+without newline translation so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -45,13 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(payload: bytes, out: str | None) -> None:
+def _write(payload: bytes, out: str | None) -> int:
     if out is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
-    else:
+        return EXIT_OK
+    try:
         with open(out, "wb") as handle:
             handle.write(payload)
+    except OSError as exc:  # named under the option, as a bad --seed or --samples is
+        return _fail(EXIT_PARSE, "output-error", ScenarioError(str(exc), field="out"))
+    return EXIT_OK
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
@@ -68,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             scenario = load_scenario(args.file)
             report = run_scenario(scenario, seed=args.seed, samples=args.samples)
-            _write(emit_report(report, args.format), args.out)
+            return _write(emit_report(report, args.format), args.out)
         elif args.command == "preset" and args.action == "list":
             _write(("\n".join(preset_names()) + "\n").encode("utf-8"), None)
         elif args.command == "preset" and args.action == "show":

@@ -18,12 +18,13 @@ happened, its record is merely unknown) or as counterfactual/objective (no
 intermediate measurement was performed) changes nothing quantitative; the
 reading is carried as context metadata only.
 
-A Context is immutable, so it computes its spectral data once, on first use,
-and keeps it for its whole life: the eigensystem of its Hamiltonian and the
-propagators over its fixed intervals t - t1, t2 - t and t2 - t1. A free
-context (no or zero Hamiltonian) never decomposes anything. Its branch table
-(per intermediate outcome, the Born weight and the post-selected branch
-weight) is also computed once; every probability and chain tally comes from it.
+A Context is immutable, so it computes once, on first use, and keeps: the
+eigensystem of its Hamiltonian and the propagators over t - t1, t2 - t and
+t2 - t1, certified unitary by one product of the eigenvectors (a free context
+decomposes nothing); the images of the ket at t under the intermediate
+projectors, shared by both pictures; and the branch table (per intermediate
+outcome, the Born weight and the post-selected branch weight), the source of
+every probability and chain tally.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from .errors import ImpossibleOutcomeError, InvariantViolation, TimeReversalConventionWarning
 from .kinematics import (
     CERTAINTY_TOL,
+    CERTIFY_MARGIN,
     Outcome,
     OutcomeDistribution,
     ProjectiveDecomposition,
@@ -46,13 +48,13 @@ from .kinematics import (
     prepare_eigenstate,
 )
 from .linalg import (
+    ALGEBRA_TOL,
     NEGLIGIBLE,
     Eigensystem,
     HermitianOperator,
-    frozen_copy,
     hermitian_eigensystem,
     max_abs,
-    projector_image,
+    projector_weights,
 )
 
 # Below this total branch weight, post-selection is unreachable rather than
@@ -166,10 +168,19 @@ class Context:
     def _eigensystem(self) -> Eigensystem:
         return hermitian_eigensystem(self.hamiltonian)
 
+    # Whether one product certifies all three propagators unitary (Eigensystem.propagator).
+    @cached_property
+    def _unitary_certified(self) -> bool:
+        vectors = self._eigensystem.eigenvectors
+        e = float(np.linalg.norm(vectors.conj().T @ vectors - np.eye(self.dim)))
+        return e * (2.0 + e) <= ALGEBRA_TOL - CERTIFY_MARGIN
+
     def _propagator(self, duration: float) -> np.ndarray:
         if self.is_free():
-            return frozen_copy(np.eye(self.dim, dtype=complex))
-        return self._eigensystem.exponential(duration).matrix
+            return _read_only(np.eye(self.dim, dtype=complex))
+        if self._unitary_certified:
+            return _read_only(self._eigensystem.propagator(duration))
+        return self._eigensystem.exponential(duration).matrix  # UnitaryMap's own check
 
     # Read-only propagators over the fixed intervals t1 -> t, t -> t2 and t1 -> t2.
     @cached_property
@@ -184,15 +195,24 @@ class Context:
     def _through(self) -> np.ndarray:
         return self._propagator(self.postselection.time - self.preparation.time)
 
-    # Read-only (born, joint) over the intermediate outcomes; see _branch_table.
+    # The ket at t, U_forward a, and its images P_k U_forward a as rows: the projectors' one read.
+    @cached_property
+    def _ket(self) -> np.ndarray:
+        return _read_only(self._forward @ self.preparation.state.amplitudes)
+
+    @cached_property
+    def _images(self) -> np.ndarray:
+        return _read_only(_require_intermediate(self).observable.images(self._ket))
+
     @cached_property
     def _branches(self) -> tuple[np.ndarray, np.ndarray]:
-        prepared = self._forward @ self.preparation.state.amplitudes
         post_proj = self.postselection.observable.projector(self.postselection.label)
-        table = _branch_table(prepared, _require_intermediate(self).observable, self._onward, post_proj)
-        for column in table:
-            column.setflags(write=False)
-        return table
+        return _branch_table(self._ket, self._images, self._onward, post_proj)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _require_intermediate(ctx: Context) -> Intermediate:
@@ -201,18 +221,15 @@ def _require_intermediate(ctx: Context) -> Intermediate:
     return ctx.intermediate
 
 
-def _branch_table(prepared, observable: ProjectiveDecomposition, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
-    """born[k] = <s|P_k|s> and joint[k] = ||P_b U P_k s||^2 for the state s at the
-    intermediate time, the propagator U onward to the post-selection and its
-    projector P_b. joint[k] / born[k] is the success of post-selection after a
-    Lüders collapse onto outcome k."""
-    born = np.empty(len(observable.outcomes))
-    joint = np.empty(len(observable.outcomes))
-    for k, outcome in enumerate(observable.outcomes):
-        image, born[k] = projector_image(outcome.projector, prepared)
-        branch = post_proj @ (onward @ image)
-        joint[k] = float(np.real(np.vdot(branch, branch)))
-    return born, joint
+def _branch_table(state, images, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only born[k] = <s|P_k|s> and joint[k] = ||P_b U P_k s||^2 for the state s at
+    the intermediate time, its images P_k s as rows, the propagator U onward to the
+    post-selection and its projector P_b. joint[k] / born[k] is the success of
+    post-selection after a Lüders collapse onto outcome k. Stacked gemvs and dots
+    per row are the per-outcome matvecs and vdot bit for bit; a d x k gemm is not."""
+    branches = np.matmul(post_proj, np.matmul(onward, images[:, :, None]))
+    joint = np.matmul(branches.transpose(0, 2, 1).conj(), branches).real.ravel()
+    return _read_only(projector_weights(state, images)), _read_only(joint)
 
 
 def abl_distribution(ctx: Context) -> OutcomeDistribution:
@@ -330,10 +347,10 @@ def total_probability_gap(
     """
     if preparation.dim != post_observable.dim or preparation.dim != intermediate_observable.dim:
         raise InvariantViolation("total-probability gap needs matching dimensions throughout")
-    post_proj = post_observable.projector(post_label)
-    quantum = projector_image(post_proj, preparation.amplitudes)[1]
+    a, post_proj = preparation.amplitudes, post_observable.projector(post_label)
+    quantum = float(projector_weights(a, (post_proj @ a)[None])[0])
     identity = np.eye(preparation.dim, dtype=complex)
-    born, joint = _branch_table(preparation.amplitudes, intermediate_observable, identity, post_proj)
+    born, joint = _branch_table(a, intermediate_observable.images(a), identity, post_proj)
     classical = float(joint[born > NEGLIGIBLE].sum())
     return TotalProbabilityGap(quantum, classical, quantum - classical)
 
@@ -454,21 +471,18 @@ def picture_consistency_check(ctx: Context) -> float:
     Schrödinger: the context's branch table propagates the kets and keeps the
     projectors fixed. Heisenberg: every projector is conjugated to its event
     time and applied to the preparation ket, right to left and never
-    multiplied out: P_k U_mid a for every k (k matvecs), then U_mid^H and
-    post_heis = U_through^H P_b U_through (two products, formed once) over
-    all k columns in two d x k products. It reads only the propagators t1 -> t
-    and t1 -> t2, never the onward propagator or the branch table, so it stays
-    an independent route. Returns the numerical daylight between the two
+    multiplied out: the shared images P_k U_mid a (_images, bit for bit the
+    matvecs both routes made), then U_mid^H and U_through^H P_b U_through
+    (formed once) over all k columns in two d x k products. Past the images it
+    reads only _forward and _through, never _onward or _branches, so it stays an
+    independent route. Returns the numerical daylight between the two
     conditional distributions as a float (contract: at most 1e-10).
     """
-    inter = _require_intermediate(ctx)
     schrodinger = abl_distribution(ctx)
     u_mid, u_post = ctx._forward, ctx._through
     post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
     post_heis = u_post.conj().T @ post_proj @ u_post
-    evolved = u_mid @ ctx.preparation.state.amplitudes
-    images = np.stack([outcome.projector @ evolved for outcome in inter.observable.outcomes], axis=1)
-    branches = post_heis @ (u_mid.conj().T @ images)
+    branches = post_heis @ (u_mid.conj().T @ ctx._images.T)
     weights = np.real(np.einsum("ij,ij->j", branches.conj(), branches))
     total = float(weights.sum())
     if total <= DENOMINATOR_FLOOR:

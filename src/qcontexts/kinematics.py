@@ -28,7 +28,7 @@ from .linalg import (
     fix_global_phase,
     frozen_copy,
     max_abs,
-    projector_image,
+    projector_weights,
     unitary_exponential,
 )
 
@@ -141,23 +141,24 @@ def _checked_basis(outcome: Outcome) -> tuple[np.ndarray, float] | None:
     return basis
 
 
-def _pairs_to_multiply(bases: list[tuple[np.ndarray, float] | None]):
-    """The pairs (i, j), i < j in order, whose product P_i P_j must be formed.
-
-    All of them when an outcome has no range basis (none has at or below
-    CERTIFY_PAIRS); else those ProjectiveDecomposition's bound does not clear.
-    """
+def _uncertified(bases: list[tuple[np.ndarray, float] | None]):
+    """The pairs (i, j), i < j in order, whose product P_i P_j must be formed, and whether the
+    sum of all P_i must be: every pair and the sum when an outcome has no range basis (none
+    has at or below CERTIFY_PAIRS); else those ProjectiveDecomposition's bounds do not clear."""
     if None in bases:
-        return itertools.combinations(range(len(bases)), 2)
+        return itertools.combinations(range(len(bases)), 2), True
     vs, errors = zip(*bases)
     w = np.hstack(vs)
     starts = np.cumsum([0, *(v.shape[1] for v in vs[:-1])])
-    squares = np.abs(w.conj().T @ w) ** 2
+    gram = w.conj().T @ w
+    squares = np.abs(gram) ** 2
     block_norms = np.sqrt(np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts, axis=1))
     e = np.array(errors)
     bound = block_norms + e[:, None] + e[None, :] + np.outer(e, e)
     rows, cols = np.nonzero(np.triu(bound > ALGEBRA_TOL - CERTIFY_MARGIN, 1))
-    return zip(rows.tolist(), cols.tolist())
+    square = w.shape[0] == w.shape[1]  # the ranks sum to dim
+    sum_needed = not square or np.linalg.norm(gram - np.eye(len(gram))) + e.sum() > ALGEBRA_TOL - CERTIFY_MARGIN
+    return zip(rows.tolist(), cols.tolist()), sum_needed
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +171,12 @@ class ProjectiveDecomposition:
     R_i = P_i - V_i V_i^H (_checked_basis). Then max|P_i - P_i^H| <= 2 e_i,
     max|P_i^2 - P_i| <= 3 e_i + e_i^2 and max|P_i P_j| <= ||V_i^H V_j||_F +
     e_i + e_j + e_i e_j, every V_i^H V_j from one W^H W, W = [V_1 ... V_k].
-    A projector or pair whose bound is at most ALGEBRA_TOL - CERTIFY_MARGIN
-    would pass the exact test; every other one is checked exactly, pairs in
-    i < j order, so the accepted inputs, the first failing check and its
-    message are those of checking every projector and multiplying every pair.
+    When the ranks sum to dim, W is square and sum_i P_i - I = (W W^H - I) +
+    sum_i R_i, so max|sum_i P_i - I| <= ||W^H W - I||_F + sum_i e_i (W W^H - I
+    has the spectrum of W^H W - I). A projector, pair or sum whose bound is at
+    most ALGEBRA_TOL - CERTIFY_MARGIN would pass the exact test; every other is
+    checked exactly, pairs in i < j order, then the sum: the accepted inputs,
+    first failing check and message are those of the exact checks.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -187,7 +190,6 @@ class ProjectiveDecomposition:
             raise InvariantViolation(f"outcome labels must be unique, got {labels}")
         dim = outcomes[0].projector.shape[0]
         certify = len(outcomes) * (len(outcomes) - 1) // 2 > CERTIFY_PAIRS
-        total = np.zeros((dim, dim), dtype=complex)
         bases = [None] * len(outcomes)
         for n, outcome in enumerate(outcomes):
             p = outcome.projector
@@ -197,12 +199,12 @@ class ProjectiveDecomposition:
                 bases[n] = _checked_basis(outcome)
             else:
                 check_projector(p, f"projector for {outcome.label!r}")
-            total += p
-        for i, j in _pairs_to_multiply(bases):
+        pairs, sum_needed = _uncertified(bases)
+        for i, j in pairs:
             a, b = outcomes[i], outcomes[j]
             if max_abs(a.projector @ b.projector) > ALGEBRA_TOL:
                 raise InvariantViolation(f"projectors for {a.label!r} and {b.label!r} are not orthogonal")
-        if max_abs(total - np.eye(dim)) > ALGEBRA_TOL:
+        if sum_needed and max_abs(sum(o.projector for o in outcomes) - np.eye(dim)) > ALGEBRA_TOL:
             raise InvariantViolation("projectors do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -222,6 +224,10 @@ class ProjectiveDecomposition:
 
     def projector(self, label: str) -> np.ndarray:
         return self.outcome(label).projector
+
+    def images(self, state: np.ndarray) -> np.ndarray:
+        """Rows P_k|s>, one matvec per outcome."""
+        return np.stack([o.projector @ state for o in self.outcomes])
 
     def conjugated(self) -> "ProjectiveDecomposition":
         """Entrywise complex conjugate of every projector (time-reversal companion)."""
@@ -340,9 +346,8 @@ def born_distribution(state: StateVector, observable: ProjectiveDecomposition) -
     """Outcome probabilities <s|P_k|s> from the preparation alone."""
     if state.dim != observable.dim:
         raise InvariantViolation(f"dimension mismatch: state {state.dim} vs observable {observable.dim}")
-    return OutcomeDistribution(
-        tuple((o.label, projector_image(o.projector, state.amplitudes)[1]) for o in observable.outcomes)
-    )
+    weights = projector_weights(state.amplitudes, observable.images(state.amplitudes))
+    return OutcomeDistribution(tuple(zip(observable.labels, weights)))
 
 
 def lueders_collapse(state: StateVector, observable: ProjectiveDecomposition, label: str) -> StateVector:
@@ -350,7 +355,8 @@ def lueders_collapse(state: StateVector, observable: ProjectiveDecomposition, la
     outcome = observable.outcome(label)
     if state.dim != observable.dim:
         raise InvariantViolation(f"dimension mismatch: state {state.dim} vs observable {observable.dim}")
-    image, weight = projector_image(outcome.projector, state.amplitudes)
+    image = outcome.projector @ state.amplitudes
+    weight = projector_weights(state.amplitudes, image[None])[0]
     if weight <= NEGLIGIBLE:
         raise ImpossibleOutcomeError(
             f"zero-probability outcome {label!r} (weight {weight:.3e}) marks an impossible branch"

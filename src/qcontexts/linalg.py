@@ -204,10 +204,16 @@ class Eigensystem:
 
     def exponential(self, duration: float) -> UnitaryMap:
         """exp(-i H t) for the operator H this eigensystem decomposes (hbar = 1)."""
+        return UnitaryMap(self.propagator(duration))
+
+    def propagator(self, duration: float) -> np.ndarray:
+        """exponential(duration).matrix, not checked: max|U U^H - I| <= e (2 + e) for e =
+        ||V^H V - I||_F, as U U^H - I = (V V^H - I) + V D (V^H V - I) D^H V^H, V V^H has
+        the spectrum of V^H V and ||V||_2^2 <= 1 + e."""
         if not np.isfinite(duration):
             raise InvariantViolation("duration must be finite")
         phases = np.exp(-1j * self.eigenvalues * duration)
-        return UnitaryMap((self.eigenvectors * phases) @ self.eigenvectors.conj().T)
+        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
 
 def orthonormal_extend(basis: list[np.ndarray], candidates: np.ndarray, size: int) -> list[np.ndarray]:
@@ -258,15 +264,14 @@ def unitary_exponential(operator: HermitianOperator, duration: float) -> Unitary
     return hermitian_eigensystem(operator).exponential(duration)
 
 
-def projector_image(projector: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, float]:
-    """The image P|s> and weight <s|P|s>, clamped to [0, 1], of a pair already validated
-    (a decomposition's projector, a StateVector's amplitudes): only the weight's range
-    is checked before the clamp."""
-    image = projector @ state
-    weight = float(np.real(np.vdot(state, image)))
-    if weight < -CONSTRUCTION_TOL or weight > 1.0 + CONSTRUCTION_TOL:
-        raise InvariantViolation(f"projector weight {weight!r} falls outside [0, 1]")
-    return image, min(max(weight, 0.0), 1.0)
+def projector_weights(state: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """<s|P_k|s> for rows images[k] = P_k|s> of validated pairs, by stacked dots (np.vdot bit
+    for bit): only the range is checked before the clamp to [0, 1]."""
+    weights = np.matmul(state.conj(), images[:, :, None])[:, 0].real
+    outside = (weights < -CONSTRUCTION_TOL) | (weights > 1.0 + CONSTRUCTION_TOL)
+    if outside.any():
+        raise InvariantViolation(f"projector weight {float(weights[outside][0])!r} falls outside [0, 1]")
+    return np.clip(weights, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,6 +95,7 @@ class JointState:
         object.__setattr__(self, "coefficient_matrix", frozen_copy(coeffs))
         object.__setattr__(self, "system_basis", frozen_copy(system))
         object.__setattr__(self, "apparatus_basis", frozen_copy(apparatus))
+        object.__setattr__(self, "_ambient", frozen_copy(system @ coeffs @ apparatus.T))
 
     @property
     def system_dim(self) -> int:
@@ -105,14 +106,19 @@ class JointState:
         return self.apparatus_basis.shape[0]
 
     def ambient_amplitudes(self) -> np.ndarray:
-        """Amplitude matrix over the ambient product basis, entry (i, j)."""
-        return self.system_basis @ self.coefficient_matrix @ self.apparatus_basis.T
+        """Amplitude matrix over the ambient product basis, entry (i, j); formed once, read-only."""
+        return self._ambient
 
     @classmethod
     def from_amplitudes(cls, matrix) -> "JointState":
-        """Joint state straight from an ambient amplitude matrix (standard bases)."""
-        m = as_complex_array(matrix, 2, "joint amplitudes")
-        return cls(m, np.eye(m.shape[0]), np.eye(m.shape[1]))
+        """Joint state straight from an ambient amplitude matrix, over standard bases: exactly
+        orthonormal, so unchecked, and the validated matrix is its own ambient matrix."""
+        m = frozen_copy(as_complex_array(matrix, 2, "joint amplitudes"))
+        check_unit_norm(m, "joint state")
+        joint = object.__new__(cls)
+        system, apparatus = (frozen_copy(np.eye(n, dtype=complex)) for n in m.shape)
+        joint.__dict__.update(coefficient_matrix=m, system_basis=system, apparatus_basis=apparatus, _ambient=m)
+        return joint
 
 
 def premeasurement_joint(coefficients, system_basis=None, apparatus_basis=None) -> JointState:

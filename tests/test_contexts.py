@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qcontexts import contexts
 from qcontexts import (
     Context,
+    Eigensystem,
     HermitianOperator,
     ImpossibleOutcomeError,
     Intermediate,
@@ -37,7 +38,9 @@ from qcontexts import (
     time_reverse_context,
     total_probability_gap,
 )
+from qcontexts.linalg import NEGLIGIBLE
 from helpers import (
+    branch_table_reference,
     conditional_from_joint,
     enumerate_chain,
     heisenberg_discrepancy_reference,
@@ -668,3 +671,127 @@ def test_cached_propagators_are_read_only(free):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0] = 0.0
+
+
+# --- shared images and the stacked branch table ----------------------------------------
+
+
+def _pinned_context(dim: int, free: bool, rank: int) -> Context:
+    """A context whose intermediate's first outcome has the given rank (the rest rank 1)."""
+    rng = np.random.default_rng(1000 * dim + 10 * rank + free)
+    return Context(
+        Preparation(random_state(rng, dim), 0.0),
+        PostSelection(_observable_with_leading_rank(rng, dim, max(1, dim // 2), "b"), "b0", 1.5),
+        Intermediate(_observable_with_leading_rank(rng, dim, min(rank, dim), "c"), 0.7),
+        None if free else random_hermitian(rng, dim),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_branch_table_is_the_per_outcome_loop_bit_for_bit(dim, free, rank):
+    ctx = _pinned_context(dim, free, rank)
+    prepared = ctx._forward @ ctx.preparation.state.amplitudes
+    post_proj = ctx.postselection.observable.projector("b0")
+    born, joint = branch_table_reference(prepared, ctx.intermediate.observable, ctx._onward, post_proj)
+    assert np.array_equal(ctx._ket, prepared)
+    assert np.array_equal(ctx._branches[0], born)
+    assert np.array_equal(ctx._branches[1], joint)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])
+def test_gap_branch_table_is_the_per_outcome_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(77 + dim)
+    a = random_state(rng, dim).amplitudes
+    inter = _observable_with_leading_rank(rng, dim, min(2, dim), "c")
+    post = _observable_with_leading_rank(rng, dim, max(1, dim // 2), "b")
+    post_proj = post.projector("b0")
+    born, joint = branch_table_reference(a, inter, np.eye(dim, dtype=complex), post_proj)
+    quantum = min(max(float(np.real(np.vdot(a, post_proj @ a))), 0.0), 1.0)
+    classical = float(joint[born > NEGLIGIBLE].sum())
+    result = total_probability_gap(StateVector(a), post, "b0", inter)
+    assert (result.quantum, result.classical_chain, result.gap) == (quantum, classical, quantum - classical)
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_shared_images_are_read_only(free):
+    ctx = _pinned_context(3, free, 2)
+    picture_consistency_check(ctx)
+    assert ctx._images.shape == (len(ctx.intermediate.observable.outcomes), 3)
+    for cached in (ctx._ket, ctx._images):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_context_reads_its_intermediate_projectors_once(monkeypatch, free):
+    calls = []
+    real = ProjectiveDecomposition.images
+
+    def counting(observable, state):
+        calls.append(observable)
+        return real(observable, state)
+
+    monkeypatch.setattr(ProjectiveDecomposition, "images", counting)
+    ctx = random_context(np.random.default_rng(16), 4, free=free)
+    _query_everything_twice(ctx)
+    assert calls == [ctx.intermediate.observable]
+
+
+# --- propagators certified from the eigenvectors --------------------------------------
+
+
+def _skewed_eigensystems(monkeypatch, scale: float) -> list:
+    """Make contexts decompose into eigenvectors scaled by 1 + scale; record each exponential call."""
+    calls = []
+    real = contexts.hermitian_eigensystem
+
+    class Counting(Eigensystem):
+        def exponential(self, duration):
+            calls.append(duration)
+            return super().exponential(duration)
+
+    def skewed(operator):
+        system = real(operator)
+        return Counting(system.eigenvalues, system.eigenvectors * (1.0 + scale))
+
+    monkeypatch.setattr(contexts, "hermitian_eigensystem", skewed)
+    return calls
+
+
+def test_orthonormal_eigenvectors_certify_every_propagator(monkeypatch):
+    calls = _skewed_eigensystems(monkeypatch, 0.0)
+    ctx = random_context(np.random.default_rng(17), 5)
+    picture_consistency_check(ctx)
+    assert ctx._unitary_certified
+    assert calls == []
+    for cached in (ctx._forward, ctx._onward, ctx._through):
+        assert np.abs(cached @ cached.conj().T - np.eye(5)).max() <= 1e-13
+
+
+def test_propagators_past_the_bound_take_the_unitary_check_and_may_pass(monkeypatch):
+    # e = ||V^H V - I||_F is about 2 sqrt(3) 2e-11, so e (2 + e) misses the bound, while
+    # max|U U^H - I| is about 8e-11, inside ALGEBRA_TOL: each propagator is checked and passes.
+    calls = _skewed_eigensystems(monkeypatch, 2e-11)
+    ctx = random_context(np.random.default_rng(18), 3)
+    picture_consistency_check(ctx)
+    assert not ctx._unitary_certified
+    assert len(calls) == 3
+    monkeypatch.undo()
+    plain = random_context(np.random.default_rng(18), 3)
+    for label, p in abl_distribution(plain).entries:
+        assert abs(abl_distribution(ctx).probability(label) - p) < 1e-9
+
+
+def test_propagators_past_the_bound_raise_the_unitary_message(monkeypatch):
+    _skewed_eigensystems(monkeypatch, 1e-6)
+    ctx = random_context(np.random.default_rng(19), 4)
+    inter = ctx.intermediate.time - ctx.preparation.time
+    with pytest.raises(InvariantViolation) as expected:
+        contexts.hermitian_eigensystem(ctx.hamiltonian).exponential(inter)
+    assert str(expected.value).startswith("matrix is not unitary: max defect of U U^dag from identity is")
+    with pytest.raises(InvariantViolation) as raised:
+        abl_distribution(ctx)
+    assert str(raised.value) == str(expected.value)

@@ -97,19 +97,27 @@ def _with_overlap(u: np.ndarray, ranks, a: int, b: int, target: float) -> tuple[
     return outcomes
 
 
-def _multiplied_pairs(outcomes) -> list[tuple[int, int]]:
-    """The pairs (i, j) whose product ProjectiveDecomposition(outcomes) forms, in order."""
-    seen = []
-    pairs_to_multiply = kinematics._pairs_to_multiply
+def _uncertified_checks(outcomes) -> tuple[list[tuple[int, int]], bool]:
+    """The pairs (i, j) whose product ProjectiveDecomposition(outcomes) forms, in order, and
+    whether it sums the projectors to check the resolution of the identity."""
+    seen, summed = [], []
+    uncertified = kinematics._uncertified
 
     def spy(bases):
-        pairs = list(pairs_to_multiply(bases))
+        pairs, sum_needed = uncertified(bases)
+        pairs = list(pairs)
         seen.extend(pairs)
-        return pairs
+        summed.append(bool(sum_needed))
+        return pairs, sum_needed
 
-    with mock.patch.object(kinematics, "_pairs_to_multiply", spy):
+    with mock.patch.object(kinematics, "_uncertified", spy):
         decomposition_error(outcomes)
-    return seen
+    return seen, summed == [True]
+
+
+def _multiplied_pairs(outcomes) -> list[tuple[int, int]]:
+    """The pairs (i, j) whose product ProjectiveDecomposition(outcomes) forms, in order."""
+    return _uncertified_checks(outcomes)[0]
 
 
 def _exactly_checked(outcomes) -> list[str]:
@@ -229,6 +237,53 @@ def test_projector_verdict_matches_per_projector_reference(seed, dim, high_ranks
     assert defect == pytest.approx(target, rel=1e-4)
     outcomes = tuple(outcomes)
     assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
+
+
+def _leaking(outcome: Outcome, t: float) -> Outcome:
+    """P + t (I - P): still a Hermitian idempotent within t, off every other outcome's range by
+    at most t and off the identity sum by t, but ||R||_F = t sqrt(dim - rank) past its basis."""
+    p = outcome.projector
+    return Outcome(outcome.label, outcome.value, p + t * (np.eye(p.shape[0]) - p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(14, 24),
+    high_ranks=st.sampled_from(((), (2,), (3,), (2, 2))),
+    concentrated=st.booleans(),
+    dropped=st.booleans(),
+    leak=st.sampled_from((0.0, 1e-11, 3e-11, 1e-10, 3e-10)),
+)
+def test_identity_resolution_verdict_matches_the_summed_reference(seed, dim, high_ranks, concentrated, dropped, leak):
+    """Past CERTIFY_PAIRS, an outcome dropped (ranks summing short of dim) or one leaking
+    t (I - P) gives the reference's verdict and first message; a leak of a few 1e-11 at
+    dim >= 14 misses the Gram bound, and the exact sum then passes where the bound did not."""
+    rng = np.random.default_rng(seed)
+    ranks = list(rng.permutation([*high_ranks] + [1] * (dim - sum(high_ranks))))
+    u = _near_identity_unitary(rng, dim) if concentrated else random_unitary(rng, dim)
+    outcomes = list(_block_outcomes(u, ranks, {}))
+    n = int(rng.integers(len(outcomes)))
+    outcomes[n] = _leaking(outcomes[n], leak)
+    if dropped:
+        del outcomes[int(rng.integers(len(outcomes)))]
+    outcomes = tuple(outcomes)
+    assert len(outcomes) * (len(outcomes) - 1) // 2 > CERTIFY_PAIRS
+    assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
+
+
+def test_certificate_sums_the_projectors_only_when_the_gram_bound_misses():
+    rng = np.random.default_rng(1187)
+    whole = _block_outcomes(random_unitary(rng, 24), [2, 3] + [1] * 19, {})
+    assert _uncertified_checks(whole) == ([], False)
+    assert decomposition_error(whole) is None
+    # An outcome dropped: W is no longer square, so the sum is formed, and it fails.
+    assert _uncertified_checks(whole[1:])[1]
+    assert decomposition_error(whole[1:]) == reference_decomposition_error(whole[1:]) == "projectors do not sum to the identity"
+    # A leak of 3e-11 off a rank-1 outcome: ||R||_F = 3e-11 sqrt(23) misses the bound, the sum passes.
+    leaky = whole[:5] + (_leaking(whole[5], 3e-11),) + whole[6:]
+    assert _uncertified_checks(leaky)[1]
+    assert decomposition_error(leaky) is None
 
 
 @pytest.mark.parametrize("dim", [12, 32, 64])

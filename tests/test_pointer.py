@@ -19,6 +19,7 @@ from qcontexts import (
     rebase_joint,
     spreading_sigma,
 )
+from qcontexts import pointer
 from qcontexts.pointer import _SEED_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
 from helpers import random_unitary
 
@@ -67,6 +68,38 @@ def test_premeasurement_unit_norm():
 def test_premeasurement_rejects_unnormalized():
     with pytest.raises(InvariantViolation, match="unit power"):
         premeasurement_joint([1.0, 1.0])
+
+
+def test_ambient_amplitudes_are_formed_once_and_read_only():
+    system, apparatus = random_unitary(RNG, 3), random_unitary(RNG, 3)
+    for joint in (premeasurement_joint([0.6, 0.8, 0.0], system, apparatus), random_joint(RNG, 3, 4)):
+        ambient = joint.ambient_amplitudes()
+        assert ambient is joint.ambient_amplitudes()
+        np.testing.assert_allclose(ambient, joint.system_basis @ joint.coefficient_matrix @ joint.apparatus_basis.T)
+        assert not ambient.flags.writeable
+        with pytest.raises(ValueError):
+            ambient[0, 0] = 0.0
+
+
+def test_from_amplitudes_checks_only_the_amplitudes(monkeypatch):
+    def no_basis_check(value, name):
+        raise AssertionError(f"{name} checked")
+
+    monkeypatch.setattr(pointer, "_as_basis", no_basis_check)
+    raw = RNG.standard_normal((3, 4)) + 1j * RNG.standard_normal((3, 4))
+    raw /= np.linalg.norm(raw)
+    joint = JointState.from_amplitudes(raw)
+    expected = raw.copy()
+    raw[0, 0] = 5.0  # the joint state keeps its own copy
+    assert np.array_equal(joint.coefficient_matrix, expected)
+    assert joint.ambient_amplitudes() is joint.coefficient_matrix
+    for basis, dim in ((joint.system_basis, 3), (joint.apparatus_basis, 4)):
+        assert basis.dtype == complex and not basis.flags.writeable
+        assert np.array_equal(basis, np.eye(dim))
+    with pytest.raises(InvariantViolation, match="joint amplitudes contains non-finite entries"):
+        JointState.from_amplitudes(np.full((2, 2), np.nan))
+    with pytest.raises(InvariantViolation, match="joint state must be unit norm"):
+        JointState.from_amplitudes(np.ones((2, 2)))
 
 
 def test_premeasurement_allows_larger_bases():

@@ -324,6 +324,22 @@ def test_cli_run_stdout(capsysbinary):
     assert payload["rows"][0] == ["quantum", "1.00000000000"]
 
 
+@pytest.mark.parametrize("target", ["missing/dir/x.csv", "."])
+def test_cli_unwritable_out_is_an_output_error(tmp_path, capsysbinary, target):
+    out = tmp_path / target  # a directory that does not exist, or one that is a directory
+    assert main(["run", str(SCENARIO_DIR / EXAMPLE_FILES["abl"]), "--out", str(out)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    lines = captured.err.decode().splitlines()
+    assert len(lines) == 1
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "output-error"
+    assert diagnostic["exit_code"] == 2
+    assert diagnostic["field"] == "out"
+    assert diagnostic["message"].startswith("out: [Errno ")
+    assert str(out) in diagnostic["message"]
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsysbinary):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
