@@ -1,7 +1,8 @@
 """Command-line front end: run scenario files, list and show presets.
 
-Exit codes: 0 success, 2 parse error or unwritable --out file, 3 invariant
-violation, 4 impossible post-selection / no data, 5 internal tolerance breach.
+Exit codes: 0 success, 2 parse error or unwritable --out file or stdout, 3
+invariant violation, 4 impossible post-selection / no data, 5 internal
+tolerance breach.
 Failures print one machine-parsable JSON line to stderr, with a `field` key
 when the failure names an input field or `out`. Output bytes are written
 without newline translation so identical runs are byte-identical.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ImpossibleOutcomeError, InvariantViolation, ScenarioError, ToleranceError
@@ -46,15 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(payload: bytes, out: str | None) -> int:
-    if out is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-        return EXIT_OK
     try:
-        with open(out, "wb") as handle:
-            handle.write(payload)
-    except OSError as exc:  # named under the option, as a bad --seed or --samples is
-        return _fail(EXIT_PARSE, "output-error", ScenarioError(str(exc), field="out"))
+        if out is None:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
+        else:
+            with open(out, "wb") as handle:
+                handle.write(payload)
+    except OSError as exc:  # --out is named as a bad --seed is; stdout is no option, so no field
+        if out is None:  # the reader is gone; the interpreter's flush at exit goes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return _fail(EXIT_PARSE, "output-error", ScenarioError(str(exc), field=None if out is None else "out"))
     return EXIT_OK
 
 
@@ -74,9 +78,9 @@ def main(argv: list[str] | None = None) -> int:
             report = run_scenario(scenario, seed=args.seed, samples=args.samples)
             return _write(emit_report(report, args.format), args.out)
         elif args.command == "preset" and args.action == "list":
-            _write(("\n".join(preset_names()) + "\n").encode("utf-8"), None)
+            return _write(("\n".join(preset_names()) + "\n").encode("utf-8"), None)
         elif args.command == "preset" and args.action == "show":
-            _write(scenario_to_json(load_preset(args.name)), None)
+            return _write(scenario_to_json(load_preset(args.name)), None)
     except ScenarioError as exc:
         return _fail(EXIT_PARSE, "parse-error", exc)
     except InvariantViolation as exc:

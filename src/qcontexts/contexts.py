@@ -1,7 +1,7 @@
 """Measurement contexts with both pre- and post-selection.
 
-A context fixes a preparation at t1, an optional intermediate observable at
-t, and a post-selected outcome at t2, with a Hamiltonian driving the
+A context fixes a preparation at t1, the intermediate observable asked about
+at t, and a post-selected outcome at t2, with a Hamiltonian driving the
 evolution in between. The central quantity is the Aharonov-Bergmann-Lebowitz
 (ABL) conditional distribution: the probability of each intermediate outcome
 given *both* boundary conditions. The weight of outcome i is the squared
@@ -115,32 +115,30 @@ class PostSelection:
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """A full preparation / (intermediate) / post-selection arrangement.
+    """A full preparation / intermediate / post-selection arrangement.
 
-    A Hamiltonian must keep dim x max|H_ij| x (t2 - t1) within MAX_PHASE.
+    A probability belongs to the whole context, so the intermediate question is
+    always part of it. A Hamiltonian must keep dim x max|H_ij| x (t2 - t1)
+    within MAX_PHASE.
     """
 
     preparation: Preparation
     postselection: PostSelection
-    intermediate: Intermediate | None = None
+    intermediate: Intermediate
     hamiltonian: HermitianOperator | None = None  # None means free (H = 0)
 
     def __post_init__(self):
         dim = self.preparation.state.dim
         if self.postselection.observable.dim != dim:
             raise InvariantViolation("post-selection observable dimension differs from the preparation")
-        if self.intermediate is not None and self.intermediate.observable.dim != dim:
+        if self.intermediate.observable.dim != dim:
             raise InvariantViolation("intermediate observable dimension differs from the preparation")
         if self.hamiltonian is not None and self.hamiltonian.dim != dim:
-            raise InvariantViolation("Hamiltonian dimension differs from the preparation")
-        t1, t2 = self.preparation.time, self.postselection.time
-        if self.intermediate is None:
-            if not t1 < t2:
-                raise InvariantViolation(f"times must satisfy t1 < t2, got {t1} and {t2}")
-        else:
-            t = self.intermediate.time
-            if not t1 < t < t2:
-                raise InvariantViolation(f"times must satisfy t1 < t < t2, got {t1}, {t}, {t2}")
+            h = self.hamiltonian.dim
+            raise InvariantViolation(f"dimension {h} does not match the state ({dim})", field="hamiltonian")
+        t1, t, t2 = self.preparation.time, self.intermediate.time, self.postselection.time
+        if not t1 < t < t2:
+            raise InvariantViolation(f"times must satisfy t1 < t < t2, got {t1}, {t}, {t2}")
         if self.hamiltonian is not None:
             phase = max_abs(self.hamiltonian.matrix) * dim * (t2 - t1)
             if phase > MAX_PHASE:
@@ -156,10 +154,8 @@ class Context:
 
     @property
     def reading(self) -> str:
-        """"counterfactual" when the intermediate is present but not performed, else "subjective"."""
-        if self.intermediate is not None and not self.intermediate.performed:
-            return "counterfactual"
-        return "subjective"
+        """"counterfactual" when the intermediate is not performed, else "subjective"."""
+        return "subjective" if self.intermediate.performed else "counterfactual"
 
     def is_free(self) -> bool:
         return self.hamiltonian is None or self.hamiltonian.is_zero()
@@ -185,11 +181,11 @@ class Context:
     # Read-only propagators over the fixed intervals t1 -> t, t -> t2 and t1 -> t2.
     @cached_property
     def _forward(self) -> np.ndarray:
-        return self._propagator(_require_intermediate(self).time - self.preparation.time)
+        return self._propagator(self.intermediate.time - self.preparation.time)
 
     @cached_property
     def _onward(self) -> np.ndarray:
-        return self._propagator(self.postselection.time - _require_intermediate(self).time)
+        return self._propagator(self.postselection.time - self.intermediate.time)
 
     @cached_property
     def _through(self) -> np.ndarray:
@@ -202,7 +198,7 @@ class Context:
 
     @cached_property
     def _images(self) -> np.ndarray:
-        return _read_only(_require_intermediate(self).observable.images(self._ket))
+        return _read_only(self.intermediate.observable.images(self._ket))
 
     @cached_property
     def _branches(self) -> tuple[np.ndarray, np.ndarray]:
@@ -213,12 +209,6 @@ class Context:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _require_intermediate(ctx: Context) -> Intermediate:
-    if ctx.intermediate is None:
-        raise InvariantViolation("context has no intermediate observable")
-    return ctx.intermediate
 
 
 def _branch_table(state, images, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +230,6 @@ def abl_distribution(ctx: Context) -> OutcomeDistribution:
     remaining propagator. Raises ImpossibleOutcomeError when every branch
     misses the post-selection (denominator below 1e-15).
     """
-    inter = _require_intermediate(ctx)
     weights = ctx._branches[1]
     total = float(weights.sum())
     if total <= DENOMINATOR_FLOOR:
@@ -249,7 +238,7 @@ def abl_distribution(ctx: Context) -> OutcomeDistribution:
             f"intermediate branch (total weight {total:.3e})"
         )
     return OutcomeDistribution(
-        tuple((label, w / total) for label, w in zip(inter.observable.labels, weights))
+        tuple((label, w / total) for label, w in zip(ctx.intermediate.observable.labels, weights))
     )
 
 
@@ -264,8 +253,7 @@ def sequential_success_probability(ctx: Context) -> float:
 
 def born_context_distribution(ctx: Context) -> OutcomeDistribution:
     """Born distribution of the intermediate observable, post-selection ignored."""
-    inter = _require_intermediate(ctx)
-    return OutcomeDistribution(tuple(zip(inter.observable.labels, ctx._branches[0])))
+    return OutcomeDistribution(tuple(zip(ctx.intermediate.observable.labels, ctx._branches[0])))
 
 
 @dataclass(frozen=True)
@@ -304,7 +292,6 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     post-selection success, exactly the joint law of run-by-run tallies. Output is
     bit-identical for identical (context, samples, seed); samples ≤ 10^7.
     """
-    inter = _require_intermediate(ctx)
     if not 1 <= samples <= MAX_CHAIN_SAMPLES:
         raise InvariantViolation(f"samples must lie in [1, {MAX_CHAIN_SAMPLES}], got {samples}")
     born, joint = ctx._branches
@@ -318,7 +305,7 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     if retained == 0:
         return ChainSampleReport(samples, 0, None, seed)
     frequencies = OutcomeDistribution(
-        tuple((label, counts[k] / retained) for k, label in enumerate(inter.observable.labels))
+        tuple((label, counts[k] / retained) for k, label in enumerate(ctx.intermediate.observable.labels))
     )
     return ChainSampleReport(samples, retained, frequencies, seed)
 
@@ -367,11 +354,6 @@ def _projector_question(amplitudes: np.ndarray) -> ProjectiveDecomposition:
     ))
 
 
-def _postselection_state(postselection: PostSelection) -> StateVector:
-    """Unit vector spanning a rank-1 post-selection projector."""
-    return prepare_eigenstate(postselection.observable, postselection.label)
-
-
 def time_reverse_context(ctx: Context) -> Context:
     """Swap preparation with post-selection, conjugate states and projectors, negate times.
 
@@ -381,8 +363,8 @@ def time_reverse_context(ctx: Context) -> Context:
     convention, so a TimeReversalConventionWarning is emitted. Requires a
     rank-1 post-selection projector so the reversed preparation is a state.
     """
-    inter = _require_intermediate(ctx)
-    reversed_prep_state = StateVector(_postselection_state(ctx.postselection).amplitudes.conj())
+    inter, post = ctx.intermediate, ctx.postselection
+    reversed_prep_state = StateVector(prepare_eigenstate(post.observable, post.label).amplitudes.conj())
     hamiltonian = ctx.hamiltonian
     if not ctx.is_free():
         warnings.warn(
@@ -392,7 +374,7 @@ def time_reverse_context(ctx: Context) -> Context:
             stacklevel=2,
         )
         hamiltonian = HermitianOperator(hamiltonian.matrix.conj())
-    preparation = Preparation(reversed_prep_state, -ctx.postselection.time)
+    preparation = Preparation(reversed_prep_state, -post.time)
     intermediate = Intermediate(inter.observable.conjugated(), -inter.time, inter.performed)
     post_obs = _projector_question(ctx.preparation.state.amplitudes.conj())
     postselection = PostSelection(post_obs, "yes", -ctx.preparation.time)
@@ -405,13 +387,13 @@ def interchange_context(ctx: Context) -> Context:
     Defined for the free (zero) Hamiltonian, where the conditional rule is
     symmetric under the exchange. Times are kept.
     """
-    inter = _require_intermediate(ctx)
     if not ctx.is_free():
         raise InvariantViolation("interchange symmetry is defined for the free (zero) Hamiltonian")
-    preparation = Preparation(_postselection_state(ctx.postselection), ctx.preparation.time)
+    post = ctx.postselection
+    preparation = Preparation(prepare_eigenstate(post.observable, post.label), ctx.preparation.time)
     post_obs = _projector_question(ctx.preparation.state.amplitudes)
-    postselection = PostSelection(post_obs, "yes", ctx.postselection.time)
-    return Context(preparation, postselection, inter, None)
+    postselection = PostSelection(post_obs, "yes", post.time)
+    return Context(preparation, postselection, ctx.intermediate, None)
 
 
 @dataclass(frozen=True, eq=False)

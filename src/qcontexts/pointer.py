@@ -321,17 +321,20 @@ def detector_law(rate: float, tick: float, horizon: float) -> tuple[int, float]:
     """(ticks before the horizon, click probability per tick boundary).
 
     Each tick boundary clicks with probability 1 - exp(-rate * tick). The
-    parameters are checked here, once, however many runs then draw from it.
+    parameters are checked here, once, however many runs then draw from it;
+    a violation names its parameter as the field ("rate", "tick" or "horizon").
     """
     if not (np.isfinite(rate) and rate >= 0):
-        raise InvariantViolation(f"rate must be nonnegative, got {rate!r}")
+        raise InvariantViolation(f"must be nonnegative, got {rate!r}", field="rate")
     if not (np.isfinite(tick) and tick > 0):
-        raise InvariantViolation(f"tick must be positive, got {tick!r}")
+        raise InvariantViolation(f"must be positive, got {tick!r}", field="tick")
     if not (np.isfinite(horizon) and horizon >= tick):
-        raise InvariantViolation(f"horizon must reach the first tick, got {horizon!r}")
+        raise InvariantViolation(f"must reach the first tick, got {horizon!r}", field="horizon")
     ticks = horizon / tick + 1e-9
     if not ticks < 2.0**53:
-        raise InvariantViolation(f"horizon / tick = {ticks!r} passes 2^53, where tick times stop being distinct")
+        raise InvariantViolation(
+            f"horizon / tick = {ticks!r} passes 2^53, where tick times stop being distinct", field="horizon"
+        )
     return int(math.floor(ticks)), -math.expm1(-rate * tick)
 
 

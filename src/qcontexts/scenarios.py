@@ -1,16 +1,16 @@
 """Scenario files, dispatch, and deterministic report emission.
 
-Scenario files are JSON. Complex numbers are always [re, im] pairs, states
-are lists of pairs, and observables are either the named dim-2 presets "X" /
-"Y" / "Z" or explicit labeled projector lists. Every embedded state and
-operator is validated against its type invariants when the Scenario is
-constructed, with the failing field named: construction builds the kind's
-spec once (contexts, joint states and their rebasings, models) and every
-run reuses it. A spreading time whose packet width overflows a double fails
-the run as an invariant violation. Reports round every value to 12 significant digits at
-construction and emit byte-deterministic CSV or JSON (JSON carries numbers
-as decimal strings so serialization never depends on float repr quirks).
-Presets are the scenario files `<name>.json` in the package's `presets/`.
+Scenario files are JSON. Complex numbers are always [re, im] pairs, states are
+lists of pairs, and observables are either the named dim-2 presets "X" / "Y" /
+"Z" or explicit labeled projector lists. Every embedded state and operator is
+validated against its type invariants when the Scenario is constructed, with
+the failing field named: construction builds the kind's spec once (contexts,
+joint states and their rebasings, the spreading widths, the detector law) and
+every run reuses it, checking only a seed or count override and the count's
+cap. Reports round every value to 12 significant digits at construction and
+emit byte-deterministic CSV or JSON (JSON carries numbers as decimal strings
+so serialization never depends on float repr quirks). Presets are the scenario
+files `<name>.json` in the package's `presets/`.
 """
 
 from __future__ import annotations
@@ -238,15 +238,12 @@ def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
         return ProjectiveDecomposition(tuple(outcomes))
 
 
-def _hamiltonian_from_json(value, field: str, dim: int) -> HermitianOperator | None:
+def _hamiltonian_from_json(value, field: str) -> HermitianOperator | None:
     if value is None:
         return None
     matrix = _matrix_from_json(value, field)
     with _field(field):
-        operator = HermitianOperator(matrix)
-    if operator.dim != dim:
-        raise InvariantViolation(f"dimension {operator.dim} does not match the state ({dim})", field=field)
-    return operator
+        return HermitianOperator(matrix)
 
 
 def _context_from_params(params: dict, timed: bool = True, field: str = "parameters") -> Context:
@@ -281,7 +278,7 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
         performed = inter_json.get("performed", True)
         if not isinstance(performed, bool):
             raise ScenarioError("performed must be a boolean", field=f"{field}.intermediate.performed")
-        hamiltonian = _hamiltonian_from_json(params.get("hamiltonian"), f"{field}.hamiltonian", state.dim)
+        hamiltonian = _hamiltonian_from_json(params.get("hamiltonian"), f"{field}.hamiltonian")
     with _field(f"{field}.postselection.label"):
         post = PostSelection(post_obs, label, t2)
     with _field(field):
@@ -387,9 +384,11 @@ def _build_spreading(params: dict):
     times = [_real_from_json(t, f"{field}.times[{i}]") for i, t in enumerate(times_json)]
     with _field(field):
         model = SpreadingModel(sigma0, mass)
-    if any(t < 0 for t in times):
-        raise InvariantViolation("times must be nonnegative", field=f"{field}.times")
-    return model, times
+    rows = []
+    for i, t in enumerate(times):
+        with _field(f"{field}.times[{i}]"):
+            rows.append((format_number(t), (spreading_sigma(model, t),)))
+    return rows
 
 
 def _build_detector(params: dict):
@@ -399,11 +398,9 @@ def _build_detector(params: dict):
     horizon = _real_from_json(_require(params, "horizon", field), f"{field}.horizon")
     seed = _integer(params.get("seed", 0), f"{field}.seed", 0)
     runs = _integer(params.get("runs", 1), f"{field}.runs", 1)
-    if rate < 0:
-        raise InvariantViolation("must be nonnegative", field=f"{field}.rate")
-    if tick <= 0 or horizon < tick:
-        raise InvariantViolation("need tick > 0 and horizon >= tick", field=field)
-    return rate, tick, horizon, seed, runs
+    with _field(field):
+        count, p = detector_law(rate, tick, horizon)
+    return count, p, tick, seed, runs
 
 
 def _run_abl(scenario: Scenario, ctx: Context, seed, samples) -> Report:
@@ -466,24 +463,17 @@ def _run_pointer(scenario: Scenario, spec, seed, samples) -> Report:
     return make_report(scenario, ("value",), rows, {"tolerance_coefficient_degeneracy": "1e-9"})
 
 
-def _run_spreading(scenario: Scenario, spec, seed, samples) -> Report:
-    model, times = spec
-    rows = []
-    for i, t in enumerate(times):
-        with _field(f"parameters.times[{i}]"):
-            rows.append((format_number(t), (spreading_sigma(model, t),)))
+def _run_spreading(scenario: Scenario, rows, seed, samples) -> Report:
     return make_report(scenario, ("value",), rows, {"labels": "time"})
 
 
 def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
-    rate, tick, horizon, file_seed, file_runs = spec
+    count, p, tick, file_seed, file_runs = spec
     seed = file_seed if seed is None else _integer(seed, "seed", 0)
     runs_field = "parameters.runs" if samples is None else "samples"
     runs = file_runs if samples is None else _integer(samples, "samples", 1)
     if runs > MAX_DETECTOR_RUNS:
         raise InvariantViolation(f"runs must lie in [1, {MAX_DETECTOR_RUNS}], got {runs}", field=runs_field)
-    with _field("parameters.horizon"):  # the build checked the rest; horizon / tick may pass 2^53
-        count, p = detector_law(rate, tick, horizon)
     nonclick_facts = clicked = 0
     # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
     click_time_total = 0.0

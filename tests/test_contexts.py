@@ -102,7 +102,7 @@ def test_context_bounds_the_hamiltonian_phase():
         return Context(
             Preparation(StateVector.basis_state(2, 0), 0.0),
             PostSelection(pauli_z(), "+1", t2),
-            None,
+            Intermediate(pauli_x(), 0.5),
             HermitianOperator(np.diag([1e5, -1e5])),
         )
 
@@ -118,6 +118,7 @@ def test_context_requires_matching_dims():
         Context(
             Preparation(StateVector.basis_state(3, 0), 0.0),
             PostSelection(pauli_z(), "+1", 1.0),
+            Intermediate(pauli_x(), 0.5),
         )
 
 

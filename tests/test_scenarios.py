@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -33,7 +34,7 @@ from qcontexts import (
 )
 from qcontexts.cli import main
 from qcontexts.contexts import MAX_CHAIN_SAMPLES, MAX_PHASE
-from qcontexts.pointer import detector_first_click, detector_law
+from qcontexts.pointer import detector_first_click, detector_law, spreading_sigma
 from qcontexts.scenarios import MAX_DETECTOR_RUNS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -593,6 +594,37 @@ def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation
     assert "2^53" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
 
 
+# Each check on a detector law, a spreading time or a Hamiltonian's dimension: (kind, parameter
+# changes, the field it names, a piece of its message). All fire while the file is loaded.
+SPEC_CHECKS = {
+    "detector-rate": ("detector", {"rate": -1}, "parameters.rate", "must be nonnegative, got -1.0"),
+    "detector-tick": ("detector", {"tick": 0}, "parameters.tick", "must be positive"),
+    "detector-horizon-before-tick": ("detector", {"horizon": 0.001}, "parameters.horizon", "must reach the first tick"),
+    "detector-horizon-past-2^53": ("detector", {"horizon": 0.01 * 2.0**53}, "parameters.horizon", "passes 2^53"),
+    "spreading-negative-time": ("spreading", {"times": [1, -1]}, "parameters.times[1]", "must be nonnegative"),
+    "spreading-width-overflow": (
+        "spreading", {"mass": 1e-10, "times": [1, 1e300]}, "parameters.times[1]", "overflows a double"
+    ),
+    "abl-hamiltonian-dimension": (
+        "abl", {"hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, "parameters.hamiltonian",
+        "dimension 2 does not match the state (3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, changes, field, message", SPEC_CHECKS.values(), ids=SPEC_CHECKS)
+def test_spec_check_fires_at_load_under_its_field(tmp_path, capsysbinary, kind, changes, field, message):
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES[kind]).read_text())
+    payload["parameters"].update(changes)
+    path = write_scenario(tmp_path, payload)
+    with pytest.raises(InvariantViolation, match=re.escape(message)) as excinfo:
+        load_scenario(path)
+    assert excinfo.value.field == field
+    assert main(["run", path]) == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert (diagnostic["field"], diagnostic["message"]) == (field, str(excinfo.value))
+
+
 # --- one build per scenario -------------------------------------------------------
 
 
@@ -655,9 +687,24 @@ def test_detector_checks_its_law_once_per_scenario(monkeypatch):
         return detector_law(*args)
 
     monkeypatch.setattr(scenarios, "detector_law", counting)
-    report = run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES["detector"]))
-    assert report.value("runs") == 1000.0
+    scenario = load_scenario(SCENARIO_DIR / EXAMPLE_FILES["detector"])
+    assert run_scenario(scenario).value("runs") == 1000.0
+    assert run_scenario(scenario, seed=3, samples=20).value("runs") == 20.0
     assert calls == [(1.0, 0.01, 10.0)]
+
+
+def test_spreading_computes_each_width_once_per_scenario(monkeypatch):
+    calls = []
+
+    def counting(model, t):
+        calls.append(t)
+        return spreading_sigma(model, t)
+
+    monkeypatch.setattr(scenarios, "spreading_sigma", counting)
+    scenario = load_scenario(SCENARIO_DIR / EXAMPLE_FILES["spreading"])
+    first = emit_report(run_scenario(scenario), "json")
+    assert emit_report(run_scenario(scenario, seed=3, samples=20), "json") == first
+    assert calls == scenario.parameters["times"]
 
 
 def test_detector_runs_in_flat_memory():
@@ -690,6 +737,26 @@ def test_cli_import_leaves_numpy_random_unimported():
     code = "import sys, qcontexts.cli; print('numpy.random' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "args", [["run", str(SCENARIO_DIR / "three_box.json")], ["preset", "list"], ["preset", "show", "geiger"]],
+    ids=["run", "preset-list", "preset-show"],
+)
+def test_cli_into_a_closed_pipe_is_one_output_error_line(args):
+    source = str(Path(qcontexts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        command = [sys.executable, "-m", "qcontexts.cli", *args]
+        result = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {"error": "output-error", "exit_code": 2, "message": "[Errno 32] Broken pipe"}
 
 
 # --- fuzzing the parse boundary ----------------------------------------------------
