@@ -1,8 +1,8 @@
 """Command-line front end: run scenario files, list and show presets.
 
-Exit codes: 0 success, 2 parse error or unwritable --out file or stdout, 3
-invariant violation, 4 impossible post-selection / no data, 5 internal
-tolerance breach.
+Exit codes: 0 success, 2 malformed command line, parse error or unwritable
+--out file or stdout, 3 invariant violation, 4 impossible post-selection / no
+data, 5 internal tolerance breach.
 Failures print one machine-parsable JSON line to stderr, with a `field` key
 when the failure names an input field or `out`. Output bytes are written
 without newline translation so identical runs are byte-identical.
@@ -25,8 +25,13 @@ EXIT_IMPOSSIBLE = 4
 EXIT_TOLERANCE = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a malformed command line: one parse-error line, exit 2 (subparsers too)
+        raise ScenarioError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcontexts",
         description="Run measurement-context scenarios and emit deterministic reports.",
     )
@@ -71,8 +76,8 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             scenario = load_scenario(args.file)
             report = run_scenario(scenario, seed=args.seed, samples=args.samples)

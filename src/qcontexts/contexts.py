@@ -22,9 +22,10 @@ A Context is immutable, so it computes once, on first use, and keeps: the
 eigensystem of its Hamiltonian and the propagators over t - t1, t2 - t and
 t2 - t1, certified unitary by one product of the eigenvectors (a free context
 decomposes nothing); the images of the ket at t under the intermediate
-projectors, shared by both pictures; and the branch table (per intermediate
+projectors, shared by both pictures; the branch table (per intermediate
 outcome, the Born weight and the post-selected branch weight), the source of
-every probability and chain tally.
+every probability and chain tally; and its ABL and Born answers, one shared,
+immutable OutcomeDistribution each (an unreachable post-selection is not kept).
 """
 
 from __future__ import annotations
@@ -205,6 +206,21 @@ class Context:
         post_proj = self.postselection.observable.projector(self.postselection.label)
         return _branch_table(self._ket, self._images, self._onward, post_proj)
 
+    @cached_property
+    def _abl(self) -> OutcomeDistribution:
+        total = sequential_success_probability(self)
+        if total <= DENOMINATOR_FLOOR:  # raised, so not cached: every call raises again
+            raise ImpossibleOutcomeError(
+                f"post-selection {self.postselection.label!r} is unreachable from every "
+                f"intermediate branch (total weight {total:.3e})"
+            )
+        weights = (self._branches[1] / total).tolist()  # bit for bit each numpy-scalar w / total
+        return OutcomeDistribution(tuple(zip(self.intermediate.observable.labels, weights)))
+
+    @cached_property
+    def _born(self) -> OutcomeDistribution:
+        return OutcomeDistribution(tuple(zip(self.intermediate.observable.labels, self._branches[0].tolist())))
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -228,18 +244,9 @@ def abl_distribution(ctx: Context) -> OutcomeDistribution:
     Evaluated in the Schrödinger picture: the prepared ket is propagated to
     the intermediate time and the post-selection projector acts behind the
     remaining propagator. Raises ImpossibleOutcomeError when every branch
-    misses the post-selection (denominator below 1e-15).
+    misses the post-selection (denominator below 1e-15). Kept by the context.
     """
-    weights = ctx._branches[1]
-    total = float(weights.sum())
-    if total <= DENOMINATOR_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"post-selection {ctx.postselection.label!r} is unreachable from every "
-            f"intermediate branch (total weight {total:.3e})"
-        )
-    return OutcomeDistribution(
-        tuple((label, w / total) for label, w in zip(ctx.intermediate.observable.labels, weights))
-    )
+    return ctx._abl
 
 
 def sequential_success_probability(ctx: Context) -> float:
@@ -252,8 +259,8 @@ def sequential_success_probability(ctx: Context) -> float:
 
 
 def born_context_distribution(ctx: Context) -> OutcomeDistribution:
-    """Born distribution of the intermediate observable, post-selection ignored."""
-    return OutcomeDistribution(tuple(zip(ctx.intermediate.observable.labels, ctx._branches[0])))
+    """Born distribution of the intermediate observable, post-selection ignored; kept like ABL's."""
+    return ctx._born
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,14 +180,15 @@ class ProjectiveDecomposition:
     """
 
     outcomes: tuple[Outcome, ...]
+    labels: tuple[str, ...] = field(init=False, repr=False)  # set once, from the outcomes
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
         if not outcomes:
             raise InvariantViolation("decomposition needs at least one outcome")
-        labels = [o.label for o in outcomes]
+        labels = tuple(o.label for o in outcomes)
         if len(set(labels)) != len(labels):
-            raise InvariantViolation(f"outcome labels must be unique, got {labels}")
+            raise InvariantViolation(f"outcome labels must be unique, got {list(labels)}")
         dim = outcomes[0].projector.shape[0]
         certify = len(outcomes) * (len(outcomes) - 1) // 2 > CERTIFY_PAIRS
         bases = [None] * len(outcomes)
@@ -207,14 +208,11 @@ class ProjectiveDecomposition:
         if sum_needed and max_abs(sum(o.projector for o in outcomes) - np.eye(dim)) > ALGEBRA_TOL:
             raise InvariantViolation("projectors do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.outcomes[0].projector.shape[0]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(o.label for o in self.outcomes)
 
     def outcome(self, label: str) -> Outcome:
         for o in self.outcomes:

@@ -5,12 +5,12 @@ lists of pairs, and observables are either the named dim-2 presets "X" / "Y" /
 "Z" or explicit labeled projector lists. Every embedded state and operator is
 validated against its type invariants when the Scenario is constructed, with
 the failing field named: construction builds the kind's spec once (contexts,
-joint states and their rebasings, the spreading widths, the detector law) and
-every run reuses it, checking only a seed or count override and the count's
-cap. Reports round every value to 12 significant digits at construction and
-emit byte-deterministic CSV or JSON (JSON carries numbers as decimal strings
-so serialization never depends on float repr quirks). Presets are the scenario
-files `<name>.json` in the package's `presets/`.
+joint states and their rebasings, the spreading widths, the detector law, the
+capped counts) and every run reuses it, checking only a seed or count
+override. Reports round every value to 12 significant digits at construction
+and emit byte-deterministic CSV or JSON (JSON carries numbers as decimal
+strings so serialization never depends on float repr quirks). Presets are the
+scenario files `<name>.json` in the package's `presets/`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .contexts import (
+    MAX_CHAIN_SAMPLES,
     Context,
     Intermediate,
     PostSelection,
@@ -164,6 +165,14 @@ def _integer(value, field: str, minimum: int) -> int:
     if value < minimum:
         raise ScenarioError(f"must be at least {minimum}, got {value}", field=field)
     return int(value)
+
+
+def _count(value, field: str, name: str, cap: int) -> int:
+    """A count of chain samples or detector runs, from the file or an override: in [1, cap]."""
+    count = _integer(value, field, 1)
+    if count > cap:
+        raise InvariantViolation(f"{name} must lie in [1, {cap}], got {count}", field=field)
+    return count
 
 
 def _complex_from_pair(value, field: str) -> complex:
@@ -346,7 +355,7 @@ def scenario_to_json(scenario: Scenario) -> bytes:
 
 def _build_chain(params: dict) -> tuple[Context, int, int]:
     ctx = _context_from_params(params)
-    samples = _integer(params.get("samples", DEFAULT_CHAIN_SAMPLES), "parameters.samples", 1)
+    samples = _count(params.get("samples", DEFAULT_CHAIN_SAMPLES), "parameters.samples", "samples", MAX_CHAIN_SAMPLES)
     return ctx, samples, _integer(params.get("seed", 0), "parameters.seed", 0)
 
 
@@ -397,7 +406,7 @@ def _build_detector(params: dict):
     tick = _real_from_json(_require(params, "tick", field), f"{field}.tick")
     horizon = _real_from_json(_require(params, "horizon", field), f"{field}.horizon")
     seed = _integer(params.get("seed", 0), f"{field}.seed", 0)
-    runs = _integer(params.get("runs", 1), f"{field}.runs", 1)
+    runs = _count(params.get("runs", 1), f"{field}.runs", "runs", MAX_DETECTOR_RUNS)
     with _field(field):
         count, p = detector_law(rate, tick, horizon)
     return count, p, tick, seed, runs
@@ -414,11 +423,9 @@ def _run_abl(scenario: Scenario, ctx: Context, seed, samples) -> Report:
 
 def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
     ctx, file_samples, file_seed = spec
-    samples_field = "parameters.samples" if samples is None else "samples"
-    samples = file_samples if samples is None else _integer(samples, "samples", 1)
+    samples = file_samples if samples is None else _count(samples, "samples", "samples", MAX_CHAIN_SAMPLES)
     seed = file_seed if seed is None else _integer(seed, "seed", 0)
-    with _field(samples_field):
-        report = sample_chain(ctx, samples, seed)
+    report = sample_chain(ctx, samples, seed)
     if report.no_data:
         raise ImpossibleOutcomeError(
             f"no run survived post-selection in {samples} samples (no-data outcome)"
@@ -470,10 +477,7 @@ def _run_spreading(scenario: Scenario, rows, seed, samples) -> Report:
 def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     count, p, tick, file_seed, file_runs = spec
     seed = file_seed if seed is None else _integer(seed, "seed", 0)
-    runs_field = "parameters.runs" if samples is None else "samples"
-    runs = file_runs if samples is None else _integer(samples, "samples", 1)
-    if runs > MAX_DETECTOR_RUNS:
-        raise InvariantViolation(f"runs must lie in [1, {MAX_DETECTOR_RUNS}], got {runs}", field=runs_field)
+    runs = file_runs if samples is None else _count(samples, "samples", "runs", MAX_DETECTOR_RUNS)
     nonclick_facts = clicked = 0
     # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
     click_time_total = 0.0

@@ -11,6 +11,7 @@ from qcontexts import (
     Intermediate,
     InvariantViolation,
     Outcome,
+    OutcomeDistribution,
     PostSelection,
     Preparation,
     ProjectiveDecomposition,
@@ -162,6 +163,21 @@ def branch_table_reference(state, observable: ProjectiveDecomposition, onward, p
         branch = post_proj @ (onward @ image)
         joint[k] = float(np.real(np.vdot(branch, branch)))
     return born, joint
+
+
+def abl_reference(ctx: Context) -> OutcomeDistribution:
+    """abl_distribution as built on every call before a Context kept it: each numpy-scalar
+    weight of the branch table divided by the float total, one entry at a time."""
+    weights = ctx._branches[1]
+    total = float(weights.sum())
+    return OutcomeDistribution(
+        tuple((label, w / total) for label, w in zip(ctx.intermediate.observable.labels, weights))
+    )
+
+
+def born_reference(ctx: Context) -> OutcomeDistribution:
+    """born_context_distribution as built on every call before a Context kept it, from numpy scalars."""
+    return OutcomeDistribution(tuple(zip(ctx.intermediate.observable.labels, ctx._branches[0])))
 
 
 def heisenberg_discrepancy_reference(ctx: Context) -> float:

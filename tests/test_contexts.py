@@ -1,6 +1,7 @@
 """Tests for pre/post-selected contexts: the conditional rule, the chain
 sampler that cross-checks it, symmetries, certainty, and picture duality."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,8 @@ from qcontexts import (
 )
 from qcontexts.linalg import NEGLIGIBLE
 from helpers import (
+    abl_reference,
+    born_reference,
     branch_table_reference,
     conditional_from_joint,
     enumerate_chain,
@@ -540,14 +543,16 @@ def test_picture_check_matches_the_explicit_conjugation(dim, rank, seed):
 
 
 def test_picture_check_reads_neither_the_onward_propagator_nor_the_branch_table():
-    # Swap the cached onward propagator for another unitary and rebuild the branch
-    # table from it: the Schrödinger route goes wrong, the Heisenberg route must not follow.
+    # Swap the cached onward propagator for another unitary and rebuild the branch table,
+    # and the answers the context keeps, from it: the Schrödinger route goes wrong, the
+    # Heisenberg route must not follow.
     rng = np.random.default_rng(31)
     ctx = random_context(rng, 4)
     assert picture_consistency_check(ctx) <= 1e-10
     before = abl_distribution(ctx)
     ctx.__dict__["_onward"] = random_unitary(rng, 4)
-    del ctx.__dict__["_branches"]
+    for name in ("_branches", "_abl", "_born"):
+        ctx.__dict__.pop(name, None)
     wrong = abl_distribution(ctx)
     assert max(abs(wrong.probability(label) - p) for label, p in before.entries) > 1e-3
     assert picture_consistency_check(ctx) > 1e-10
@@ -739,6 +744,67 @@ def test_context_reads_its_intermediate_projectors_once(monkeypatch, free):
     ctx = random_context(np.random.default_rng(16), 4, free=free)
     _query_everything_twice(ctx)
     assert calls == [ctx.intermediate.observable]
+
+
+# --- the answers a context keeps --------------------------------------------------------
+
+
+def _bits(distribution) -> list[tuple[str, str]]:
+    return [(label, p.hex()) for label, p in distribution.entries]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])
+@pytest.mark.parametrize("free", [False, True])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_kept_answers_are_the_per_call_build_bit_for_bit(dim, free, rank):
+    ctx = _pinned_context(dim, free, rank)
+    abl, born = abl_reference(ctx), born_reference(ctx)
+    assert _bits(abl_distribution(ctx)) == _bits(abl)
+    assert _bits(born_context_distribution(ctx)) == _bits(born)
+    assert sequential_success_probability(ctx) == float(ctx._branches[1].sum())
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_a_context_answers_each_question_once(monkeypatch, free):
+    ctx = random_context(np.random.default_rng(20), 4, free=free)
+    abl, born = abl_distribution(ctx), born_context_distribution(ctx)
+    builds = []
+    monkeypatch.setattr(contexts.OutcomeDistribution, "__post_init__", lambda self: builds.append(self))
+    _query_everything_twice(ctx)
+    assert abl_distribution(ctx) is abl and born_context_distribution(ctx) is born
+    assert len(builds) == 2  # the two chain reports' frequencies, nothing kept rebuilt
+
+
+def test_kept_answers_are_immutable():
+    ctx = random_context(np.random.default_rng(21), 3)
+    for answer in (abl_distribution(ctx), born_context_distribution(ctx)):
+        before = answer.entries
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            answer.entries = ()
+        mine = answer.as_dict()
+        mine[before[0][0]] = 2.0
+        assert answer.as_dict() is not mine and answer.entries == before
+        assert answer.as_dict() == dict(before)
+
+
+def test_an_unreachable_postselection_raises_on_every_call_and_keeps_nothing():
+    ctx = simple_context(StateVector.basis_state(2, 0), pauli_z(), "-1", pauli_z())
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ImpossibleOutcomeError, match="unreachable") as raised:
+            abl_distribution(ctx)
+        messages.append(str(raised.value))
+        assert "_abl" not in ctx.__dict__
+    assert messages == [messages[0]] * 3
+    assert messages[0] == "post-selection '-1' is unreachable from every intermediate branch (total weight 0.000e+00)"
+    assert born_context_distribution(ctx).as_dict() == {"+1": 1.0, "-1": 0.0}
+
+
+def test_labels_are_built_once_per_decomposition():
+    observable = random_observable(np.random.default_rng(22), 5, "c")
+    assert observable.labels == tuple(o.label for o in observable.outcomes)
+    assert observable.labels is observable.labels
+    assert observable.conjugated().labels == observable.labels
 
 
 # --- propagators certified from the eigenvectors --------------------------------------

@@ -594,9 +594,17 @@ def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation
     assert "2^53" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
 
 
-# Each check on a detector law, a spreading time or a Hamiltonian's dimension: (kind, parameter
-# changes, the field it names, a piece of its message). All fire while the file is loaded.
+# Each check on a detector law, a spreading time, a Hamiltonian's dimension or a count's cap: (kind,
+# parameter changes, the field it names, a piece of its message). All fire while the file is loaded.
 SPEC_CHECKS = {
+    "chain-samples-past-the-cap": (
+        "chain", {"samples": MAX_CHAIN_SAMPLES + 1}, "parameters.samples",
+        f"samples must lie in [1, {MAX_CHAIN_SAMPLES}], got {MAX_CHAIN_SAMPLES + 1}",
+    ),
+    "detector-runs-past-the-cap": (
+        "detector", {"runs": MAX_DETECTOR_RUNS + 1}, "parameters.runs",
+        f"runs must lie in [1, {MAX_DETECTOR_RUNS}], got {MAX_DETECTOR_RUNS + 1}",
+    ),
     "detector-rate": ("detector", {"rate": -1}, "parameters.rate", "must be nonnegative, got -1.0"),
     "detector-tick": ("detector", {"tick": 0}, "parameters.tick", "must be positive"),
     "detector-horizon-before-tick": ("detector", {"horizon": 0.001}, "parameters.horizon", "must reach the first tick"),
@@ -757,6 +765,49 @@ def test_cli_into_a_closed_pipe_is_one_output_error_line(args):
     lines = result.stderr.decode().splitlines()
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0]) == {"error": "output-error", "exit_code": 2, "message": "[Errno 32] Broken pipe"}
+
+
+THREE_BOX = str(SCENARIO_DIR / "three_box.json")
+MALFORMED_COMMAND_LINES = {
+    "seed-not-an-integer": (["run", THREE_BOX, "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    "samples-not-an-integer": (["run", THREE_BOX, "--samples", "1.5"], "argument --samples: invalid int value: '1.5'"),
+    "unknown-format": (["run", THREE_BOX, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    "no-file": (["run"], "the following arguments are required: file"),
+    "unknown-command": (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    "no-preset-action": (["preset"], "the following arguments are required: action"),
+    "no-preset-name": (["preset", "show"], "the following arguments are required: name"),
+    "unknown-option": (["preset", "list", "--verbose"], "unrecognized arguments: --verbose"),
+}
+
+
+@pytest.mark.parametrize("args, message", MALFORMED_COMMAND_LINES.values(), ids=MALFORMED_COMMAND_LINES)
+def test_malformed_command_line_is_one_parse_error_line(capsysbinary, args, message):
+    assert main(args) == 2
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["error"] == "parse-error" and "field" not in diagnostic
+    assert diagnostic["message"].startswith(message)
+
+
+def test_malformed_command_line_from_the_console_is_one_json_line():
+    source = str(Path(qcontexts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    command = [sys.executable, "-m", "qcontexts.cli", "run", THREE_BOX, "--seed", "abc"]
+    result = subprocess.run(command, env=env, capture_output=True, timeout=120)
+    assert (result.returncode, result.stdout) == (2, b"")
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0]) == {
+        "error": "parse-error", "exit_code": 2, "message": "argument --seed: invalid int value: 'abc'"
+    }
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"], ["preset", "show", "--help"]])
+def test_help_still_prints_usage_and_exits_zero(capsys, args):
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: qcontexts") and captured.err == ""
 
 
 # --- fuzzing the parse boundary ----------------------------------------------------
