@@ -376,42 +376,48 @@ def _seed_words(first: int, size: int) -> np.ndarray:
 
 
 @functools.cache
-def _seeded_generator():
-    """words -> Generator(PCG64) seeded from them; built on first use, so qcontexts imports without numpy.random."""
+def _seed_adapter():
+    """The ISeedSequence class that hands PCG64 the words set on an instance; built on first use,
+    so qcontexts imports without numpy.random."""
 
     class Seeded(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    return lambda words: np.random.Generator(np.random.PCG64(Seeded(words)))
+    return Seeded
 
 
-def first_clicks(count: int, p: float, seed: int, runs: int) -> Iterator[int]:
-    """1-based index of the first of count ticks to click in run i, or 0, for i < runs.
+def _first_click(count: int, p: float, seed: int) -> int:
+    """1-based index of the first of count ticks to click on default_rng(seed)'s stream, or 0."""
+    draw = np.random.default_rng(seed).geometric(p) if p else 0
+    return draw if draw <= count else 0
 
-    Run i makes one geometric draw in p from exactly the stream of default_rng(seed + i);
-    a block's seeds are hashed together (_seed_words). Nothing is drawn when p = 0.
+
+def first_clicks(count: int, p: float, seed: int, runs: int) -> Iterator[np.ndarray]:
+    """Blocks of int64 first-click indices: entry i of the blocks laid end to end is the 1-based index
+    of the first of count ticks to click in run i, or 0, for i < runs. Run i makes one geometric draw
+    in p from exactly the stream of default_rng(seed + i); a block's seeds are hashed together
+    (_seed_words) and reach PCG64 through a seed adapter of the block's own. Nothing is drawn when p = 0.
     """
-    if p == 0.0:
-        yield from itertools.repeat(0, runs)
-        return
-    start, stop, seeded = seed, seed + runs, _seeded_generator()
+    start, stop = seed, seed + runs
     while start < stop:
         size = min(stop - start, _SEED_BLOCK, MASK32 + 1 - (start & MASK32))
-        draws = ((np.random.default_rng(s).geometric(p) for s in range(start, start + size)) if size < _MIN_BLOCK
-                 else (seeded(words).geometric(p) for words in _seed_words(start, size)))
-        for draw in draws:
-            yield int(draw) if draw <= count else 0
+        if p == 0.0:
+            hits = np.zeros(size, np.int64)
+        elif size < _MIN_BLOCK:
+            hits = np.array([_first_click(count, p, s) for s in range(start, start + size)], np.int64)
+        else:  # run by run, the adapter's words are the next row of the block's hashed seeds
+            seeded, pcg, gen = _seed_adapter()(), np.random.PCG64, np.random.Generator
+            hits = np.array([gen(pcg(seeded)).geometric(p) for seeded.words in _seed_words(start, size)], np.int64)
+            hits[hits > count] = 0
+        yield hits
         start += size
 
 
 def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
     """(ticks before the horizon, first click index or None), after the detector_law checks."""
     count, p = detector_law(rate, tick, horizon)
-    return count, (next(first_clicks(count, p, seed, 1)) or None)
+    return count, (_first_click(count, p, seed) or None)
 
 
 def detector_click_simulation(rate: float, tick: float, horizon: float, seed: int) -> FactSequence:

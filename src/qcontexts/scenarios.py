@@ -7,15 +7,16 @@ validated against its type invariants when the Scenario is constructed, with
 the failing field named: construction builds the kind's spec once (contexts,
 joint states and their rebasings, the spreading widths, the detector law, the
 capped counts) and every run reuses it, checking only a seed or count
-override. Reports round every value to 12 significant digits at construction
-and emit byte-deterministic CSV or JSON (JSON carries numbers as decimal
-strings so serialization never depends on float repr quirks). Presets are the
-scenario files `<name>.json` in the package's `presets/`.
+override. Reports round and format every value (12 significant digits) at
+construction and emit byte-deterministic CSV or JSON (JSON carries numbers as
+decimal strings so serialization never depends on float repr quirks). Presets
+are the scenario files `<name>.json` in the package's `presets/`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .contexts import (
+    DENOMINATOR_FLOOR,
     MAX_CHAIN_SAMPLES,
     Context,
     Intermediate,
@@ -44,7 +46,7 @@ from .kinematics import (
     pauli_y,
     pauli_z,
 )
-from .linalg import HermitianOperator
+from .linalg import ALGEBRA_TOL, COEFFICIENT_DEGENERACY_TOL, CONSTRUCTION_TOL, HermitianOperator
 from .pointer import (
     SpreadingModel,
     detector_law,
@@ -59,6 +61,7 @@ NAMED_OBSERVABLES = {"X": pauli_x, "Y": pauli_y, "Z": pauli_z}
 
 DEFAULT_CHAIN_SAMPLES = 100_000
 MAX_DETECTOR_RUNS = 10**6  # about 16 s of detector runs
+MAX_FILE_BYTES = 64 << 20  # 64 MB, about 5x the largest desk-scale file measured (13 MB at d = 64)
 
 PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
@@ -66,10 +69,6 @@ PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 def format_number(value: float) -> str:
     """Render at 12 significant digits, positional, trailing zeros kept."""
     return np.format_float_positional(value + 0.0, precision=12, unique=False, fractional=False)
-
-
-def _round12(value: float) -> float:
-    return float(format_number(float(value)))
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,20 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Report:
-    """Result table plus metadata; every value already rounded to 12 digits."""
+    """Result table plus metadata. Construction rounds each value to 12 digits (`rows`) and formats each
+    rounded value once into `texts`, the strings emit_report writes (numpy's format is not idempotent)."""
 
     scenario: str
     kind: str
     columns: tuple[str, ...]
     rows: tuple[tuple[str, tuple[float, ...]], ...]
     metadata: tuple[tuple[str, str], ...]
+    texts: tuple[tuple[str, ...], ...] = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        rows = tuple((label, tuple(float(format_number(v)) for v in values)) for label, values in self.rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "texts", tuple(tuple(map(format_number, values)) for _, values in rows))
 
     def metadata_dict(self) -> dict[str, str]:
         return dict(self.metadata)
@@ -118,14 +124,20 @@ class Report:
         raise KeyError(label)
 
 
+def _tolerance(value: float) -> str:
+    """A tolerance as report metadata writes it: 1e-9, where Python's :g writes 1e-09."""
+    return f"{value:g}".replace("e-0", "e-")
+
+
 def make_report(scenario: Scenario, columns, rows, metadata: dict) -> Report:
     """A Report with the tool version and the common tolerances added to `metadata`."""
-    base = {"tool_version": __version__, "tolerance_construction": "1e-12", "tolerance_algebra": "1e-10", **metadata}
+    tolerances = {"tolerance_construction": _tolerance(CONSTRUCTION_TOL), "tolerance_algebra": _tolerance(ALGEBRA_TOL)}
+    base = {"tool_version": __version__, **tolerances, **metadata}
     return Report(
         scenario=scenario.name,
         kind=scenario.kind,
         columns=tuple(columns),
-        rows=tuple((str(label), tuple(_round12(v) for v in values)) for label, values in rows),
+        rows=tuple((str(label), values) for label, values in rows),
         metadata=tuple(sorted((str(k), str(v)) for k, v in base.items())),
     )
 
@@ -176,13 +188,10 @@ def _count(value, field: str, name: str, cap: int) -> int:
 
 
 def _complex_from_pair(value, field: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_finite_number(part) for part in value)
-    ):
-        raise ScenarioError(f"complex numbers are finite [re, im] pairs, got {value!r}", field=field)
-    return complex(value[0], value[1])
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        if _is_finite_number(value[0]) and _is_finite_number(value[1]):
+            return complex(value[0], value[1])
+    raise ScenarioError(f"complex numbers are finite [re, im] pairs, got {value!r}", field=field)
 
 
 def _vector_from_json(value, field: str) -> np.ndarray:
@@ -295,22 +304,24 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file (or a {"preset": name} reference)."""
+    """Parse and validate a scenario file (or a {"preset": name} reference). At most MAX_FILE_BYTES + 1
+    bytes are read: a longer input (a pipe or a device too) is a ScenarioError, as is JSON nested too deeply."""
     try:
         with open(path, "rb") as handle:
-            raw = handle.read()
+            size = os.fstat(handle.fileno()).st_size  # a regular file's length; 0 for a pipe or a device
+            raw = handle.read((size if 0 < size <= MAX_FILE_BYTES else MAX_FILE_BYTES) + 1)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    if len(raw) > MAX_FILE_BYTES:
+        raise ScenarioError(f"scenario file holds more than {MAX_FILE_BYTES} bytes")
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # undecodable bytes, or an integer past the interpreter's digit limit
         raise ScenarioError(f"invalid JSON: {exc}") from exc
-    return scenario_from_payload(payload)
-
-
-def scenario_from_payload(payload) -> Scenario:
+    except RecursionError as exc:
+        raise ScenarioError("invalid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise ScenarioError("scenario file must hold a JSON object")
     if "preset" in payload:
@@ -327,8 +338,9 @@ def scenario_from_payload(payload) -> Scenario:
     return Scenario(name=name, kind=kind, parameters=parameters, description=description)
 
 
+@functools.cache
 def preset_names() -> tuple[str, ...]:
-    """The shipped presets: one JSON scenario file each in PRESET_DIR, named by its stem."""
+    """The shipped presets: one JSON scenario file each in PRESET_DIR, named by its stem (listed once)."""
     return tuple(sorted(name.removesuffix(".json") for name in os.listdir(PRESET_DIR) if name.endswith(".json")))
 
 
@@ -417,7 +429,7 @@ def _run_abl(scenario: Scenario, ctx: Context, seed, samples) -> Report:
     born = born_context_distribution(ctx)
     rows = [(f"abl:{label}", (p,)) for label, p in abl.entries]
     rows += [(f"born:{label}", (p,)) for label, p in born.entries]
-    metadata = {"tolerance_denominator": "1e-15", "reading": ctx.reading}
+    metadata = {"tolerance_denominator": _tolerance(DENOMINATOR_FLOOR), "reading": ctx.reading}
     return make_report(scenario, ("value",), rows, metadata)
 
 
@@ -438,7 +450,7 @@ def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
         zscore = 0.0 if spread == 0.0 else (frequency - p) / spread
         rows.append((label, (p, frequency, zscore)))
     metadata = {
-        "tolerance_denominator": "1e-15",
+        "tolerance_denominator": _tolerance(DENOMINATOR_FLOOR),
         "reading": ctx.reading,
         "seed": seed,
         "samples": samples,
@@ -451,11 +463,7 @@ def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
 def _run_gap(scenario: Scenario, ctx: Context, seed, samples) -> Report:
     post = ctx.postselection
     result = total_probability_gap(ctx.preparation.state, post.observable, post.label, ctx.intermediate.observable)
-    rows = [
-        ("quantum", (result.quantum,)),
-        ("classical_chain", (result.classical_chain,)),
-        ("gap", (result.gap,)),
-    ]
+    rows = [(name, (getattr(result, name),)) for name in ("quantum", "classical_chain", "gap")]
     return make_report(scenario, ("value",), rows, {})
 
 
@@ -467,7 +475,8 @@ def _run_pointer(scenario: Scenario, spec, seed, samples) -> Report:
     rows.append(("orthogonality:pointer", (pointer_score,)))
     for name, rebased in rebases:
         rows.append((f"orthogonality:{name}", (rebased.orthogonality_score,)))
-    return make_report(scenario, ("value",), rows, {"tolerance_coefficient_degeneracy": "1e-9"})
+    metadata = {"tolerance_coefficient_degeneracy": _tolerance(COEFFICIENT_DEGENERACY_TOL)}
+    return make_report(scenario, ("value",), rows, metadata)
 
 
 def _run_spreading(scenario: Scenario, rows, seed, samples) -> Report:
@@ -479,13 +488,14 @@ def _run_detector(scenario: Scenario, spec, seed, samples) -> Report:
     seed = file_seed if seed is None else _integer(seed, "seed", 0)
     runs = file_runs if samples is None else _count(samples, "samples", "runs", MAX_DETECTOR_RUNS)
     nonclick_facts = clicked = 0
-    # Running totals: flat memory in runs, and left to right (sum() compensates on 3.12+).
+    # Running totals, a block of runs at a time (flat memory); click times left to right (sum() compensates on 3.12+).
     click_time_total = 0.0
-    for click_index in first_clicks(count, p, seed, runs):  # run i draws from default_rng(seed + i)
-        if click_index:
-            nonclick_facts += click_index - 1
-            clicked += 1
-            click_time_total += click_index * tick
+    for hits in first_clicks(count, p, seed, runs):  # run i draws from default_rng(seed + i)
+        hits = hits[hits > 0]
+        clicked += hits.size
+        nonclick_facts += sum(hits.tolist()) - hits.size  # Python ints: a block's sum can pass 2^63
+        for click_time in (hits * tick).tolist():
+            click_time_total += click_time
     nonclick_facts += (runs - clicked) * count  # a run without a click records every tick
     rows = [
         ("runs", (float(runs),)),
@@ -524,17 +534,17 @@ def emit_report(report: Report, fmt: str = "csv") -> bytes:
     """Serialize a report; identical reports yield identical bytes."""
     if fmt == "csv":
         lines = ["label," + ",".join(report.columns)]
-        for label, values in report.rows:
+        for (label, _), texts in zip(report.rows, report.texts):
             if "," in label or "\n" in label:
                 raise ScenarioError(f"label {label!r} cannot be rendered in CSV")
-            lines.append(label + "," + ",".join(format_number(v) for v in values))
+            lines.append(label + "," + ",".join(texts))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
         payload = {
             "scenario": report.scenario,
             "kind": report.kind,
             "columns": list(report.columns),
-            "rows": [[label, *[format_number(v) for v in values]] for label, values in report.rows],
+            "rows": [[label, *texts] for (label, _), texts in zip(report.rows, report.texts)],
             "metadata": dict(report.metadata),
         }
         return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")

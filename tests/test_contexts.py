@@ -206,6 +206,25 @@ def test_abl_sums_to_one_random():
         assert abs(sum(abl_distribution(ctx).as_dict().values()) - 1.0) < 1e-9
 
 
+def _context_of_total_weight(weight: float) -> Context:
+    """Free d = 2: |0> prepared, Z in between, post-selection onto (sqrt(w), sqrt(1 - w)); total weight w."""
+    b = np.array([np.sqrt(weight), np.sqrt(1.0 - weight)], dtype=complex)
+    onto_b = np.outer(b, b.conj())
+    post = ProjectiveDecomposition((Outcome("b", 1.0, onto_b), Outcome("other", 0.0, np.eye(2) - onto_b)))
+    return simple_context(StateVector.basis_state(2, 0), post, "b", pauli_z())
+
+
+def test_abl_answers_above_the_denominator_floor_and_refuses_below_it():
+    # The floor is contexts.DENOMINATOR_FLOOR = 1e-15: a total of 1e-13 is 100x above it, 1e-16 below.
+    ctx = _context_of_total_weight(1e-13)
+    assert sequential_success_probability(ctx) == pytest.approx(1e-13, rel=1e-9)
+    assert abl_distribution(ctx).entries == (("+1", 1.0), ("-1", 0.0))
+    below = _context_of_total_weight(1e-16)
+    assert sequential_success_probability(below) == pytest.approx(1e-16, rel=1e-9)
+    with pytest.raises(ImpossibleOutcomeError, match="unreachable"):
+        abl_distribution(below)
+
+
 # --- born_context_distribution ----------------------------------------------------
 
 
@@ -336,6 +355,24 @@ def test_chain_at_the_sample_cap_allocates_per_outcome_not_per_run():
         tracemalloc.stop()
     assert report.requested == contexts.MAX_CHAIN_SAMPLES
     assert peak < 1 << 20
+
+
+def test_chain_clips_a_branch_success_that_rounds_past_one():
+    # Post-selecting the identity keeps every run: joint / born is 1 in exact arithmetic, and rounds
+    # past 1 in some branches. rng.binomial refuses a probability past 1, so the sampler clips it.
+    everything = ProjectiveDecomposition((Outcome("all", 1.0, np.eye(4, dtype=complex)),))
+    rng = np.random.default_rng(2024)
+    past_one = 0
+    for _ in range(20):
+        u = random_unitary(rng, 4)
+        halves = (u[:, :2] @ u[:, :2].conj().T, u[:, 2:] @ u[:, 2:].conj().T)
+        intermediate = ProjectiveDecomposition(tuple(Outcome(f"c{k}", float(k), p) for k, p in enumerate(halves)))
+        ctx = simple_context(random_state(rng, 4), everything, "all", intermediate)
+        born, joint = ctx._branches
+        past_one += bool(np.any(joint / born > 1.0))
+        report = sample_chain(ctx, 1000, seed=11)
+        assert report.retained == report.requested == 1000
+    assert past_one > 0  # else the clip went untested
 
 
 # --- total_probability_gap -----------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -326,6 +328,13 @@ def test_detector_facts_past_the_cap_are_refused_before_any_is_built():
 SEED_STARTS = [0, 7, 2**32 - 50, 5 * 2**32 - 3, 2**64 - 49, 2**128 - 50, 2**200 + 3]
 
 
+def _concatenated(blocks) -> list[int]:
+    """first_clicks' blocks laid end to end; each must be an int64 array."""
+    blocks = list(blocks)
+    assert all(isinstance(block, np.ndarray) and block.dtype == np.int64 for block in blocks)
+    return np.concatenate(blocks).tolist()
+
+
 def _default_rng_first_clicks(count, p, seed, runs):
     if p == 0.0:
         return [0] * runs
@@ -335,12 +344,36 @@ def _default_rng_first_clicks(count, p, seed, runs):
 @pytest.mark.parametrize("p", [0.00995, 0.5, 1.0, 0.0], ids=["inversion", "search", "certain", "never"])
 @pytest.mark.parametrize("seed", SEED_STARTS)
 def test_first_clicks_draw_exactly_from_default_rng_of_seed_plus_i(seed, p):
-    assert list(first_clicks(40, p, seed, 100)) == _default_rng_first_clicks(40, p, seed, 100)
+    assert _concatenated(first_clicks(40, p, seed, 100)) == _default_rng_first_clicks(40, p, seed, 100)
 
 
 def test_first_clicks_past_one_block_keep_every_stream():
     runs = _SEED_BLOCK + 100
-    assert list(first_clicks(40, 0.00995, 11, runs)) == _default_rng_first_clicks(40, 0.00995, 11, runs)
+    assert _concatenated(first_clicks(40, 0.00995, 11, runs)) == _default_rng_first_clicks(40, 0.00995, 11, runs)
+
+
+def test_first_clicks_in_threads_keep_every_stream():
+    # Each block draws through a seed adapter of its own; one shared between threads would hand
+    # a run the seed words another thread set.
+    seeds = [11, 5000, 2**32 - 50, 5 * 2**32 - 3, 2**64 - 49, 2**128 - 50]
+    expected = {seed: _default_rng_first_clicks(40, 0.00995, seed, 1000) for seed in seeds}
+    results = {}
+
+    def draw(seed):
+        results[seed] = _concatenated(first_clicks(40, 0.00995, seed, 1000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
 
 
 def test_fact_sequence_is_append_only():

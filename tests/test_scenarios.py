@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -33,9 +34,10 @@ from qcontexts import (
     scenarios,
 )
 from qcontexts.cli import main
-from qcontexts.contexts import MAX_CHAIN_SAMPLES, MAX_PHASE
-from qcontexts.pointer import detector_first_click, detector_law, spreading_sigma
-from qcontexts.scenarios import MAX_DETECTOR_RUNS
+from qcontexts.contexts import DENOMINATOR_FLOOR, MAX_CHAIN_SAMPLES, MAX_PHASE
+from qcontexts.linalg import ALGEBRA_TOL, COEFFICIENT_DEGENERACY_TOL, CONSTRUCTION_TOL
+from qcontexts.pointer import _SEED_BLOCK, detector_first_click, detector_law, spreading_sigma
+from qcontexts.scenarios import MAX_DETECTOR_RUNS, MAX_FILE_BYTES
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -182,6 +184,24 @@ def test_preset_names_stable():
     assert preset_names() == ("geiger", "three-box", "two-slit")
 
 
+def test_preset_names_lists_the_package_directory_once(monkeypatch):
+    calls, listdir = [], os.listdir
+
+    def listing(path):
+        calls.append(path)
+        return listdir(path)
+
+    preset_names.cache_clear()
+    monkeypatch.setattr(scenarios.os, "listdir", listing)
+    try:
+        names = [preset_names() for _ in range(3)]
+        load_preset("geiger")
+    finally:
+        preset_names.cache_clear()
+    assert names == [("geiger", "three-box", "two-slit")] * 3
+    assert calls == [scenarios.PRESET_DIR]
+
+
 def test_preset_names_are_the_package_files():
     stems = sorted(name[: -len(".json")] for name in os.listdir(PACKAGE_PRESET_DIR) if name.endswith(".json"))
     assert list(preset_names()) == stems
@@ -300,6 +320,38 @@ def test_json_round_trip():
     for name in preset_names():
         report = run_scenario(load_preset(name))
         assert parse_report(emit_report(report, "json")) == report
+
+
+def test_a_report_formats_its_values_at_construction_and_emits_without_formatting(monkeypatch):
+    scenario = load_scenario(SCENARIO_DIR / EXAMPLE_FILES["chain"])
+    report = run_scenario(scenario)
+    expected = {fmt: emit_report(report, fmt) for fmt in ("csv", "json")}
+    assert report.texts == tuple(tuple(format_number(v) for v in values) for _, values in report.rows)
+    assert all(v == float(format_number(v)) for _, values in report.rows for v in values)
+
+    def refuse(value):
+        raise AssertionError("emit_report formatted a value")
+
+    monkeypatch.setattr(scenarios, "format_number", refuse)
+    assert {fmt: emit_report(report, fmt) for fmt in ("csv", "json")} == expected
+
+
+def test_metadata_tolerances_are_written_from_their_constants(monkeypatch):
+    metadata = {kind: run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES[kind])).metadata_dict()
+                for kind in ("abl", "chain", "pointer")}
+    for values in metadata.values():
+        texts = (values["tolerance_construction"], values["tolerance_algebra"])
+        assert texts == ("1e-12", "1e-10") and tuple(map(float, texts)) == (CONSTRUCTION_TOL, ALGEBRA_TOL)
+    for kind in ("abl", "chain"):
+        assert metadata[kind]["tolerance_denominator"] == "1e-15"
+        assert float(metadata[kind]["tolerance_denominator"]) == DENOMINATOR_FLOOR
+    assert metadata["pointer"]["tolerance_coefficient_degeneracy"] == "1e-9"  # not Python's 1e-09
+    assert float(metadata["pointer"]["tolerance_coefficient_degeneracy"]) == COEFFICIENT_DEGENERACY_TOL
+    monkeypatch.setattr(scenarios, "DENOMINATOR_FLOOR", 2e-15)
+    monkeypatch.setattr(scenarios, "COEFFICIENT_DEGENERACY_TOL", 5e-9)
+    patched = (("abl", "tolerance_denominator", "2e-15"), ("pointer", "tolerance_coefficient_degeneracy", "5e-9"))
+    for kind, key, text in patched:
+        assert run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES[kind])).metadata_dict()[key] == text
 
 
 def test_unknown_format_rejected():
@@ -687,6 +739,47 @@ def test_detector_counts_match_fact_sequences(rate, tick, horizon, seed):
         assert report.value(label) == float(format_number(value))
 
 
+def _plain_detector_tallies(rate, tick, horizon, seed, runs) -> dict:
+    """The detector's raw tallies, run i drawn alone from default_rng(seed + i) and added in order."""
+    count, p = detector_law(rate, tick, horizon)
+    clicked = nonclick_facts = 0
+    click_time_total = 0.0
+    for i in range(runs):
+        first = int(np.random.default_rng(seed + i).geometric(p)) if p else 0
+        if 0 < first <= count:
+            clicked += 1
+            nonclick_facts += first - 1
+            click_time_total += first * tick
+        else:
+            nonclick_facts += count
+    tallies = {"runs": runs, "clicked": clicked, "censored": runs - clicked, "nonclick_facts": nonclick_facts}
+    if clicked:
+        tallies["mean_click_time"] = click_time_total / clicked
+    return tallies
+
+
+@pytest.mark.parametrize(
+    "rate, seed, runs",
+    [(1.0, 7, _SEED_BLOCK + 1), (2.5, 2**32 - 50, 300), (0.3, 2**64 - 20, 100), (0.0, 11, 40)],
+    ids=["two-blocks", "low-word-wrap", "two-to-three-words", "rate-0"],
+)
+def test_detector_tallies_equal_runs_drawn_one_by_one(monkeypatch, rate, seed, runs):
+    made, make_report = [], scenarios.make_report
+
+    def keeping(scenario, columns, rows, metadata):
+        made.append(rows)
+        return make_report(scenario, columns, rows, metadata)
+
+    monkeypatch.setattr(scenarios, "make_report", keeping)
+    parameters = {"rate": rate, "tick": 0.01, "horizon": 2.0, "seed": seed, "runs": runs}
+    run_scenario(Scenario(name="counter", kind="detector", parameters=parameters))
+    tallies = {label: value for label, (value,) in made[0]}  # before rounding
+    expected = _plain_detector_tallies(rate, 0.01, 2.0, seed, runs)
+    assert {label: float(value).hex() for label, value in tallies.items()} == {
+        label: float(value).hex() for label, value in expected.items()
+    }
+
+
 def test_detector_checks_its_law_once_per_scenario(monkeypatch):
     calls = []
 
@@ -908,3 +1001,62 @@ def test_cli_count_past_its_cap_is_one_invariant_violation_line(tmp_path, capsys
     assert message in diagnostic["message"]
     assert diagnostic["field"] == f"parameters.{name}"
     assert peak < 1_000_000
+
+
+DEEP = 200_000  # far past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("where", ["top-level", "in-parameters"])
+def test_cli_json_nested_too_deeply_is_one_parse_error_line(tmp_path, capsysbinary, where):
+    deep = "[" * DEEP + "]" * DEEP
+    path = tmp_path / "deep.json"
+    path.write_text(deep if where == "top-level" else f'{{"name": "x", "kind": "abl", "parameters": {{"a": {deep}}}}}')
+    assert main(["run", str(path)]) == 2
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["error"] == "parse-error" and "nested too deeply" in diagnostic["message"]
+    assert "field" not in diagnostic
+
+
+def test_cli_reads_a_fifo_only_to_the_file_cap(tmp_path, capsysbinary):
+    fifo = tmp_path / "endless"
+    os.mkfifo(fifo)
+    chunk = b" " * (1 << 20)
+
+    def feed():  # past the cap, unless the reader closes first
+        try:
+            with open(fifo, "wb") as handle:
+                for _ in range(MAX_FILE_BYTES // len(chunk) + 8):
+                    handle.write(chunk)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    tracemalloc.start()
+    try:
+        code = main(["run", str(fifo)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    writer.join(timeout=60)
+    assert code == 2 and not writer.is_alive()
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["message"] == f"scenario file holds more than {MAX_FILE_BYTES} bytes"
+    assert MAX_FILE_BYTES < peak < MAX_FILE_BYTES + (4 << 20)  # one buffer of the cap, not the 72 MB fed
+
+
+def test_scenario_file_cap_holds_at_its_byte(tmp_path, capsysbinary, monkeypatch):
+    source = SCENARIO_DIR / EXAMPLE_FILES["abl"]
+    size = source.stat().st_size
+    monkeypatch.setattr(scenarios, "MAX_FILE_BYTES", size)
+    assert load_scenario(source).kind == "abl"
+    monkeypatch.setattr(scenarios, "MAX_FILE_BYTES", size - 1)
+    with pytest.raises(ScenarioError, match=f"holds more than {size - 1} bytes"):
+        load_scenario(source)
+    # A regular file past the cap is refused from its first MAX_FILE_BYTES + 1 bytes; this one is sparse.
+    monkeypatch.undo()
+    huge = tmp_path / "huge.json"
+    with open(huge, "wb") as handle:
+        handle.truncate(MAX_FILE_BYTES + 1)
+    assert main(["run", str(huge)]) == 2
+    assert "holds more than" in _single_error_line(capsysbinary.readouterr(), 2)["message"]
