@@ -56,6 +56,7 @@ from .linalg import (
     hermitian_eigensystem,
     max_abs,
     projector_weights,
+    read_only,
 )
 
 # Below this total branch weight, post-selection is unreachable rather than
@@ -174,9 +175,9 @@ class Context:
 
     def _propagator(self, duration: float) -> np.ndarray:
         if self.is_free():
-            return _read_only(np.eye(self.dim, dtype=complex))
+            return read_only(np.eye(self.dim, dtype=complex))
         if self._unitary_certified:
-            return _read_only(self._eigensystem.propagator(duration))
+            return read_only(self._eigensystem.propagator(duration))
         return self._eigensystem.exponential(duration).matrix  # UnitaryMap's own check
 
     # Read-only propagators over the fixed intervals t1 -> t, t -> t2 and t1 -> t2.
@@ -195,11 +196,11 @@ class Context:
     # The ket at t, U_forward a, and its images P_k U_forward a as rows: the projectors' one read.
     @cached_property
     def _ket(self) -> np.ndarray:
-        return _read_only(self._forward @ self.preparation.state.amplitudes)
+        return read_only(self._forward @ self.preparation.state.amplitudes)
 
     @cached_property
     def _images(self) -> np.ndarray:
-        return _read_only(self.intermediate.observable.images(self._ket))
+        return read_only(self.intermediate.observable.images(self._ket))
 
     @cached_property
     def _branches(self) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +223,6 @@ class Context:
         return OutcomeDistribution(tuple(zip(self.intermediate.observable.labels, self._branches[0].tolist())))
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 def _branch_table(state, images, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
     """Read-only born[k] = <s|P_k|s> and joint[k] = ||P_b U P_k s||^2 for the state s at
     the intermediate time, its images P_k s as rows, the propagator U onward to the
@@ -235,7 +231,7 @@ def _branch_table(state, images, onward, post_proj) -> tuple[np.ndarray, np.ndar
     per row are the per-outcome matvecs and vdot bit for bit; a d x k gemm is not."""
     branches = np.matmul(post_proj, np.matmul(onward, images[:, :, None]))
     joint = np.matmul(branches.transpose(0, 2, 1).conj(), branches).real.ravel()
-    return _read_only(projector_weights(state, images)), _read_only(joint)
+    return read_only(projector_weights(state, images)), read_only(joint)
 
 
 def abl_distribution(ctx: Context) -> OutcomeDistribution:
@@ -265,22 +261,14 @@ def born_context_distribution(ctx: Context) -> OutcomeDistribution:
 
 @dataclass(frozen=True)
 class ChainSampleReport:
-    """Post-selected Monte Carlo tallies over the measure-collapse-measure chain.
-
-    frequencies is None when no run survived post-selection; that no-data
-    outcome is distinct from a distribution of zeros.
-    """
+    """Post-selected Monte Carlo tallies over the measure-collapse-measure chain, made by sample_chain:
+    retained <= requested, and frequencies is None exactly when no run survived post-selection, a
+    no-data outcome distinct from a distribution of zeros."""
 
     requested: int
     retained: int
     frequencies: OutcomeDistribution | None
     seed: int
-
-    def __post_init__(self):
-        if self.retained > self.requested:
-            raise InvariantViolation("retained cannot exceed requested")
-        if (self.retained == 0) != (self.frequencies is None):
-            raise InvariantViolation("frequencies must be present exactly when runs were retained")
 
     @property
     def no_data(self) -> bool:
@@ -405,22 +393,14 @@ def interchange_context(ctx: Context) -> Context:
 
 @dataclass(frozen=True, eq=False)
 class ElementOfReality:
-    """An outcome predictable with probability one (certainty criterion)."""
+    """An outcome predictable with probability one (certainty criterion), made by element_of_reality:
+    label is one of the observable's, probability lies in [0, 1], and certified holds exactly when it
+    reaches 1 - CERTAINTY_TOL."""
 
     observable: ProjectiveDecomposition
     label: str
     probability: float
     certified: bool
-
-    def __post_init__(self):
-        self.observable.outcome(self.label)
-        prob = float(self.probability)
-        if prob < -CERTAINTY_TOL or prob > 1.0 + CERTAINTY_TOL:
-            raise InvariantViolation(f"probability {prob!r} outside [0, 1]")
-        prob = min(max(prob, 0.0), 1.0)
-        if self.certified != (prob >= 1.0 - CERTAINTY_TOL):
-            raise InvariantViolation("certified must hold exactly when probability reaches one")
-        object.__setattr__(self, "probability", prob)
 
 
 def element_of_reality(

@@ -323,21 +323,17 @@ class OutcomeDistribution:
 
 
 def prepare_eigenstate(observable: ProjectiveDecomposition, label: str) -> StateVector:
-    """State spanning a rank-1 outcome projector, with canonical phase.
+    """State spanning a rank-1 outcome projector, with canonical phase, from _range_basis's column.
 
-    Rank > 1 outcomes are rejected: projecting says which subspace, not
-    which state, so the caller must supply the state explicitly.
+    That column's diagonal entry is the largest, at least 1/(2 dim). Rank > 1 outcomes are rejected:
+    projecting says which subspace, not which state, so the caller must supply the state explicitly.
     """
     outcome = observable.outcome(label)
     if outcome.rank != 1:
         raise InvariantViolation(
             f"outcome {label!r} has rank {outcome.rank}: ambiguous preparation, supply a state explicitly"
         )
-    for j in range(observable.dim):
-        column = outcome.projector[:, j]
-        if float(np.linalg.norm(column)) > 1e-7:
-            return StateVector.normalized(fix_global_phase(column))
-    raise ToleranceError(f"projector for {label!r} has a numerically empty range")
+    return StateVector.normalized(fix_global_phase(_range_basis(outcome.projector, 1)[0][:, 0]))
 
 
 def born_distribution(state: StateVector, observable: ProjectiveDecomposition) -> OutcomeDistribution:

@@ -101,11 +101,15 @@ def check_projector(p: np.ndarray, name: str) -> None:
         )
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Clear the write flag, in place, of an array no one else holds; returns it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def frozen_copy(arr: np.ndarray) -> np.ndarray:
-    """Defensive copy with the write flag cleared."""
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+    """Defensive copy with the write flag cleared, for an array that may alias a caller's."""
+    return read_only(arr.copy())
 
 
 def canonical_phases(columns: np.ndarray) -> np.ndarray:
@@ -183,20 +187,11 @@ class UnitaryMap:
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
-    """Ascending real eigenvalues paired with orthonormal eigenvector columns."""
+    """Ascending real eigenvalues paired with orthonormal eigenvector columns, read-only; made by
+    hermitian_eigensystem."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.eigenvalues, dtype=float)
-        vectors = as_complex_array(self.eigenvectors, 2, "eigenvectors")
-        if values.ndim != 1 or vectors.shape != (values.size, values.size):
-            raise InvariantViolation("eigensystem shapes disagree")
-        if np.any(np.diff(values) < 0):
-            raise InvariantViolation("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", frozen_copy(values))
-        object.__setattr__(self, "eigenvectors", frozen_copy(vectors))
 
     @property
     def dim(self) -> int:
@@ -256,7 +251,7 @@ def hermitian_eigensystem(operator: HermitianOperator) -> Eigensystem:
             if len(span) == j - i:
                 out[:, i:j] = np.column_stack(span)
     out *= canonical_phases(out)
-    return Eigensystem(values, out)
+    return Eigensystem(read_only(values), read_only(out))
 
 
 def unitary_exponential(operator: HermitianOperator, duration: float) -> UnitaryMap:
@@ -276,23 +271,18 @@ def projector_weights(state: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Biorthogonal expansion of a bipartite amplitude matrix.
+    """Biorthogonal expansion of a bipartite amplitude matrix, made by schmidt_decompose.
 
-    Coefficients are descending and nonnegative; column k of system_states
-    pairs with column k of apparatus_states. non_unique is set when this is
-    not the only expansion of its kind: two coefficients agree within 1e-9,
-    or the matrix is rank-deficient so some paired directions are arbitrary.
+    Coefficients are descending and nonnegative; column k of system_states pairs with column k
+    of apparatus_states; the arrays are read-only. non_unique is set when this is not the only
+    expansion of its kind: two coefficients agree within 1e-9, or the matrix is rank-deficient
+    so some paired directions are arbitrary.
     """
 
     coefficients: np.ndarray
     system_states: np.ndarray
     apparatus_states: np.ndarray
     non_unique: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", frozen_copy(np.asarray(self.coefficients, dtype=float)))
-        object.__setattr__(self, "system_states", frozen_copy(np.asarray(self.system_states, dtype=complex)))
-        object.__setattr__(self, "apparatus_states", frozen_copy(np.asarray(self.apparatus_states, dtype=complex)))
 
     @property
     def rank(self) -> int:
@@ -319,10 +309,8 @@ def schmidt_decompose(amplitudes: np.ndarray) -> SchmidtDecomposition:
     rank = max(int(np.sum(values > NEGLIGIBLE)), 1)
     adjacent_close = bool(np.any(values[:-1] - values[1:] <= COEFFICIENT_DEGENERACY_TOL)) if full > 1 else False
     non_unique = adjacent_close or rank < full
-    coefficients = values[:rank].copy()
-    system_states = left[:, :rank].copy()
-    apparatus_states = right_h[:rank, :].T.copy()
+    system_states, apparatus_states = left[:, :rank], right_h[:rank, :].T  # views of svd's own fresh arrays
     phases = canonical_phases(system_states)
     system_states *= phases
     apparatus_states *= phases.conj()
-    return SchmidtDecomposition(coefficients, system_states, apparatus_states, non_unique)
+    return SchmidtDecomposition(*map(read_only, (values[:rank], system_states, apparatus_states)), non_unique)

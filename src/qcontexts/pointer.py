@@ -36,6 +36,7 @@ from .linalg import (
     frozen_copy,
     max_abs,
     orthonormal_extend,
+    read_only,
     schmidt_decompose,
 )
 
@@ -95,7 +96,7 @@ class JointState:
         object.__setattr__(self, "coefficient_matrix", frozen_copy(coeffs))
         object.__setattr__(self, "system_basis", frozen_copy(system))
         object.__setattr__(self, "apparatus_basis", frozen_copy(apparatus))
-        object.__setattr__(self, "_ambient", frozen_copy(system @ coeffs @ apparatus.T))
+        object.__setattr__(self, "_ambient", read_only(system @ coeffs @ apparatus.T))
 
     @property
     def system_dim(self) -> int:
@@ -116,7 +117,7 @@ class JointState:
         m = frozen_copy(as_complex_array(matrix, 2, "joint amplitudes"))
         check_unit_norm(m, "joint state")
         joint = object.__new__(cls)
-        system, apparatus = (frozen_copy(np.eye(n, dtype=complex)) for n in m.shape)
+        system, apparatus = (read_only(np.eye(n, dtype=complex)) for n in m.shape)
         joint.__dict__.update(coefficient_matrix=m, system_basis=system, apparatus_basis=apparatus, _ambient=m)
         return joint
 
@@ -148,10 +149,11 @@ def premeasurement_joint(coefficients, system_basis=None, apparatus_basis=None) 
 
 @dataclass(frozen=True, eq=False)
 class RebasedDecomposition:
-    """Expansion of a joint state over a chosen apparatus basis.
+    """Expansion of a joint state over a chosen apparatus basis, made by rebase_joint.
 
     Column l of relative_states is the unit system state paired with
-    apparatus basis vector l (zero column when the weight is negligible).
+    apparatus basis vector l (zero column when the weight is negligible);
+    the weights have unit power, and the arrays are read-only.
     orthogonality_score is 1 minus the largest pairwise overlap among the
     significantly weighted relative states: one bad pair already disquali-
     fies the basis as a pointer basis, so the score keys on the maximum.
@@ -161,19 +163,6 @@ class RebasedDecomposition:
     coefficients: np.ndarray
     relative_states: np.ndarray
     orthogonality_score: float
-
-    def __post_init__(self):
-        basis = as_complex_array(self.new_apparatus_basis, 2, "apparatus basis")
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        relative = as_complex_array(self.relative_states, 2, "relative states")
-        power = float(np.sum(coeffs**2))
-        if abs(power - 1.0) > 1e-9:
-            raise InvariantViolation(f"rebased weights must have unit power, got {power!r}")
-        if not 0.0 <= self.orthogonality_score <= 1.0:
-            raise InvariantViolation(f"orthogonality score {self.orthogonality_score!r} outside [0, 1]")
-        object.__setattr__(self, "new_apparatus_basis", frozen_copy(basis))
-        object.__setattr__(self, "coefficients", frozen_copy(coeffs))
-        object.__setattr__(self, "relative_states", frozen_copy(relative))
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the ambient amplitude matrix sum_l c'_l b_l beta_l^T."""
@@ -185,7 +174,8 @@ def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
 
     The unnormalized system vector paired with basis vector beta_l is the
     amplitude matrix contracted with conj(beta_l); its norm is the weight
-    c'_l and its direction the relative state.
+    c'_l and its direction the relative state. Weights off unit power by
+    more than 1e-9, which a basis orthonormal within ALGEBRA_TOL can leave, are refused.
     """
     basis = _as_basis(new_basis, "new apparatus basis")
     if basis.shape != (joint.apparatus_dim, joint.apparatus_dim):
@@ -195,6 +185,9 @@ def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
         )
     images = joint.ambient_amplitudes() @ basis.conj()
     weights = np.linalg.norm(images, axis=0)
+    power = float(np.sum(weights**2))
+    if abs(power - 1.0) > 1e-9:
+        raise InvariantViolation(f"rebased weights must have unit power, got {power!r}")
     significant = np.flatnonzero(weights > NEGLIGIBLE)
     relative = np.zeros_like(images)
     relative[:, significant] = images[:, significant] / weights[significant]
@@ -204,7 +197,8 @@ def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
         gram = np.abs(block.conj().T @ block)
         np.fill_diagonal(gram, 0.0)
         score = 1.0 - float(np.max(gram))
-    return RebasedDecomposition(basis, weights, relative, min(max(score, 0.0), 1.0))
+    # _as_basis may hand back the caller's own array; the rest was made here.
+    return RebasedDecomposition(frozen_copy(basis), read_only(weights), read_only(relative), min(max(score, 0.0), 1.0))
 
 
 def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:

@@ -7,7 +7,7 @@ validated against its type invariants when the Scenario is constructed, with
 the failing field named: construction builds the kind's spec once (contexts,
 joint states and their rebasings, the spreading widths, the detector law, the
 capped counts) and every run reuses it, checking only a seed or count
-override. Reports round and format every value (12 significant digits) at
+override. Reports round and format every value (format_number, precision 12) at
 construction and emit byte-deterministic CSV or JSON (JSON carries numbers as
 decimal strings so serialization never depends on float repr quirks). Presets
 are the scenario files `<name>.json` in the package's `presets/`.
@@ -67,7 +67,9 @@ PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
 
 def format_number(value: float) -> str:
-    """Render at 12 significant digits, positional, trailing zeros kept."""
+    """numpy's positional Dragon4 at precision 12, not unique: at most 12 significant digits, without the trailing
+    zeros an exact value or a round-up carry leaves ungenerated, then zero-padded to 12 digits counting the integer
+    part (0.5 -> 0.50000000000, 11 significant; 0.1 -> 0.100000000000). Not idempotent: see README, Reports."""
     return np.format_float_positional(value + 0.0, precision=12, unique=False, fractional=False)
 
 

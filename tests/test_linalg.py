@@ -181,6 +181,33 @@ def test_schmidt_coefficients_local_unitary_invariant():
         np.testing.assert_allclose(np.sort(rotated), np.sort(base), atol=1e-10)
 
 
+# --- results frozen by their producer ------------------------------------------------
+
+
+def assert_read_only(*arrays):
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.0
+
+
+def test_eigensystem_arrays_are_read_only():
+    # Generic, with a degenerate cluster re-based, and all one cluster.
+    for matrix in (random_hermitian_matrix(RNG, 4), np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3))):
+        system = hermitian_eigensystem(HermitianOperator(matrix))
+        assert_read_only(system.eigenvalues, system.eigenvectors)
+
+
+def test_schmidt_arrays_are_read_only():
+    # Full rank, rank-deficient (views of part of svd's outputs) and wide.
+    full = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+    low_rank = np.outer(RNG.standard_normal(3), RNG.standard_normal(4)).astype(complex)
+    wide = RNG.standard_normal((2, 4)) + 1j * RNG.standard_normal((2, 4))
+    for matrix in (full, low_rank, wide):
+        schmidt = schmidt_decompose(matrix / np.linalg.norm(matrix))
+        assert_read_only(schmidt.coefficients, schmidt.system_states, schmidt.apparatus_states)
+
+
 # --- rejection paths of the shared input checks -------------------------------------
 
 NAN = float("nan")

@@ -22,6 +22,7 @@ from qcontexts import (
     spreading_sigma,
 )
 from qcontexts import pointer
+from qcontexts.linalg import ALGEBRA_TOL
 from qcontexts.pointer import _SEED_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
 from helpers import random_unitary
 
@@ -164,6 +165,41 @@ def test_rebase_rejects_nonorthonormal_basis():
     joint = random_joint(RNG, 2, 2)
     with pytest.raises(InvariantViolation, match="orthonormal"):
         rebase_joint(joint, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_rebase_refuses_weights_off_unit_power_from_a_basis_the_orthonormality_check_passes():
+    # B = sqrt(G) for G = I + 9e-11 (J - I): B^H B = G misses I by 9e-11, inside ALGEBRA_TOL, but along
+    # G's top eigenvector (eigenvalue 1 + 15 x 9e-11) the rebased weights have power 1 + 1.35e-9.
+    dim = 16
+    gram = np.eye(dim) + 9e-11 * (np.ones((dim, dim)) - np.eye(dim))
+    values, vectors = np.linalg.eigh(gram)
+    basis = (vectors * np.sqrt(values)) @ vectors.T
+    assert np.abs(basis.T @ basis - np.eye(dim)).max() <= ALGEBRA_TOL
+    joint = JointState.from_amplitudes(vectors[:, -1][None, :])
+    with pytest.raises(InvariantViolation, match=r"rebased weights must have unit power, got 1\.00000000135"):
+        rebase_joint(joint, basis)
+
+
+def test_rebase_arrays_are_read_only():
+    joint, _, _ = random_record_joint(RNG, 3)
+    for basis in (np.eye(3), random_unitary(RNG, 3)):
+        rebased = rebase_joint(joint, basis)
+        for arr in (rebased.new_apparatus_basis, rebased.coefficients, rebased.relative_states):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.0
+
+
+def test_callers_arrays_stay_writeable_and_unshared():
+    coefficients = np.diag([0.6, 0.8j]).astype(complex)
+    system, apparatus, basis = (random_unitary(RNG, 2) for _ in range(3))
+    joint = JointState(coefficients, system, apparatus)
+    rebased = rebase_joint(joint, basis)
+    held = (joint.coefficient_matrix, joint.system_basis, joint.apparatus_basis, rebased.new_apparatus_basis)
+    for given in (coefficients, system, apparatus, basis):
+        assert given.dtype == complex and given.flags.writeable
+        assert not any(np.shares_memory(given, stored) for stored in held)
+    np.testing.assert_array_equal(rebased.new_apparatus_basis, basis)
 
 
 # --- pointer_basis_select ----------------------------------------------------------

@@ -903,6 +903,77 @@ def test_help_still_prints_usage_and_exits_zero(capsys, args):
     assert captured.out.startswith("usage: qcontexts") and captured.err == ""
 
 
+# --- scenario-boundary refusals ------------------------------------------------------
+
+
+def _edited_example(kind: str, edit):
+    """argv for the kind's example file with edit applied to its parameters, written to tmp_path."""
+
+    def argv(tmp_path):
+        payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES[kind]).read_text())
+        edit(payload["parameters"])
+        return ["run", write_scenario(tmp_path, payload)]
+
+    return argv
+
+
+def _text_file(text: str):
+    def argv(tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        return ["run", str(path)]
+
+    return argv
+
+
+def _first_outcome(parameters) -> dict:
+    return parameters["intermediate"]["observable"]["outcomes"][0]
+
+
+OBSERVABLE = "parameters.intermediate.observable"
+COMMA_LABEL = _edited_example("abl", lambda p: _first_outcome(p).update(label="a,b"))
+BOUNDARY_REFUSALS = {
+    "projector-rows-unequal": (
+        _edited_example("abl", lambda p: _first_outcome(p)["projector"][1].pop()), f"{OBSERVABLE}.outcomes[0].projector"
+    ),
+    "projector-empty": (
+        _edited_example("abl", lambda p: _first_outcome(p).update(projector=[])), f"{OBSERVABLE}.outcomes[0].projector"
+    ),
+    "named-observable-unknown": (
+        _edited_example("abl", lambda p: p["intermediate"].update(observable="W")), OBSERVABLE
+    ),
+    "outcomes-empty": (
+        _edited_example("abl", lambda p: p["intermediate"]["observable"].update(outcomes=[])), f"{OBSERVABLE}.outcomes"
+    ),
+    "performed-not-a-boolean": (
+        _edited_example("abl", lambda p: p["intermediate"].update(performed="yes")), "parameters.intermediate.performed"
+    ),
+    "rebases-not-a-list": (_edited_example("pointer", lambda p: p.update(rebases={})), "parameters.rebases"),
+    "rebase-name-empty": (
+        _edited_example("pointer", lambda p: p["rebases"][0].update(name="")), "parameters.rebases[0].name"
+    ),
+    "top-level-list": (_text_file("[]"), None),
+    "preset-reference-with-another-field": (_text_file('{"preset": "geiger", "x": 1}'), "preset"),
+    "missing-file": (lambda tmp_path: ["run", str(tmp_path / "absent.json")], None),
+    "directory": (lambda tmp_path: ["run", str(tmp_path)], None),
+    "comma-label-in-csv": (COMMA_LABEL, None),
+}
+
+
+@pytest.mark.parametrize("argv, field", BOUNDARY_REFUSALS.values(), ids=BOUNDARY_REFUSALS)
+def test_scenario_boundary_refusal_is_one_parse_error_line(tmp_path, capsysbinary, argv, field):
+    assert main(argv(tmp_path)) == 2
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["error"] == "parse-error"
+    assert diagnostic.get("field") == field and ("field" in diagnostic) == (field is not None)
+
+
+def test_comma_label_refused_in_csv_renders_in_json(tmp_path, capsysbinary):
+    assert main([*COMMA_LABEL(tmp_path), "--format", "json"]) == 0
+    report = parse_report(capsysbinary.readouterr().out)
+    assert report.rows[0][0] == "abl:a,b"
+
+
 # --- fuzzing the parse boundary ----------------------------------------------------
 
 SHIPPED_PAYLOADS = [json.loads((SCENARIO_DIR / name).read_text()) for name in sorted(EXAMPLE_FILES.values())]
@@ -931,35 +1002,73 @@ PAST_CAP = {
 COUNTED_PAYLOADS = [payload for payload in SHIPPED_PAYLOADS if PAST_CAP.keys() & payload["parameters"].keys()]
 
 
+def _is_vector(value) -> bool:
+    """A nonempty list of [re, im] pairs: a state, a coefficient list or a matrix row."""
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) for pair in value
+    )
+
+
+def _is_matrix(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(_is_vector, value))
+
+
+# Below and past the recursion limit: 1000 by default, which hypothesis raises by about 2000 while
+# a test runs. A fixed range, since a limit read at draw time varies with the stack depth.
+NEST_DEPTHS = st.integers(1, 900) | st.integers(10_000, 100_000)
+SIZED_PAYLOADS = [payload for payload in SHIPPED_PAYLOADS if any(_is_vector(value) for _, value in _entries(payload))]
+
+
 @st.composite
 def mutated_scenario_text(draw) -> str:
     """A shipped payload with one field dropped, one value of the wrong type, one number made
-    non-finite or huge (1e300 is not an integer, so no count), or one count set past its cap."""
-    mode = draw(st.sampled_from(("drop", "wrong-type", "number", "count")))
+    non-finite or huge (1e300 is not an integer, so no count), or one count set past its cap; or
+    one structural mutation: a value nested in lists (NEST_DEPTHS), an object swapped for a list
+    of its values or a list for an object keyed "0", "1", ..., a vector of twice its length, or a
+    matrix with its last row repeated."""
+    mode = draw(st.sampled_from(("drop", "wrong-type", "number", "count", "nest", "swap", "oversize")))
     if mode == "count":
         payload = copy.deepcopy(draw(st.sampled_from(COUNTED_PAYLOADS)))
         parameters = payload["parameters"]
         name = draw(st.sampled_from(sorted(PAST_CAP.keys() & parameters.keys())))
         parameters[name] = PAST_CAP[name](parameters)
         return json.dumps(payload)
-    payload = copy.deepcopy(draw(st.sampled_from(SHIPPED_PAYLOADS)))
+    payload = copy.deepcopy(draw(st.sampled_from(SIZED_PAYLOADS if mode == "oversize" else SHIPPED_PAYLOADS)))
+    entries = list(_entries(payload))
     if mode == "drop":
-        paths = [path for path, _ in _entries(payload) if isinstance(path[-1], str)]
-    elif mode == "wrong-type":
-        paths = [path for path, _ in _entries(payload)]
-        token = draw(st.sampled_from(WRONG_TYPE_TOKENS))
+        paths = [path for path, _ in entries if isinstance(path[-1], str)]
+    elif mode == "number":
+        paths = [path for path, value in entries if _is_number(value)]
+    elif mode == "swap":
+        paths = [path for path, value in entries if isinstance(value, (list, dict))]
+    elif mode == "oversize":
+        vectors = [path for path, value in entries if _is_vector(value)]
+        matrices = [path for path, value in entries if _is_matrix(value)]
+        paths = draw(st.sampled_from([paths for paths in (vectors, matrices) if paths]))
     else:
-        paths = [path for path, value in _entries(payload) if _is_number(value)]
-        token = draw(st.sampled_from(NUMBER_TOKENS))
+        paths = [path for path, _ in entries]
     # Depth first, so the few structural fields are drawn as often as the many matrix entries.
     depth = draw(st.sampled_from(sorted({len(path) for path in paths})))
     path = draw(st.sampled_from([path for path in paths if len(path) == depth]))
     parent = payload
     for key in path[:-1]:
         parent = parent[key]
+    value = parent[path[-1]]
     if mode == "drop":
         del parent[path[-1]]
         return json.dumps(payload)
+    if mode == "wrong-type":
+        token = draw(st.sampled_from(WRONG_TYPE_TOKENS))
+    elif mode == "number":
+        token = draw(st.sampled_from(NUMBER_TOKENS))
+    elif mode == "nest":
+        nesting = draw(NEST_DEPTHS)
+        token = "[" * nesting + json.dumps(value) + "]" * nesting
+    elif mode == "swap":
+        swapped = list(value.values()) if isinstance(value, dict) else {str(i): v for i, v in enumerate(value)}
+        token = json.dumps(swapped)
+    else:
+        token = json.dumps(value + (value if _is_vector(value) else value[-1:]))
     parent[path[-1]] = "__TOKEN__"
     return json.dumps(payload).replace('"__TOKEN__"', token)
 
