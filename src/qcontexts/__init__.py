@@ -18,7 +18,6 @@ from .linalg import (
     Eigensystem,
     HermitianOperator,
     SchmidtDecomposition,
-    UnitaryMap,
     hermitian_eigensystem,
     schmidt_decompose,
     unitary_exponential,

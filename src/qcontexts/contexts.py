@@ -20,7 +20,7 @@ reading is carried as context metadata only.
 
 A Context is immutable, so it computes once, on first use, and keeps: the
 eigensystem of its Hamiltonian and the propagators over t - t1, t2 - t and
-t2 - t1, certified unitary by one product of the eigenvectors (a free context
+t2 - t1 (Eigensystem.propagator, certified by the eigensystem; a free context
 decomposes nothing); the images of the ket at t under the intermediate
 projectors, shared by both pictures; the branch table (per intermediate
 outcome, the Born weight and the post-selected branch weight), the source of
@@ -39,7 +39,6 @@ import numpy as np
 from .errors import ImpossibleOutcomeError, InvariantViolation, TimeReversalConventionWarning
 from .kinematics import (
     CERTAINTY_TOL,
-    CERTIFY_MARGIN,
     Outcome,
     OutcomeDistribution,
     ProjectiveDecomposition,
@@ -49,7 +48,6 @@ from .kinematics import (
     prepare_eigenstate,
 )
 from .linalg import (
-    ALGEBRA_TOL,
     NEGLIGIBLE,
     Eigensystem,
     HermitianOperator,
@@ -166,19 +164,10 @@ class Context:
     def _eigensystem(self) -> Eigensystem:
         return hermitian_eigensystem(self.hamiltonian)
 
-    # Whether one product certifies all three propagators unitary (Eigensystem.propagator).
-    @cached_property
-    def _unitary_certified(self) -> bool:
-        vectors = self._eigensystem.eigenvectors
-        e = float(np.linalg.norm(vectors.conj().T @ vectors - np.eye(self.dim)))
-        return e * (2.0 + e) <= ALGEBRA_TOL - CERTIFY_MARGIN
-
     def _propagator(self, duration: float) -> np.ndarray:
         if self.is_free():
             return read_only(np.eye(self.dim, dtype=complex))
-        if self._unitary_certified:
-            return read_only(self._eigensystem.propagator(duration))
-        return self._eigensystem.exponential(duration).matrix  # UnitaryMap's own check
+        return self._eigensystem.propagator(duration)
 
     # Read-only propagators over the fixed intervals t1 -> t, t -> t2 and t1 -> t2.
     @cached_property

@@ -1,9 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and clipped_repr for their messages.
 
 The CLI maps these onto documented process exit codes, so keep the
 hierarchy flat and the categories disjoint: InvariantViolation and
 ScenarioError share only the constructor that records an input field path.
 """
+
+
+def clipped_repr(value) -> str:
+    """repr(value), or past 200 characters its head, type and length: an echoed input stays one short line."""
+    text = repr(value)
+    if len(text) <= 200:
+        return text
+    return f"{text[:200]}... ({type(value).__name__}, repr of {len(text)} characters)"
 
 
 class _FieldError(ValueError):

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, InvariantViolation, ToleranceError
+from .errors import ImpossibleOutcomeError, InvariantViolation, ToleranceError, clipped_repr
 from .linalg import (
     ALGEBRA_TOL,
+    CERTIFY_MARGIN,
     NEGLIGIBLE,
     HermitianOperator,
     as_complex_array,
@@ -43,10 +44,6 @@ CERTAINTY_TOL = 1e-9
 # k rank-1 outcomes at d = k build equally fast either way at k = 9 or 10
 # (36 / 45 pairs), and 6x / 15x faster certified at k = 32 / 64.
 CERTIFY_PAIRS = 36
-
-# Slack under ALGEBRA_TOL for a certified pair: far above the ~1e-14 round-off
-# of the bound or of the product it stands in for.
-CERTIFY_MARGIN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +77,6 @@ class StateVector:
         amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
         return cls(amps)
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if self.dim != other.dim:
-            raise InvariantViolation(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +179,7 @@ class ProjectiveDecomposition:
             raise InvariantViolation("decomposition needs at least one outcome")
         labels = tuple(o.label for o in outcomes)
         if len(set(labels)) != len(labels):
-            raise InvariantViolation(f"outcome labels must be unique, got {list(labels)}")
+            raise InvariantViolation(f"outcome labels must be unique, got {clipped_repr(list(labels))}")
         dim = outcomes[0].projector.shape[0]
         certify = len(outcomes) * (len(outcomes) - 1) // 2 > CERTIFY_PAIRS
         bases = [None] * len(outcomes)
@@ -218,7 +209,8 @@ class ProjectiveDecomposition:
         for o in self.outcomes:
             if o.label == label:
                 return o
-        raise InvariantViolation(f"unknown outcome label {label!r}; known labels: {list(self.labels)}")
+        known = clipped_repr(list(self.labels))
+        raise InvariantViolation(f"unknown outcome label {clipped_repr(label)}; known labels: {known}")
 
     def projector(self, label: str) -> np.ndarray:
         return self.outcome(label).projector
@@ -362,5 +354,4 @@ def evolve(state: StateVector, hamiltonian: HermitianOperator, duration: float) 
     """Apply exp(-i H t) to the state (hbar = 1)."""
     if state.dim != hamiltonian.dim:
         raise InvariantViolation(f"dimension mismatch: state {state.dim} vs Hamiltonian {hamiltonian.dim}")
-    propagator = unitary_exponential(hamiltonian, duration)
-    return StateVector.normalized(fix_global_phase(propagator.matrix @ state.amplitudes))
+    return StateVector.normalized(fix_global_phase(unitary_exponential(hamiltonian, duration) @ state.amplitudes))

@@ -1,6 +1,6 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Input checks, Hermitian eigensystems, unitary exponentials, projector
+Input checks, Hermitian eigensystems and their propagators, projector
 images and singular-value (biorthogonal) decomposition, all on plain numpy
 arrays. Scope is desk scale — dimensions up to a few dozen — so every
 routine favors exactness and reproducibility over asymptotic speed:
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,10 @@ from .errors import InvariantViolation
 # at the dimensions in scope.
 CONSTRUCTION_TOL = 1e-12
 ALGEBRA_TOL = 1e-10
+
+# Slack under ALGEBRA_TOL for a certified bound (a propagator's, a projector's, a pair's or a sum's):
+# far above the ~1e-14 round-off of the bound or of the product it stands in for.
+CERTIFY_MARGIN = 1e-12
 
 # Two decomposition coefficients closer than this make the biorthogonal
 # decomposition non-unique.
@@ -101,6 +106,13 @@ def check_projector(p: np.ndarray, name: str) -> None:
         )
 
 
+def check_unitary(u: np.ndarray) -> None:
+    """Reject a square matrix whose max|U U^H - I| is past ALGEBRA_TOL (or not a number)."""
+    defect = max_abs(u @ u.conj().T - np.eye(u.shape[0]))
+    if not defect <= ALGEBRA_TOL:
+        raise InvariantViolation(f"matrix is not unitary: max defect of U U^dag from identity is {defect:.3e}")
+
+
 def read_only(arr: np.ndarray) -> np.ndarray:
     """Clear the write flag, in place, of an array no one else holds; returns it."""
     arr.setflags(write=False)
@@ -166,29 +178,9 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryMap:
-    """A matrix verified unitary at construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_array(self.matrix, 2, "unitary map", square=True)
-        defect = max_abs(m @ m.conj().T - np.eye(m.shape[0]))
-        if defect > ALGEBRA_TOL:
-            raise InvariantViolation(
-                f"matrix is not unitary: max defect of U U^dag from identity is {defect:.3e}"
-            )
-        object.__setattr__(self, "matrix", frozen_copy(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class Eigensystem:
     """Ascending real eigenvalues paired with orthonormal eigenvector columns, read-only; made by
-    hermitian_eigensystem."""
+    hermitian_eigensystem. propagator forms exp(-i H t), unchecked when certified (decided once)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -197,18 +189,25 @@ class Eigensystem:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def exponential(self, duration: float) -> UnitaryMap:
-        """exp(-i H t) for the operator H this eigensystem decomposes (hbar = 1)."""
-        return UnitaryMap(self.propagator(duration))
+    @cached_property
+    def certified(self) -> bool:
+        """Whether every propagator passes check_unitary by CERTIFY_MARGIN: max|U U^H - I| <= e (2 + e)
+        for e = ||V^H V - I||_F, as U U^H - I = (V V^H - I) + V D (V^H V - I) D^H V^H, V V^H has the
+        spectrum of V^H V and ||V||_2^2 <= 1 + e."""
+        e = float(np.linalg.norm(self.eigenvectors.conj().T @ self.eigenvectors - np.eye(self.dim)))
+        return e * (2.0 + e) <= ALGEBRA_TOL - CERTIFY_MARGIN
 
     def propagator(self, duration: float) -> np.ndarray:
-        """exponential(duration).matrix, not checked: max|U U^H - I| <= e (2 + e) for e =
-        ||V^H V - I||_F, as U U^H - I = (V V^H - I) + V D (V^H V - I) D^H V^H, V V^H has
-        the spectrum of V^H V and ||V||_2^2 <= 1 + e."""
-        if not np.isfinite(duration):
-            raise InvariantViolation("duration must be finite")
+        """exp(-i H t) (hbar = 1), read-only, checked by check_unitary unless certified. The largest phase
+        lambda t is tested, one scalar before np.exp, so one that is not finite is refused, not warned about."""
+        largest = max_abs(self.eigenvalues)
+        if not math.isfinite(largest * float(duration)):
+            raise InvariantViolation(f"phase lambda t is not finite: max|lambda| {largest:.3e}, duration {duration!r}")
         phases = np.exp(-1j * self.eigenvalues * duration)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        u = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        if not self.certified:
+            check_unitary(u)
+        return read_only(u)
 
 
 def orthonormal_extend(basis: list[np.ndarray], candidates: np.ndarray, size: int) -> list[np.ndarray]:
@@ -254,9 +253,9 @@ def hermitian_eigensystem(operator: HermitianOperator) -> Eigensystem:
     return Eigensystem(read_only(values), read_only(out))
 
 
-def unitary_exponential(operator: HermitianOperator, duration: float) -> UnitaryMap:
-    """exp(-i H t) with hbar = 1, computed through the eigendecomposition."""
-    return hermitian_eigensystem(operator).exponential(duration)
+def unitary_exponential(operator: HermitianOperator, duration: float) -> np.ndarray:
+    """exp(-i H t) with hbar = 1, read-only, through the eigendecomposition (Eigensystem.propagator)."""
+    return hermitian_eigensystem(operator).propagator(duration)
 
 
 def projector_weights(state: np.ndarray, images: np.ndarray) -> np.ndarray:

@@ -408,23 +408,18 @@ def first_clicks(count: int, p: float, seed: int, runs: int) -> Iterator[np.ndar
         start += size
 
 
-def detector_first_click(rate: float, tick: float, horizon: float, seed: int) -> tuple[int, int | None]:
-    """(ticks before the horizon, first click index or None), after the detector_law checks."""
-    count, p = detector_law(rate, tick, horizon)
-    return count, (_first_click(count, p, seed) or None)
-
-
 def detector_click_simulation(rate: float, tick: float, horizon: float, seed: int) -> FactSequence:
     """Memoryless click process on a tick clock.
 
     Earlier tick boundaries are recorded as nonclick facts and the sequence
     stops at the click or at the horizon. The first-click index comes from
-    detector_first_click in one geometric shot, which leaves the per-tick law
-    untouched and keeps long horizons cheap. Deterministic given seed.
-    More than MAX_RECORDED_TICKS facts is an InvariantViolation, raised
-    before any is built.
+    one geometric shot (_first_click, after the detector_law checks), which
+    leaves the per-tick law untouched and keeps long horizons cheap.
+    Deterministic given seed. More than MAX_RECORDED_TICKS facts is an
+    InvariantViolation, raised before any is built.
     """
-    count, click_index = detector_first_click(rate, tick, horizon, seed)
+    count, p = detector_law(rate, tick, horizon)
+    click_index = _first_click(count, p, seed) or None
     recorded = count if click_index is None else click_index
     if recorded > MAX_RECORDED_TICKS:
         raise InvariantViolation(f"{recorded} tick facts to record, past {MAX_RECORDED_TICKS}")

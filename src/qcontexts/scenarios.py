@@ -37,7 +37,7 @@ from .contexts import (
     sample_chain,
     total_probability_gap,
 )
-from .errors import ImpossibleOutcomeError, InvariantViolation, ScenarioError
+from .errors import ImpossibleOutcomeError, InvariantViolation, ScenarioError, clipped_repr
 from .kinematics import (
     Outcome,
     ProjectiveDecomposition,
@@ -92,7 +92,7 @@ class Scenario:
         if not isinstance(self.name, str) or not self.name:
             raise ScenarioError("scenario name must be a nonempty string", field="name")
         if not isinstance(self.kind, str) or self.kind not in KINDS:
-            raise ScenarioError(f"unknown kind {self.kind!r}; expected one of {list(KINDS)}", field="kind")
+            raise ScenarioError(f"unknown kind {clipped_repr(self.kind)}; expected one of {list(KINDS)}", field="kind")
         if not isinstance(self.parameters, dict):
             raise ScenarioError("parameters must be an object", field="parameters")
         object.__setattr__(self, "spec", KINDS[self.kind][0](self.parameters))
@@ -168,16 +168,16 @@ def _is_finite_number(value) -> bool:
 
 def _real_from_json(value, field: str) -> float:
     if not _is_finite_number(value):
-        raise ScenarioError(f"expected a finite real number, got {value!r}", field=field)
+        raise ScenarioError(f"expected a finite real number, got {clipped_repr(value)}", field=field)
     return float(value)
 
 
 def _integer(value, field: str, minimum: int) -> int:
     """A JSON integer, or a seed/count override, of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ScenarioError(f"expected an integer, got {value!r}", field=field)
+        raise ScenarioError(f"expected an integer, got {clipped_repr(value)}", field=field)
     if value < minimum:
-        raise ScenarioError(f"must be at least {minimum}, got {value}", field=field)
+        raise ScenarioError(f"must be at least {minimum}, got {clipped_repr(int(value))}", field=field)
     return int(value)
 
 
@@ -185,7 +185,7 @@ def _count(value, field: str, name: str, cap: int) -> int:
     """A count of chain samples or detector runs, from the file or an override: in [1, cap]."""
     count = _integer(value, field, 1)
     if count > cap:
-        raise InvariantViolation(f"{name} must lie in [1, {cap}], got {count}", field=field)
+        raise InvariantViolation(f"{name} must lie in [1, {cap}], got {clipped_repr(count)}", field=field)
     return count
 
 
@@ -193,7 +193,7 @@ def _complex_from_pair(value, field: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         if _is_finite_number(value[0]) and _is_finite_number(value[1]):
             return complex(value[0], value[1])
-    raise ScenarioError(f"complex numbers are finite [re, im] pairs, got {value!r}", field=field)
+    raise ScenarioError(f"complex numbers are finite [re, im] pairs, got {clipped_repr(value)}", field=field)
 
 
 def _vector_from_json(value, field: str) -> np.ndarray:
@@ -237,7 +237,7 @@ def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
     if isinstance(value, str):
         if value not in NAMED_OBSERVABLES:
             raise ScenarioError(
-                f"unknown named observable {value!r}; presets are {sorted(NAMED_OBSERVABLES)}",
+                f"unknown named observable {clipped_repr(value)}; presets are {sorted(NAMED_OBSERVABLES)}",
                 field=field,
             )
         return NAMED_OBSERVABLES[value]()
@@ -329,7 +329,7 @@ def load_scenario(path) -> Scenario:
     if "preset" in payload:
         extra = sorted(set(payload) - {"preset"})
         if extra:
-            raise ScenarioError(f"a preset reference allows no other fields, got {extra}", field="preset")
+            raise ScenarioError(f"a preset reference allows no other fields, got {clipped_repr(extra)}", field="preset")
         return load_preset(payload["preset"])
     name = _require(payload, "name", "scenario")
     kind = _require(payload, "kind", "scenario")
@@ -349,7 +349,7 @@ def preset_names() -> tuple[str, ...]:
 def load_preset(name: str) -> Scenario:
     """Load a shipped preset; a name not listed by preset_names() opens no file."""
     if not isinstance(name, str) or name not in preset_names():
-        raise ScenarioError(f"unknown preset {name!r}; available: {list(preset_names())}", field="preset")
+        raise ScenarioError(f"unknown preset {clipped_repr(name)}; available: {list(preset_names())}", field="preset")
     return load_scenario(os.path.join(PRESET_DIR, f"{name}.json"))
 
 
@@ -538,7 +538,7 @@ def emit_report(report: Report, fmt: str = "csv") -> bytes:
         lines = ["label," + ",".join(report.columns)]
         for (label, _), texts in zip(report.rows, report.texts):
             if "," in label or "\n" in label:
-                raise ScenarioError(f"label {label!r} cannot be rendered in CSV")
+                raise ScenarioError(f"label {clipped_repr(label)} cannot be rendered in CSV")
             lines.append(label + "," + ",".join(texts))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":

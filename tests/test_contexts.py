@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcontexts import contexts
+from qcontexts import contexts, linalg
 from qcontexts import (
     Context,
     Eigensystem,
@@ -848,19 +848,19 @@ def test_labels_are_built_once_per_decomposition():
 
 
 def _skewed_eigensystems(monkeypatch, scale: float) -> list:
-    """Make contexts decompose into eigenvectors scaled by 1 + scale; record each exponential call."""
+    """Make contexts decompose into eigenvectors scaled by 1 + scale; record each exact unitarity check."""
     calls = []
-    real = contexts.hermitian_eigensystem
+    real_eigensystem, real_check = contexts.hermitian_eigensystem, linalg.check_unitary
 
-    class Counting(Eigensystem):
-        def exponential(self, duration):
-            calls.append(duration)
-            return super().exponential(duration)
+    def counting(u):
+        calls.append(u.shape)
+        real_check(u)
 
     def skewed(operator):
-        system = real(operator)
-        return Counting(system.eigenvalues, system.eigenvectors * (1.0 + scale))
+        system = real_eigensystem(operator)
+        return Eigensystem(system.eigenvalues, system.eigenvectors * (1.0 + scale))
 
+    monkeypatch.setattr(linalg, "check_unitary", counting)
     monkeypatch.setattr(contexts, "hermitian_eigensystem", skewed)
     return calls
 
@@ -869,20 +869,21 @@ def test_orthonormal_eigenvectors_certify_every_propagator(monkeypatch):
     calls = _skewed_eigensystems(monkeypatch, 0.0)
     ctx = random_context(np.random.default_rng(17), 5)
     picture_consistency_check(ctx)
-    assert ctx._unitary_certified
+    assert ctx._eigensystem.certified
     assert calls == []
     for cached in (ctx._forward, ctx._onward, ctx._through):
+        assert not cached.flags.writeable
         assert np.abs(cached @ cached.conj().T - np.eye(5)).max() <= 1e-13
 
 
 def test_propagators_past_the_bound_take_the_unitary_check_and_may_pass(monkeypatch):
     # e = ||V^H V - I||_F is about 2 sqrt(3) 2e-11, so e (2 + e) misses the bound, while
-    # max|U U^H - I| is about 8e-11, inside ALGEBRA_TOL: each propagator is checked and passes.
+    # max|U U^H - I| is about 8e-11, inside ALGEBRA_TOL: each propagator is checked once and passes.
     calls = _skewed_eigensystems(monkeypatch, 2e-11)
     ctx = random_context(np.random.default_rng(18), 3)
     picture_consistency_check(ctx)
-    assert not ctx._unitary_certified
-    assert len(calls) == 3
+    assert not ctx._eigensystem.certified
+    assert calls == [(3, 3)] * 3
     monkeypatch.undo()
     plain = random_context(np.random.default_rng(18), 3)
     for label, p in abl_distribution(plain).entries:
@@ -894,7 +895,7 @@ def test_propagators_past_the_bound_raise_the_unitary_message(monkeypatch):
     ctx = random_context(np.random.default_rng(19), 4)
     inter = ctx.intermediate.time - ctx.preparation.time
     with pytest.raises(InvariantViolation) as expected:
-        contexts.hermitian_eigensystem(ctx.hamiltonian).exponential(inter)
+        contexts.hermitian_eigensystem(ctx.hamiltonian).propagator(inter)
     assert str(expected.value).startswith("matrix is not unitary: max defect of U U^dag from identity is")
     with pytest.raises(InvariantViolation) as raised:
         abl_distribution(ctx)

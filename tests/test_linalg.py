@@ -14,7 +14,6 @@ from qcontexts import (
     Outcome,
     ProjectiveDecomposition,
     StateVector,
-    UnitaryMap,
     hermitian_eigensystem,
     linalg,
     premeasurement_joint,
@@ -107,19 +106,19 @@ def test_degenerate_output_deterministic():
 
 def test_exponential_of_zero_is_identity():
     u = unitary_exponential(HermitianOperator.zero(3), 1.7)
-    np.testing.assert_allclose(u.matrix, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
 
 def test_exponential_half_period():
     # exp(-i * diag(1,-1) * pi) = diag(e^{-i pi}, e^{i pi}) = -identity.
     u = unitary_exponential(HermitianOperator(np.diag([1.0, -1.0])), np.pi)
-    np.testing.assert_allclose(u.matrix, -np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
 
 
 def test_exponential_is_unitary():
     for _ in range(10):
         h = HermitianOperator(random_hermitian_matrix(RNG, 4))
-        u = unitary_exponential(h, 0.7).matrix
+        u = unitary_exponential(h, 0.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
 
 
@@ -127,8 +126,8 @@ def test_exponential_composes():
     for _ in range(10):
         h = HermitianOperator(random_hermitian_matrix(RNG, 3))
         t1, t2 = RNG.uniform(-2, 2, size=2)
-        whole = unitary_exponential(h, t1 + t2).matrix
-        split = unitary_exponential(h, t1).matrix @ unitary_exponential(h, t2).matrix
+        whole = unitary_exponential(h, t1 + t2)
+        split = unitary_exponential(h, t1) @ unitary_exponential(h, t2)
         assert np.max(np.abs(whole - split)) < 1e-9
 
 
@@ -192,10 +191,11 @@ def assert_read_only(*arrays):
 
 
 def test_eigensystem_arrays_are_read_only():
-    # Generic, with a degenerate cluster re-based, and all one cluster.
+    # Generic, with a degenerate cluster re-based, and all one cluster; the propagators too.
     for matrix in (random_hermitian_matrix(RNG, 4), np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3))):
         system = hermitian_eigensystem(HermitianOperator(matrix))
-        assert_read_only(system.eigenvalues, system.eigenvectors)
+        assert_read_only(system.eigenvalues, system.eigenvectors, system.propagator(0.3))
+        assert_read_only(unitary_exponential(HermitianOperator(matrix), 0.3))
 
 
 def test_schmidt_arrays_are_read_only():
@@ -228,9 +228,6 @@ def _decomposition(projector) -> ProjectiveDecomposition:
         (lambda: HermitianOperator([[NAN, 0.0], [0.0, 1.0]]), "Hermitian operator"),
         (lambda: HermitianOperator([1.0, 0.0]), "Hermitian operator"),
         (lambda: HermitianOperator(np.zeros((2, 3))), "Hermitian operator"),
-        (lambda: UnitaryMap([[NAN, 0.0], [0.0, 1.0]]), "unitary map"),
-        (lambda: UnitaryMap([1.0, 0.0]), "unitary map"),
-        (lambda: UnitaryMap(np.zeros((2, 3))), "unitary map"),
         (lambda: Outcome("a", 0.0, [[NAN, 0.0], [0.0, 0.0]]), "projector for 'a'"),
         (lambda: Outcome("a", 0.0, [1.0, 0.0]), "projector for 'a'"),
         (lambda: Outcome("a", 0.0, np.zeros((2, 3))), "projector for 'a'"),
@@ -248,7 +245,6 @@ def _decomposition(projector) -> ProjectiveDecomposition:
         for target, defects in [
             ("StateVector", ["non-finite", "ndim", "norm"]),
             ("HermitianOperator", ["non-finite", "ndim", "square"]),
-            ("UnitaryMap", ["non-finite", "ndim", "square"]),
             ("Outcome", ["non-finite", "ndim", "square"]),
             ("ProjectiveDecomposition", ["not-idempotent", "not-hermitian"]),
             ("schmidt_decompose", ["non-finite", "ndim", "norm"]),

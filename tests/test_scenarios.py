@@ -35,8 +35,9 @@ from qcontexts import (
 )
 from qcontexts.cli import main
 from qcontexts.contexts import DENOMINATOR_FLOOR, MAX_CHAIN_SAMPLES, MAX_PHASE
+from qcontexts.errors import clipped_repr
 from qcontexts.linalg import ALGEBRA_TOL, COEFFICIENT_DEGENERACY_TOL, CONSTRUCTION_TOL
-from qcontexts.pointer import _SEED_BLOCK, detector_first_click, detector_law, spreading_sigma
+from qcontexts.pointer import _SEED_BLOCK, detector_law, spreading_sigma
 from qcontexts.scenarios import MAX_DETECTOR_RUNS, MAX_FILE_BYTES
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -826,8 +827,9 @@ def test_detector_counts_a_long_record_without_building_it():
     start = time.perf_counter()
     report = run_scenario(Scenario(name="long", kind="detector", parameters=parameters))
     assert time.perf_counter() - start < 1.0
-    count, click_index = detector_first_click(0.0, 1e-12, 1.0, 0)
-    assert click_index is None and abs(count - 10**12) <= 1
+    count, p = detector_law(0.0, 1e-12, 1.0)
+    assert p == 0.0 and abs(count - 10**12) <= 1
+    assert report.value("clicked") == 0.0
     assert report.value("nonclick_facts") == float(count)
 
 
@@ -1124,6 +1126,41 @@ def test_cli_json_nested_too_deeply_is_one_parse_error_line(tmp_path, capsysbina
     diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
     assert diagnostic["error"] == "parse-error" and "nested too deeply" in diagnostic["message"]
     assert "field" not in diagnostic
+
+
+def _main_on_a_fresh_stack(argv) -> int:
+    """main(argv) in a new thread, whose stack starts about as shallow as the console script's, so
+    JSON nested as deep as that script parses parses here too."""
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(codes) == 1
+    return codes[0]
+
+
+@pytest.mark.parametrize(
+    "token", [json.dumps([[0.0, 0.0]] * 200_000), "[" * 986 + "]" * 986], ids=["200000-pairs", "986-deep"]
+)
+def test_cli_parse_error_clips_the_value_it_echoes(tmp_path, capsysbinary, token):
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["abl"]).read_text())
+    payload["parameters"]["preparation"]["time"] = "__TOKEN__"
+    path = tmp_path / "huge_time.json"
+    path.write_text(json.dumps(payload).replace('"__TOKEN__"', token))
+    assert _main_on_a_fresh_stack(["run", str(path)]) == 2
+    captured = capsysbinary.readouterr()
+    assert len(captured.err) <= 1024
+    diagnostic = _single_error_line(captured, 2)
+    assert diagnostic["field"] == "parameters.preparation.time"
+    assert diagnostic["message"].startswith("parameters.preparation.time: expected a finite real number, got [[")
+    assert diagnostic["message"].endswith(f"... (list, repr of {len(token)} characters)")  # the token is its repr
+
+
+def test_clipped_repr_keeps_a_short_repr_and_clips_a_long_one():
+    for value in ("box1", [[1.0, 0.0]], {"a": 1}, -(10**150), "x" * 198):
+        assert clipped_repr(value) == repr(value)
+    assert clipped_repr("x" * 199) == "'" + "x" * 199 + "... (str, repr of 201 characters)"
+    assert clipped_repr(-(10**300)) == "-1" + "0" * 198 + "... (int, repr of 302 characters)"
 
 
 def test_cli_reads_a_fifo_only_to_the_file_cap(tmp_path, capsysbinary):
