@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, InvariantViolation, TimeReversalConventionWarning
+from .errors import ImpossibleOutcomeError, InvariantViolation, TimeReversalConventionWarning, clipped_repr
 from .kinematics import (
     CERTAINTY_TOL,
     Outcome,
@@ -201,7 +201,7 @@ class Context:
         total = sequential_success_probability(self)
         if total <= DENOMINATOR_FLOOR:  # raised, so not cached: every call raises again
             raise ImpossibleOutcomeError(
-                f"post-selection {self.postselection.label!r} is unreachable from every "
+                f"post-selection {clipped_repr(self.postselection.label)} is unreachable from every "
                 f"intermediate branch (total weight {total:.3e})"
             )
         weights = (self._branches[1] / total).tolist()  # bit for bit each numpy-scalar w / total

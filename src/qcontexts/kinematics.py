@@ -11,7 +11,6 @@ real-positive) so equality testing is reproducible.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,10 +19,10 @@ from .errors import ImpossibleOutcomeError, InvariantViolation, ToleranceError, 
 from .linalg import (
     ALGEBRA_TOL,
     CERTIFY_MARGIN,
+    ENTRY_BOUND,
     NEGLIGIBLE,
     HermitianOperator,
     as_complex_array,
-    check_entry_bound,
     check_projector,
     check_unit_norm,
     fix_global_phase,
@@ -91,8 +90,8 @@ class Outcome:
         if not isinstance(self.label, str) or not self.label:
             raise InvariantViolation("outcome label must be a nonempty string")
         if not np.isfinite(self.value):
-            raise InvariantViolation(f"outcome value for {self.label!r} must be finite")
-        proj = as_complex_array(self.projector, 2, f"projector for {self.label!r}", square=True)
+            raise InvariantViolation(f"outcome value for {clipped_repr(self.label)} must be finite")
+        proj = as_complex_array(self.projector, 2, _projector_name(self.label), square=True)
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "projector", frozen_copy(proj))
 
@@ -101,50 +100,58 @@ class Outcome:
         return int(round(float(self.projector.diagonal().real.sum())))  # the trace
 
 
-def _range_basis(p: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
-    """Orthonormal columns V for the range of projector p, and ||p - V V^H||_F.
-
-    V is the QR factor of p's `rank` columns with the largest diagonal
-    entries. Any orthonormal V keeps the certificate sound; a poor one only
-    leaves more to check exactly.
-    """
-    diagonal = p.diagonal().real
-    if rank == 1:  # one column normalized is its QR factor, and V V^H broadcasts: no LAPACK or BLAS call
-        v = p[:, diagonal.argmax(), None]
-        v = v / math.sqrt(np.vdot(v, v).real)
-        outer = v * v.conj().T
-    else:
-        v = np.linalg.qr(p[:, np.argsort(diagonal)[p.shape[0] - rank :]])[0]
-        outer = v @ v.conj().T
-    residual = np.subtract(p, outer, out=outer)
-    return v, math.sqrt(np.vdot(residual, residual).real)  # vdot flattens: the Frobenius norm
+def _projector_name(label: str) -> str:
+    return f"projector for {clipped_repr(label)}"
 
 
-def _checked_basis(outcome: Outcome) -> tuple[np.ndarray, float] | None:
-    """The projector's _range_basis (V, e), or None if its trace rounds outside [1, dim];
-    check_projector runs unless 3e + e^2 <= ALGEBRA_TOL - CERTIFY_MARGIN."""
-    p, name = outcome.projector, f"projector for {outcome.label!r}"
-    check_entry_bound(p, name, "projector")  # before the trace or any product, which could overflow
-    rank = outcome.rank
-    basis = _range_basis(p, rank) if 1 <= rank <= p.shape[0] else None
-    if basis is None or 3 * basis[1] + basis[1] ** 2 > ALGEBRA_TOL - CERTIFY_MARGIN:
-        check_projector(p, name)
-    return basis
+def _range_bases(projectors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(W, ranks, e): orthonormal range bases V_i of the P_i as the columns of W = [V_1 ... V_k],
+    and e_i = ||P_i - V_i V_i^H||_F; None, certifying nothing, if a diagonal entry is past
+    ENTRY_BOUND (the trace could overflow) or a trace rounds outside [1, dim]. One pass reads the
+    diagonals: traces give ranks, argmaxes pivots. Rank-1 V_i are the pivot columns, normalized
+    together as rows; a rank r > 1 takes the QR factor of its r largest-diagonal columns (any
+    orthonormal V_i is sound; a poor one leaves more to check exactly). einsum and vdot sum huge
+    finite squares to inf without a warning, so such an outcome gets e_i = inf: its exact check."""
+    diagonals = np.array([p.diagonal() for p in projectors]).real
+    if np.abs(diagonals).max() > ENTRY_BOUND:
+        return None
+    dim = diagonals.shape[1]
+    ranks = np.rint(diagonals.sum(axis=1)).astype(int)
+    if ranks.min() < 1 or ranks.max() > dim:
+        return None
+    squares = np.empty(len(projectors))
+    ones = np.flatnonzero(ranks == 1).tolist()
+    pivots = diagonals[ones].argmax(axis=1).tolist()
+    columns = np.array([projectors[n][:, j] for n, j in zip(ones, pivots)], dtype=complex).reshape(len(ones), dim)
+    rows = columns / np.sqrt(np.einsum("ij,ij->i", columns.conj(), columns).real)[:, None]
+    residual = np.empty((dim, dim), dtype=complex)  # one buffer for every rank-1 outcome
+    for n, v, w in zip(ones, rows[:, :, None], rows.conj()):
+        np.subtract(projectors[n], np.multiply(v, w, out=residual), out=residual)  # v v^H by broadcasting
+        squares[n] = np.vdot(residual, residual).real  # vdot flattens: the squared Frobenius norm
+    if len(ones) == len(projectors):
+        return rows.T, ranks, np.sqrt(squares)
+    bases = dict(zip(ones, rows[:, :, None]))
+    for n in np.flatnonzero(ranks > 1).tolist():
+        p = projectors[n]
+        bases[n] = v = np.linalg.qr(p[:, np.argsort(diagonals[n])[dim - ranks[n] :]])[0]
+        residual = p - v @ v.conj().T
+        squares[n] = np.vdot(residual, residual).real
+    return np.hstack([bases[n] for n in range(len(projectors))]), ranks, np.sqrt(squares)
 
 
-def _uncertified(bases: list[tuple[np.ndarray, float] | None]):
-    """The pairs (i, j), i < j in order, whose product P_i P_j must be formed, and whether the
-    sum of all P_i must be: every pair and the sum when an outcome has no range basis (none
-    has at or below CERTIFY_PAIRS); else those ProjectiveDecomposition's bounds do not clear."""
-    if None in bases:
-        return itertools.combinations(range(len(bases)), 2), True
-    vs, errors = zip(*bases)
-    w = np.hstack(vs)
-    starts = np.cumsum([0, *(v.shape[1] for v in vs[:-1])])
+def _uncertified(count: int, certificate: tuple[np.ndarray, np.ndarray, np.ndarray] | None):
+    """The pairs (i, j), i < j in order, of the `count` outcomes whose product P_i P_j must be
+    formed, and whether the sum of all P_i must be: every pair and the sum without a certificate
+    (_range_bases; none is sought at or below CERTIFY_PAIRS), else those whose bound misses."""
+    if certificate is None:
+        return itertools.combinations(range(count), 2), True
+    w, ranks, e = certificate
     gram = w.conj().T @ w
-    squares = np.abs(gram) ** 2
-    block_norms = np.sqrt(np.add.reduceat(np.add.reduceat(squares, starts, axis=0), starts, axis=1))
-    e = np.array(errors)
+    if len(gram) == count:  # every block is one column: its Frobenius norm is one |entry|
+        block_norms = np.abs(gram)
+    else:
+        starts = np.cumsum([0, *ranks[:-1]])
+        block_norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(gram) ** 2, starts, axis=0), starts, axis=1))
     bound = block_norms + e[:, None] + e[None, :] + np.outer(e, e)
     rows, cols = np.nonzero(np.triu(bound > ALGEBRA_TOL - CERTIFY_MARGIN, 1))
     square = w.shape[0] == w.shape[1]  # the ranks sum to dim
@@ -157,17 +164,18 @@ class ProjectiveDecomposition:
     """Labeled orthogonal projectors resolving the identity.
 
     Each P_i is a Hermitian idempotent and outcomes i < j are orthogonal,
-    max|P_i P_j| <= ALGEBRA_TOL. Past CERTIFY_PAIRS, one pass takes an
-    orthonormal range basis V_i of each P_i and e_i = ||R_i||_F with
-    R_i = P_i - V_i V_i^H (_checked_basis). Then max|P_i - P_i^H| <= 2 e_i,
-    max|P_i^2 - P_i| <= 3 e_i + e_i^2 and max|P_i P_j| <= ||V_i^H V_j||_F +
-    e_i + e_j + e_i e_j, every V_i^H V_j from one W^H W, W = [V_1 ... V_k].
+    max|P_i P_j| <= ALGEBRA_TOL. Past CERTIFY_PAIRS, one batched pass
+    (_range_bases) takes an orthonormal range basis V_i of each P_i and
+    e_i = ||R_i||_F with R_i = P_i - V_i V_i^H. Then max|P_i - P_i^H| <= 2 e_i,
+    max|P_i^2 - P_i| <= 3 e_i + e_i^2 (no entry is past 1 + e_i: a certified
+    P_i needs no entry-bound scan) and max|P_i P_j| <= ||V_i^H V_j||_F + e_i +
+    e_j + e_i e_j, every V_i^H V_j from one W^H W, W = [V_1 ... V_k].
     When the ranks sum to dim, W is square and sum_i P_i - I = (W W^H - I) +
     sum_i R_i, so max|sum_i P_i - I| <= ||W^H W - I||_F + sum_i e_i (W W^H - I
     has the spectrum of W^H W - I). A projector, pair or sum whose bound is at
     most ALGEBRA_TOL - CERTIFY_MARGIN would pass the exact test; every other is
-    checked exactly, pairs in i < j order, then the sum: the accepted inputs,
-    first failing check and message are those of the exact checks.
+    checked exactly, projectors and pairs in order, then the sum: the accepted
+    inputs, first failing check and message are those of the exact checks.
     """
 
     outcomes: tuple[Outcome, ...]
@@ -180,22 +188,24 @@ class ProjectiveDecomposition:
         labels = tuple(o.label for o in outcomes)
         if len(set(labels)) != len(labels):
             raise InvariantViolation(f"outcome labels must be unique, got {clipped_repr(list(labels))}")
-        dim = outcomes[0].projector.shape[0]
-        certify = len(outcomes) * (len(outcomes) - 1) // 2 > CERTIFY_PAIRS
-        bases = [None] * len(outcomes)
-        for n, outcome in enumerate(outcomes):
-            p = outcome.projector
-            if p.shape != (dim, dim):
-                raise InvariantViolation(f"projector for {outcome.label!r} has mismatched dimension")
-            if certify:
-                bases[n] = _checked_basis(outcome)
-            else:
-                check_projector(p, f"projector for {outcome.label!r}")
-        pairs, sum_needed = _uncertified(bases)
+        k, dim = len(outcomes), outcomes[0].projector.shape[0]
+        matched = next((n for n, o in enumerate(outcomes) if o.projector.shape != (dim, dim)), k)
+        certify = matched == k and k * (k - 1) // 2 > CERTIFY_PAIRS
+        certificate = _range_bases([o.projector for o in outcomes]) if certify else None
+        exact = range(matched)
+        if certificate is not None:  # a NaN bound is no certificate
+            e = certificate[2]
+            exact = np.flatnonzero(~(3 * e + e * e <= ALGEBRA_TOL - CERTIFY_MARGIN)).tolist()
+        for n in exact:  # in order, so the first failure is the exact checks' first
+            check_projector(outcomes[n].projector, _projector_name(outcomes[n].label))
+        if matched < k:
+            raise InvariantViolation(f"{_projector_name(outcomes[matched].label)} has mismatched dimension")
+        pairs, sum_needed = _uncertified(k, certificate)
         for i, j in pairs:
             a, b = outcomes[i], outcomes[j]
             if max_abs(a.projector @ b.projector) > ALGEBRA_TOL:
-                raise InvariantViolation(f"projectors for {a.label!r} and {b.label!r} are not orthogonal")
+                names = f"{clipped_repr(a.label)} and {clipped_repr(b.label)}"
+                raise InvariantViolation(f"projectors for {names} are not orthogonal")
         if sum_needed and max_abs(sum(o.projector for o in outcomes) - np.eye(dim)) > ALGEBRA_TOL:
             raise InvariantViolation("projectors do not sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
@@ -284,12 +294,12 @@ class OutcomeDistribution:
         seen = set()
         for label, prob in self.entries:
             if label in seen:
-                raise InvariantViolation(f"duplicate outcome label {label!r}")
+                raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
             seen.add(label)
             prob = float(prob)
             if prob < -CLAMP_TOL or prob > 1.0 + CLAMP_TOL:
                 raise ToleranceError(
-                    f"probability for {label!r} is {prob!r}; clamping beyond {CLAMP_TOL:.0e} means a bug"
+                    f"probability for {clipped_repr(label)} is {prob!r}; clamping beyond {CLAMP_TOL:.0e} means a bug"
                 )
             cleaned.append((str(label), min(max(prob, 0.0), 1.0)))
         total = sum(p for _, p in cleaned)
@@ -305,7 +315,8 @@ class OutcomeDistribution:
         for lab, prob in self.entries:
             if lab == label:
                 return prob
-        raise InvariantViolation(f"unknown outcome label {label!r}; known labels: {list(self.labels)}")
+        known = clipped_repr(list(self.labels))
+        raise InvariantViolation(f"unknown outcome label {clipped_repr(label)}; known labels: {known}")
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.entries)
@@ -315,7 +326,7 @@ class OutcomeDistribution:
 
 
 def prepare_eigenstate(observable: ProjectiveDecomposition, label: str) -> StateVector:
-    """State spanning a rank-1 outcome projector, with canonical phase, from _range_basis's column.
+    """State spanning a rank-1 outcome projector, with canonical phase: its _range_bases column.
 
     That column's diagonal entry is the largest, at least 1/(2 dim). Rank > 1 outcomes are rejected:
     projecting says which subspace, not which state, so the caller must supply the state explicitly.
@@ -323,9 +334,9 @@ def prepare_eigenstate(observable: ProjectiveDecomposition, label: str) -> State
     outcome = observable.outcome(label)
     if outcome.rank != 1:
         raise InvariantViolation(
-            f"outcome {label!r} has rank {outcome.rank}: ambiguous preparation, supply a state explicitly"
+            f"outcome {clipped_repr(label)} has rank {outcome.rank}: ambiguous preparation, supply a state explicitly"
         )
-    return StateVector.normalized(fix_global_phase(_range_basis(outcome.projector, 1)[0][:, 0]))
+    return StateVector.normalized(fix_global_phase(_range_bases([outcome.projector])[0][:, 0]))
 
 
 def born_distribution(state: StateVector, observable: ProjectiveDecomposition) -> OutcomeDistribution:
@@ -345,7 +356,7 @@ def lueders_collapse(state: StateVector, observable: ProjectiveDecomposition, la
     weight = projector_weights(state.amplitudes, image[None])[0]
     if weight <= NEGLIGIBLE:
         raise ImpossibleOutcomeError(
-            f"zero-probability outcome {label!r} (weight {weight:.3e}) marks an impossible branch"
+            f"zero-probability outcome {clipped_repr(label)} (weight {weight:.3e}) marks an impossible branch"
         )
     return StateVector.normalized(fix_global_phase(image))
 

@@ -259,10 +259,16 @@ def unitary_exponential(operator: HermitianOperator, duration: float) -> np.ndar
 
 
 def projector_weights(state: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """<s|P_k|s> for rows images[k] = P_k|s> of validated pairs, by stacked dots (np.vdot bit
-    for bit): only the range is checked before the clamp to [0, 1]."""
+    """<s|P_k|s> for rows images[k] = P_k|s> of validated pairs, by stacked dots (np.vdot bit for
+    bit), clamped to [0, 1]; refused only past what such a pair gives. With t = ALGEBRA_TOL in
+    dimension d, an accepted P's Hermitian part has eigenvalues with lambda^2 - lambda <=
+    ||P^2 - P||_2 + ||(P - P^H) / 2||_2^2 <= d t + (d t / 2)^2, so in [-eta, 1 + eta], eta =
+    d t (1 + d t / 4); s = U a, U unitary within t and a unit within CONSTRUCTION_TOL, has
+    ||s||^2 <= 1 + d t + 2 CONSTRUCTION_TOL. So a weight lies within d t (2 + d t) +
+    3 CONSTRUCTION_TOL of [0, 1], the last CONSTRUCTION_TOL for second-order terms and round-off."""
     weights = np.matmul(state.conj(), images[:, :, None])[:, 0].real
-    outside = (weights < -CONSTRUCTION_TOL) | (weights > 1.0 + CONSTRUCTION_TOL)
+    slack = state.size * ALGEBRA_TOL * (2.0 + state.size * ALGEBRA_TOL) + 3 * CONSTRUCTION_TOL
+    outside = (weights < -slack) | (weights > 1.0 + slack)
     if outside.any():
         raise InvariantViolation(f"projector weight {float(weights[outside][0])!r} falls outside [0, 1]")
     return np.clip(weights, 0.0, 1.0)

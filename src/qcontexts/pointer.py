@@ -169,6 +169,26 @@ class RebasedDecomposition:
         return (self.relative_states * self.coefficients) @ self.new_apparatus_basis.T
 
 
+def _rebase(amplitudes: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """rebase_joint's (weights c'_l, relative states, score) over complete orthonormal columns
+    `basis`, trusted as given, and the largest weighted overlap c'_i c'_j |<r_i|r_j>| of two
+    significant relative states: an |entry| of the unnormalized images' Gram matrix."""
+    images = amplitudes @ basis.conj()
+    weights = np.linalg.norm(images, axis=0)
+    power = float(np.sum(weights**2))
+    if abs(power - 1.0) > 1e-9:
+        raise InvariantViolation(f"rebased weights must have unit power, got {power!r}")
+    significant = np.flatnonzero(weights > NEGLIGIBLE)
+    relative = np.zeros_like(images)
+    relative[:, significant] = images[:, significant] / weights[significant]
+    block = relative[:, significant]
+    overlaps = np.abs(block.conj().T @ block)
+    np.fill_diagonal(overlaps, 0.0)
+    score = 1.0 - float(np.max(overlaps))  # 1 exactly for one significant state
+    weighted = float(np.max(overlaps * weights[significant] * weights[significant, None]))
+    return weights, relative, min(max(score, 0.0), 1.0), weighted
+
+
 def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
     """Re-expand a joint state over a complete orthonormal apparatus basis.
 
@@ -183,22 +203,9 @@ def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
             f"new apparatus basis must be complete ({joint.apparatus_dim} columns of "
             f"dimension {joint.apparatus_dim}), got shape {basis.shape}"
         )
-    images = joint.ambient_amplitudes() @ basis.conj()
-    weights = np.linalg.norm(images, axis=0)
-    power = float(np.sum(weights**2))
-    if abs(power - 1.0) > 1e-9:
-        raise InvariantViolation(f"rebased weights must have unit power, got {power!r}")
-    significant = np.flatnonzero(weights > NEGLIGIBLE)
-    relative = np.zeros_like(images)
-    relative[:, significant] = images[:, significant] / weights[significant]
-    score = 1.0
-    if significant.size > 1:
-        block = relative[:, significant]
-        gram = np.abs(block.conj().T @ block)
-        np.fill_diagonal(gram, 0.0)
-        score = 1.0 - float(np.max(gram))
+    weights, relative, score, _ = _rebase(joint.ambient_amplitudes(), basis)
     # _as_basis may hand back the caller's own array; the rest was made here.
-    return RebasedDecomposition(frozen_copy(basis), read_only(weights), read_only(relative), min(max(score, 0.0), 1.0))
+    return RebasedDecomposition(frozen_copy(basis), read_only(weights), read_only(relative), score)
 
 
 def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
@@ -213,22 +220,27 @@ def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
 
 
 def pointer_basis_scored(joint: JointState) -> tuple[SchmidtDecomposition, float]:
-    """pointer_basis_select plus the orthogonality score it verified."""
+    """pointer_basis_select plus the orthogonality score it measured. The audit (_rebase) runs on
+    the SVD's own orthonormal apparatus columns, completed only when rank-deficient, and refuses
+    a weighted overlap past ALGEBRA_TOL: the direction of a branch of weight c carries round-off
+    of about 2^-53 / c, while its weighted overlaps carry about 2^-53, so the unweighted score
+    can miss 1 by far more than ALGEBRA_TOL on a valid state with a small coefficient."""
     schmidt = schmidt_decompose(joint.ambient_amplitudes())
-    completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
-    score = rebase_joint(joint, completed).orthogonality_score
-    if score < 1.0 - ALGEBRA_TOL:
-        raise ToleranceError(
-            f"recovered apparatus basis scored {score!r}, expected 1 within {ALGEBRA_TOL:.0e}"
-        )
+    apparatus = schmidt.apparatus_states
+    if apparatus.shape[1] < joint.apparatus_dim:
+        apparatus = complete_basis(apparatus, joint.apparatus_dim)
+    _, _, score, weighted = _rebase(joint.ambient_amplitudes(), apparatus)
+    if weighted > ALGEBRA_TOL:
+        overlap = f"weighted relative-state overlap {weighted:.3e} exceeds {ALGEBRA_TOL:.0e}"
+        raise ToleranceError(f"recovered apparatus basis scored {score!r}: {overlap}")
     return schmidt, score
 
 
 def pointer_basis_select(joint: JointState) -> SchmidtDecomposition:
     """Apparatus basis whose relative states are orthogonal, via singular values.
 
-    Returns the biorthogonal decomposition of the joint state after
-    verifying that rebasing onto the recovered basis scores orthogonality 1.
+    Returns the biorthogonal decomposition of the joint state after verifying
+    that the relative states on the recovered basis are orthogonal (pointer_basis_scored).
     The non-uniqueness flag is inherited: degenerate or rank-deficient
     coefficient spectra admit other bases that do just as well.
     """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from qcontexts import (
@@ -299,3 +301,11 @@ def rebase_reference(joint, new_basis) -> tuple[np.ndarray, np.ndarray, float]:
         np.fill_diagonal(gram, 0.0)
         score = 1.0 - float(np.max(gram))
     return weights, relative, score
+
+
+def mixed_schmidt(schmidt, angle: float):
+    """The SchmidtDecomposition with apparatus columns 0 and 1 rotated into each other by `angle`."""
+    apparatus = schmidt.apparatus_states.copy()
+    c, s = np.cos(angle), np.sin(angle)
+    apparatus[:, 0], apparatus[:, 1] = c * apparatus[:, 0] + s * apparatus[:, 1], c * apparatus[:, 1] - s * apparatus[:, 0]
+    return dataclasses.replace(schmidt, apparatus_states=apparatus)

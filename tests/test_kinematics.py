@@ -1,5 +1,6 @@
 """Tests for states, observables, Born statistics, collapse, and evolution."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -103,8 +104,8 @@ def _uncertified_checks(outcomes) -> tuple[list[tuple[int, int]], bool]:
     seen, summed = [], []
     uncertified = kinematics._uncertified
 
-    def spy(bases):
-        pairs, sum_needed = uncertified(bases)
+    def spy(count, certificate):
+        pairs, sum_needed = uncertified(count, certificate)
         pairs = list(pairs)
         seen.extend(pairs)
         summed.append(bool(sum_needed))
@@ -325,7 +326,7 @@ def test_projector_is_certified_only_when_its_bound_clears_the_margin(kind, targ
     clean = _block_outcomes(_near_identity_unitary(rng, 16), [2, 3] + [1] * 11, {})
     assert _exactly_checked(clean) == []
     outcomes = clean[:4] + (_with_defect(clean[4], kind, target),) + clean[5:]
-    e = kinematics._range_basis(outcomes[4].projector, 1)[1]
+    e = kinematics._range_bases([o.projector for o in outcomes])[2][4]
     assert (3 * e + e * e <= ALGEBRA_TOL - CERTIFY_MARGIN) == certified
     assert _exactly_checked(outcomes) == ([] if certified else ["c4"])
     assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
@@ -381,6 +382,154 @@ def test_huge_entry_past_the_gate_fails_the_entry_bound_before_any_product(huge,
         error = decomposition_error(outcomes)
     assert error == f"projector for 'c3' has an entry of magnitude {magnitude} > 2; no projector has one"
     assert error == reference_decomposition_error(outcomes)
+
+
+@pytest.mark.parametrize("count", [5, 12])
+@pytest.mark.parametrize("broken_first", [True, False])
+def test_mixed_faults_keep_the_first_failure_in_order(count, broken_first):
+    """A broken projector and a dimension mismatch: whichever comes first is named, on both
+    sides of CERTIFY_PAIRS, as in the reference."""
+    outcomes = list(_block_outcomes(random_unitary(np.random.default_rng(count), count), [1] * count, {}))
+    broken, mismatched = (1, 3) if broken_first else (3, 1)
+    outcomes[broken] = _with_defect(outcomes[broken], "idempotency", 1e-6)
+    outcomes[mismatched] = Outcome(f"c{mismatched}", 0.0, np.eye(count + 1))
+    outcomes = tuple(outcomes)
+    error = decomposition_error(outcomes)
+    assert error == reference_decomposition_error(outcomes)
+    if broken_first:
+        assert error.startswith("projector for 'c1' is not a projector")
+    else:
+        assert error == "projector for 'c1' has mismatched dimension"
+
+
+def _put(p: np.ndarray, row: int, col: int, value: float) -> np.ndarray:
+    p = p.copy()
+    p[row, col] = value
+    return p
+
+
+@pytest.mark.parametrize(
+    "ranks, huge",
+    [
+        ([1] * 12, lambda p: _put(p, 0, int(np.argmax(p.diagonal().real)), 1e200)),  # in the pivot column
+        ([1] * 12, lambda p: _put(p, int(np.argmax(p.diagonal().real)), 0, 1e200)),  # off the pivot column
+        ([1] * 12, lambda p: _put(p, 4, 4, 1e200)),  # on the diagonal
+        ([1] * 12, lambda p: np.diag([1.5e308, 1.5e308, -1.5e308] + [0.0] * (len(p) - 3)).astype(complex)),  # the trace overflows
+        ([1, 1, 1, 2] + [1] * 8, lambda p: _put(p, 0, 1, 1e200)),  # a rank-2 outcome: its QR path
+    ],
+    ids=["pivot-column", "pivot-row", "diagonal", "trace", "rank-2"],
+)
+def test_batched_certificate_names_a_huge_entry_without_a_warning(ranks, huge):
+    """No step of the batch warns on a huge finite entry: the outcome goes to its exact check,
+    whose entry bound names it, after the earlier outcomes pass theirs."""
+    outcomes = list(_block_outcomes(random_unitary(np.random.default_rng(11), sum(ranks)), ranks, {}))
+    outcomes[3] = Outcome("c3", 3.0, huge(outcomes[3].projector))
+    outcomes = tuple(outcomes)
+    assert len(outcomes) >= 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error = decomposition_error(outcomes)
+    assert error.startswith("projector for 'c3' has an entry of magnitude ")
+    assert error == reference_decomposition_error(outcomes)
+
+
+def _perturbed(outcome: Outcome, rng: np.random.Generator, eps: float, hermitian: bool) -> Outcome:
+    """P + eps G, G a random matrix (Hermitian or not) with max|G| = 1."""
+    g = rng.standard_normal(outcome.projector.shape) + 1j * rng.standard_normal(outcome.projector.shape)
+    if hermitian:
+        g = g + g.conj().T
+    return Outcome(outcome.label, outcome.value, outcome.projector + eps * g / np.abs(g).max())
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-11, 3e-11, 1e-10, 2e-10])
+@pytest.mark.parametrize("dim", [12, 32])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_perturbed_rank1_projectors_are_accepted_exactly_when_the_exact_path_is(eps, dim, hermitian):
+    rng = np.random.default_rng(int(eps * 1e13) + dim)
+    outcomes = _block_outcomes(random_unitary(rng, dim), [1] * dim, {})
+    outcomes = tuple(_perturbed(o, rng, eps, hermitian) if n % 3 == 0 else o for n, o in enumerate(outcomes))
+    certified = decomposition_error(outcomes)
+    with mock.patch.object(kinematics, "CERTIFY_PAIRS", 10**9):
+        checked = _exactly_checked(outcomes)  # every projector in order, up to the first failure
+        exact = decomposition_error(outcomes)
+    assert checked == [f"c{n}" for n in range(len(checked))]
+    assert len(checked) == dim or exact is not None
+    assert certified == exact
+
+
+def test_mixed_ranks_take_the_batched_rows_and_the_qr_bases():
+    """Rank-1 outcomes are pivot columns normalized as rows; the rank-2 and rank-3 ones keep a QR
+    factor, stacked in outcome order; a defect on either kind goes to its exact check alone."""
+    rng = np.random.default_rng(1188)
+    ranks = [1, 2, 1, 3] + [1] * 14
+    outcomes = _block_outcomes(random_unitary(rng, 21), ranks, {})
+    w, got_ranks, e = kinematics._range_bases([o.projector for o in outcomes])
+    assert w.shape == (21, 21) and list(got_ranks) == ranks
+    assert np.all(e < 1e-14)
+    starts = np.cumsum([0, *ranks])
+    for o, i, j in zip(outcomes, starts[:-1], starts[1:]):
+        np.testing.assert_allclose(w[:, i:j] @ w[:, i:j].conj().T, o.projector, atol=1e-14)
+    p = outcomes[0].projector
+    pivot = p[:, p.diagonal().real.argmax()]
+    np.testing.assert_allclose(w[:, 0], pivot / np.sqrt(np.vdot(pivot, pivot).real), rtol=1e-14)
+    assert _uncertified_checks(outcomes) == ([], False)
+    assert _exactly_checked(outcomes) == []
+    no_rank_1 = _block_outcomes(random_unitary(rng, 20), [2] * 10, {})
+    assert _uncertified_checks(no_rank_1) == ([], False) and _exactly_checked(no_rank_1) == []
+    for target, error in ((7e-11, None), (1.01e-10, "projector for 'c1' is not a projector")):
+        defective = (outcomes[0], _with_defect(outcomes[1], "hermiticity", target), outcomes[2], outcomes[3])
+        defective += (_with_defect(outcomes[4], "hermiticity", target),) + outcomes[5:]
+        assert _exactly_checked(defective) == (["c1", "c4"] if error is None else ["c1"])
+        assert decomposition_error(defective) == reference_decomposition_error(defective)
+        assert (decomposition_error(defective) or "").startswith(error or "")
+
+
+LONG = "L" * 1_000
+
+
+def _clipped(message: str) -> bool:
+    return len(message) < 600 and "... (str, repr of 1002 characters)" in message
+
+
+def test_messages_echoing_an_outcome_label_clip_it():
+    good = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(InvariantViolation) as caught:
+        Outcome(LONG, 0.0, np.full((2, 2), np.nan))
+    assert _clipped(str(caught.value))
+    with pytest.raises(InvariantViolation) as caught:
+        Outcome(LONG, math.nan, good)
+    assert _clipped(str(caught.value))
+    pair = (Outcome(LONG, 0.0, good), Outcome(LONG + "2", 1.0, good))
+    assert _clipped(decomposition_error(pair))
+    assert _clipped(decomposition_error((Outcome(LONG, 0.0, 2 * good), Outcome("b", 1.0, np.eye(2) - good))))
+    assert _clipped(decomposition_error((Outcome("a", 0.0, good), Outcome(LONG, 1.0, np.eye(3)))))
+    with pytest.raises(InvariantViolation) as caught:
+        OutcomeDistribution(((LONG, 0.5), (LONG, 0.5)))
+    assert _clipped(str(caught.value))
+    with pytest.raises(ToleranceError) as caught:
+        OutcomeDistribution(((LONG, 1.5), ("b", -0.5)))
+    assert _clipped(str(caught.value))
+    with pytest.raises(InvariantViolation) as caught:
+        OutcomeDistribution((("a", 1.0),)).probability(LONG)
+    assert _clipped(str(caught.value))
+    observable = ProjectiveDecomposition((Outcome(LONG, 0.0, np.diag([1.0, 1.0, 0.0])), Outcome("b", 1.0, np.diag([0.0, 0.0, 1.0]))))
+    with pytest.raises(InvariantViolation) as caught:
+        prepare_eigenstate(observable, LONG)
+    assert _clipped(str(caught.value))
+    with pytest.raises(ImpossibleOutcomeError) as caught:
+        lueders_collapse(StateVector.basis_state(3, 2), observable, LONG)
+    assert _clipped(str(caught.value))
+
+
+def test_messages_echoing_a_short_label_are_unchanged():
+    p = np.diag([1.0, 0.0]).astype(complex)
+    assert decomposition_error((Outcome("a", 0.0, p), Outcome("b", 1.0, p))) == "projectors for 'a' and 'b' are not orthogonal"
+    with pytest.raises(InvariantViolation, match=r"^duplicate outcome label 'a'$"):
+        OutcomeDistribution((("a", 0.5), ("a", 0.5)))
+    with pytest.raises(InvariantViolation, match=r"^unknown outcome label 'c'; known labels: \['a'\]$"):
+        OutcomeDistribution((("a", 1.0),)).probability("c")
+    with pytest.raises(ImpossibleOutcomeError, match=r"^zero-probability outcome '-1' \(weight"):
+        lueders_collapse(StateVector.basis_state(2, 0), pauli_z(), "-1")
 
 
 def test_pauli_decompositions_are_valid():

@@ -421,3 +421,40 @@ def test_rebase_matches_the_per_column_loop(dim):
             np.testing.assert_array_equal(rebased.coefficients, weights)
             np.testing.assert_array_equal(rebased.relative_states, relative)
             assert rebased.orthogonality_score == min(max(score, 0.0), 1.0)
+
+
+# --- projector_weights -----------------------------------------------------------
+
+
+def _weight_slack(dim: int) -> float:
+    """The derived reach of an accepted pair past [0, 1] (projector_weights' docstring)."""
+    t = linalg.ALGEBRA_TOL
+    return dim * t * (2 + dim * t) + 3 * linalg.CONSTRUCTION_TOL
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64])
+def test_projector_weights_clamp_what_an_accepted_pair_can_give(dim):
+    # diag(-5e-11, 1, ...) and diag(1 + 5e-11, 0, ...) pass every decomposition check at ALGEBRA_TOL.
+    low = np.diag([-5e-11, 1.0] + [0.0] * (dim - 2)).astype(complex)
+    high = np.diag([1.0 + 5e-11] + [0.0] * (dim - 1)).astype(complex)
+    rest = np.eye(dim) - np.diag([0.0, 1.0] + [0.0] * (dim - 2)) - np.diag([1.0] + [0.0] * (dim - 1))
+    outcomes = [Outcome("low", 0.0, low), Outcome("high", 1.0, high)]
+    if dim > 2:
+        outcomes.append(Outcome("rest", 2.0, rest))
+    observable = ProjectiveDecomposition(tuple(outcomes))
+    state = np.eye(dim, dtype=complex)[0]
+    weights = linalg.projector_weights(state, observable.images(state))
+    assert weights.tolist()[:2] == [0.0, 1.0]
+    for sign, offset in ((-1, 0.0), (1, 1.0)):
+        within = np.array([[offset + sign * 0.99 * _weight_slack(dim)] + [0.0] * (dim - 1)], dtype=complex)
+        assert linalg.projector_weights(state, within).tolist() == [offset]
+        past = np.array([[offset + sign * 1.01 * _weight_slack(dim)] + [0.0] * (dim - 1)], dtype=complex)
+        with pytest.raises(InvariantViolation, match="falls outside"):
+            linalg.projector_weights(state, past)
+
+
+def test_projector_weights_refuse_an_impossible_weight():
+    state = np.array([1.0, 0.0], dtype=complex)
+    for weight in (-1e-6, 1.0 + 1e-6, -0.5, 2.0):
+        with pytest.raises(InvariantViolation, match=re.escape(f"projector weight {weight!r} falls outside [0, 1]")):
+            linalg.projector_weights(state, np.array([[weight, 0.0]], dtype=complex))

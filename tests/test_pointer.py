@@ -13,6 +13,7 @@ from qcontexts import (
     FactSequence,
     InvariantViolation,
     JointState,
+    ToleranceError,
     SpreadingModel,
     complete_basis,
     detector_click_simulation,
@@ -24,7 +25,7 @@ from qcontexts import (
 from qcontexts import pointer
 from qcontexts.linalg import ALGEBRA_TOL
 from qcontexts.pointer import _SEED_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
-from helpers import random_unitary
+from helpers import mixed_schmidt, random_unitary
 
 RNG = np.random.default_rng(90125)
 
@@ -236,6 +237,53 @@ def test_pointer_score_is_the_rebase_onto_the_completed_basis():
         completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
         assert score == rebase_joint(joint, completed).orthogonality_score
         assert np.array_equal(schmidt.apparatus_states, pointer_basis_select(joint).apparatus_states)
+
+
+def test_pointer_audit_runs_on_the_svd_arrays_and_completes_only_a_short_basis(monkeypatch):
+    full, wide = random_joint(RNG, 4, 4), random_joint(RNG, 2, 4)
+    calls = []
+
+    def refuse_basis_check(value, name):
+        raise AssertionError(f"{name} checked")
+
+    def spy_complete(columns, dim):
+        calls.append(columns.shape)
+        return complete_basis(columns, dim)
+
+    monkeypatch.setattr(pointer, "_as_basis", refuse_basis_check)
+    monkeypatch.setattr(pointer, "complete_basis", spy_complete)
+    pointer_basis_select(full)
+    assert calls == []
+    pointer_basis_select(wide)  # rank 2 of 4 apparatus dimensions
+    assert calls == [(4, 2)]
+
+
+def _small_branch_joint(s: float, seed: int) -> JointState:
+    rng = np.random.default_rng(seed)
+    coefficients = [math.sqrt(0.75 - s * s), 0.5, s]
+    return premeasurement_joint(coefficients, random_unitary(rng, 3), random_unitary(rng, 3))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-8, 1e-10, 1.1e-12])
+def test_pointer_accepts_a_small_schmidt_coefficient(s):
+    """The relative state of weight s carries round-off of about 2^-53 / s, so the unweighted
+    score falls short of 1 by more than ALGEBRA_TOL; the weighted audit accepts the state and
+    the score is still reported as measured."""
+    for seed in range(5):
+        joint = _small_branch_joint(s, seed)
+        schmidt, score = pointer_basis_scored(joint)
+        np.testing.assert_allclose(schmidt.coefficients, [math.sqrt(0.75 - s * s), 0.5, s], rtol=0, atol=1e-15)
+        completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
+        assert score == rebase_joint(joint, completed).orthogonality_score
+
+
+@pytest.mark.parametrize("s", [0.3, 1e-8])
+def test_pointer_refuses_a_basis_mixing_two_significant_branches(monkeypatch, s):
+    decompose = pointer.schmidt_decompose
+    monkeypatch.setattr(pointer, "schmidt_decompose", lambda amplitudes: mixed_schmidt(decompose(amplitudes), 1e-6))
+    joint = _small_branch_joint(s, 7) if s < 0.1 else premeasurement_joint([0.9, math.sqrt(0.19)])
+    with pytest.raises(ToleranceError, match="weighted relative-state overlap"):
+        pointer_basis_select(joint)
 
 
 def test_random_bases_never_beat_the_pointer_score():

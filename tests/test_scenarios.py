@@ -39,6 +39,7 @@ from qcontexts.errors import clipped_repr
 from qcontexts.linalg import ALGEBRA_TOL, COEFFICIENT_DEGENERACY_TOL, CONSTRUCTION_TOL
 from qcontexts.pointer import _SEED_BLOCK, detector_law, spreading_sigma
 from qcontexts.scenarios import MAX_DETECTOR_RUNS, MAX_FILE_BYTES
+from helpers import mixed_schmidt
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -1161,6 +1162,83 @@ def test_clipped_repr_keeps_a_short_repr_and_clips_a_long_one():
         assert clipped_repr(value) == repr(value)
     assert clipped_repr("x" * 199) == "'" + "x" * 199 + "... (str, repr of 201 characters)"
     assert clipped_repr(-(10**300)) == "-1" + "0" * 198 + "... (int, repr of 302 characters)"
+
+
+def _pairs(matrix) -> list:
+    """A complex array as nested [re, im] pairs, the scenario files' encoding."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
+def test_cli_born_weight_of_an_accepted_observable_is_clamped(tmp_path, capsysbinary):
+    # diag(-5e-11, 1) and diag(1 + 5e-11, 0) pass every decomposition check at ALGEBRA_TOL, and
+    # |0> gets the weights -5e-11 and 1 + 5e-11: inside what an accepted pair can give, so clamped.
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["abl"]).read_text())
+    parameters = payload["parameters"]
+    parameters["preparation"]["state"] = _pairs([1.0, 0.0])
+    parameters["intermediate"]["observable"] = {"outcomes": [
+        {"label": "a", "value": 1.0, "projector": _pairs(np.diag([-5e-11, 1.0]))},
+        {"label": "b", "value": 0.0, "projector": _pairs(np.diag([1.0 + 5e-11, 0.0]))},
+    ]}
+    parameters["postselection"]["observable"] = {"outcomes": [
+        {"label": "b", "value": 1.0, "projector": _pairs(np.diag([1.0, 0.0]))},
+        {"label": "other", "value": 0.0, "projector": _pairs(np.diag([0.0, 1.0]))},
+    ]}
+    parameters["postselection"]["label"] = "b"
+    assert main(["run", write_scenario(tmp_path, payload), "--format", "json"]) == 0
+    rows = dict(json.loads(capsysbinary.readouterr().out)["rows"])
+    assert rows["born:a"] == "0.00000000000" and rows["born:b"] == "1.00000000000"
+
+
+def test_cli_invariant_violation_clips_the_label_it_echoes(tmp_path, capsysbinary):
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["abl"]).read_text())
+    outcome = payload["parameters"]["intermediate"]["observable"]["outcomes"][0]
+    outcome["label"] = "x" * 1_000_000
+    outcome["projector"][0][0] = [0.9, 0.0]
+    assert main(["run", write_scenario(tmp_path, payload)]) == 3
+    captured = capsysbinary.readouterr()
+    assert len(captured.err) <= 1024
+    diagnostic = _single_error_line(captured, 3)
+    assert diagnostic["error"] == "invariant-violation"
+    assert diagnostic["message"].startswith("parameters.intermediate.observable: projector for 'xxx")
+    assert "... (str, repr of 1000002 characters) is not a projector" in diagnostic["message"]
+
+
+def _small_branch_pointer(s: float) -> dict:
+    """A pointer file with coefficients (sqrt(0.75 - s^2), 0.5, s) over random unitary bases (d = 3)."""
+    rng = np.random.default_rng(1231)
+    payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["pointer"]).read_text())
+    parameters = payload["parameters"]
+    parameters["coefficients"] = _pairs([math.sqrt(0.75 - s * s), 0.5, s])
+    for key in ("system_basis", "apparatus_basis"):
+        q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        parameters[key] = _pairs(q.T)  # states as rows
+    parameters["rebases"] = []
+    return payload
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-10, 1.1e-12])
+def test_cli_pointer_with_a_small_schmidt_coefficient_runs(tmp_path, capsysbinary, s):
+    assert main(["run", write_scenario(tmp_path, _small_branch_pointer(s)), "--format", "json"]) == 0
+    rows = dict(json.loads(capsysbinary.readouterr().out)["rows"])
+    assert float(rows["coefficient:3"]) == pytest.approx(s, rel=1e-3)
+    assert float(rows["orthogonality:pointer"]) < 1.0 - ALGEBRA_TOL  # reported as measured
+
+
+def test_cli_pointer_basis_mixing_two_significant_branches_is_a_tolerance_breach(monkeypatch, tmp_path, capsysbinary):
+    from qcontexts import pointer
+
+    source = str(SCENARIO_DIR / EXAMPLE_FILES["pointer"])
+    assert main(["run", source]) == 0
+    golden = SCENARIO_DIR.parent / "tests" / "golden" / "skewed_record_pointer.csv"
+    assert capsysbinary.readouterr().out == golden.read_bytes()
+
+    decompose = pointer.schmidt_decompose
+    monkeypatch.setattr(pointer, "schmidt_decompose", lambda amplitudes: mixed_schmidt(decompose(amplitudes), 1e-6))
+    assert main(["run", source]) == 5
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 5)
+    assert diagnostic["error"] == "tolerance-breach"
+    assert "weighted relative-state overlap" in diagnostic["message"]
 
 
 def test_cli_reads_a_fifo_only_to_the_file_cap(tmp_path, capsysbinary):
