@@ -6,11 +6,20 @@ data, 5 internal tolerance breach.
 Failures print one machine-parsable JSON line to stderr, with a `field` key
 when the failure names an input field or `out`. Output bytes are written
 without newline translation so identical runs are byte-identical.
+
+`main(argv)` is the in-process API: it returns the exit code and leaves the
+garbage collector alone. `console()` is the process entry, behind the
+`qcontexts` script and `python -m qcontexts.cli`: it runs `main()`, freezes
+every live object out of the collector's reach (`gc.freeze`) and exits with
+main's code. The streams still flush and atexit still runs; only the
+interpreter's collections at shutdown skip the objects that numpy and the
+engine keep alive until exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -97,5 +106,12 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def console() -> None:
+    """Process entry: main(), then exit with its code, freezing what lives until exit."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -295,6 +295,8 @@ class FactSequence:
 
     Immutable by construction — a recorded fact cannot be removed or
     reordered — with at most one click which, if present, closes the record.
+    The constructor checks all of this; detector_click_simulation builds
+    its records in order and skips the checks.
     """
 
     ticks: tuple[tuple[float, str], ...]
@@ -428,7 +430,9 @@ def detector_click_simulation(rate: float, tick: float, horizon: float, seed: in
     one geometric shot (_first_click, after the detector_law checks), which
     leaves the per-tick law untouched and keeps long horizons cheap.
     Deterministic given seed. More than MAX_RECORDED_TICKS facts is an
-    InvariantViolation, raised before any is built.
+    InvariantViolation, raised before any is built. The FactSequence is
+    made without its __post_init__ checks, as JointState.from_amplitudes
+    is: k * tick rises strictly in k up to MAX_RECORDED_TICKS, and a click is last.
     """
     count, p = detector_law(rate, tick, horizon)
     click_index = _first_click(count, p, seed) or None
@@ -436,7 +440,10 @@ def detector_click_simulation(rate: float, tick: float, horizon: float, seed: in
     if recorded > MAX_RECORDED_TICKS:
         raise InvariantViolation(f"{recorded} tick facts to record, past {MAX_RECORDED_TICKS}")
     if click_index is None:
-        ticks = tuple((k * tick, NONCLICK) for k in range(1, count + 1))
-        return FactSequence(ticks, None)
-    ticks = tuple((k * tick, NONCLICK) for k in range(1, click_index)) + ((click_index * tick, CLICK),)
-    return FactSequence(ticks, click_index * tick)
+        ticks, click_time = tuple((k * tick, NONCLICK) for k in range(1, count + 1)), None
+    else:
+        click_time = click_index * tick
+        ticks = tuple((k * tick, NONCLICK) for k in range(1, click_index)) + ((click_time, CLICK),)
+    facts = object.__new__(FactSequence)
+    facts.__dict__.update(ticks=ticks, click_time=click_time)
+    return facts

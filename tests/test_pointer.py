@@ -467,6 +467,36 @@ def test_fact_sequence_is_append_only():
     assert isinstance(sequence.ticks, tuple)
 
 
+def test_detector_records_equal_their_checked_construction(monkeypatch):
+    checks = []
+    checked_init = FactSequence.__post_init__
+    monkeypatch.setattr(FactSequence, "__post_init__", lambda self: checks.append(self))
+    records = {
+        (rate, tick, horizon, seed): detector_click_simulation(rate, tick, horizon, seed)
+        for rate in (0.0, 0.3, 2.0, 1e3)
+        for tick in (0.01, 0.1, 0.5)
+        for horizon in (0.5, 1.0, 10.0)
+        for seed in range(5)
+    }
+    assert checks == []  # the simulation runs no __post_init__
+    monkeypatch.setattr(FactSequence, "__post_init__", checked_init)
+    seen = set()
+    for (rate, tick, horizon, seed), record in records.items():
+        checked = FactSequence(record.ticks, record.click_time)
+        assert type(record) is FactSequence and record == checked and repr(record) == repr(checked)
+        for field in dataclasses.fields(FactSequence):
+            assert type(getattr(record, field.name)) is type(getattr(checked, field.name))
+        assert all(type(time) is float and type(kind) is str for time, kind in record.ticks)
+        if rate == 0.0:
+            seen.add("rate 0")
+            assert not record.clicked and len(record.ticks) == int(horizon / tick + 1e-9)
+        elif not record.clicked:
+            seen.add("no click")
+        elif len(record.ticks) == 1:
+            seen.add("first tick")
+    assert seen == {"rate 0", "no click", "first tick"}
+
+
 def test_fact_sequence_rejects_inconsistent_records():
     with pytest.raises(InvariantViolation, match="final"):
         FactSequence(((0.1, "click"), (0.2, "nonclick")), 0.1)

@@ -1,6 +1,7 @@
 """Tests for scenario loading, dispatch, deterministic emission, and the CLI."""
 
 import copy
+import importlib
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from qcontexts import (
     scenario_to_json,
     scenarios,
 )
+from qcontexts import cli
 from qcontexts.cli import main
 from qcontexts.contexts import DENOMINATOR_FLOOR, MAX_CHAIN_SAMPLES, MAX_PHASE
 from qcontexts.errors import clipped_repr
@@ -415,14 +417,17 @@ def test_cli_invariant_violation_exit_code(tmp_path, capsysbinary):
     assert diagnostic["error"] == "invariant-violation"
 
 
-def test_cli_impossible_postselection_exit_code(tmp_path, capsysbinary):
+def _unreachable_postselection(tmp_path) -> str:
     params = {
         "preparation": {"state": [[1.0, 0.0], [0.0, 0.0]], "time": 0.0},
         "intermediate": {"observable": "Z", "time": 1.0},
         "postselection": {"observable": "Z", "label": "-1", "time": 2.0},
     }
-    path = write_scenario(tmp_path, {"name": "dead-end", "kind": "abl", "parameters": params})
-    assert main(["run", path]) == 4
+    return write_scenario(tmp_path, {"name": "dead-end", "kind": "abl", "parameters": params})
+
+
+def test_cli_impossible_postselection_exit_code(tmp_path, capsysbinary):
+    assert main(["run", _unreachable_postselection(tmp_path)]) == 4
     diagnostic = json.loads(capsysbinary.readouterr().err)
     assert diagnostic["error"] == "impossible-postselection"
     assert diagnostic["exit_code"] == 4
@@ -904,6 +909,73 @@ def test_help_still_prints_usage_and_exits_zero(capsys, args):
     assert exited.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: qcontexts") and captured.err == ""
+
+
+# --- the process entry -------------------------------------------------------------------
+
+
+def _broken_projector(tmp_path) -> str:
+    payload = json.loads((SCENARIO_DIR / "three_box.json").read_text())
+    payload["parameters"]["intermediate"]["observable"]["outcomes"][0]["projector"][0][0] = [0.9, 0.0]
+    return write_scenario(tmp_path, payload)
+
+
+ENTRY_RUNS = {
+    "ok": (lambda tmp_path: ["run", THREE_BOX], 0),
+    "seed-abc": (lambda tmp_path: ["run", THREE_BOX, "--seed", "abc"], 2),
+    "broken-projector": (lambda tmp_path: ["run", _broken_projector(tmp_path)], 3),
+    "unreachable-postselection": (lambda tmp_path: ["run", _unreachable_postselection(tmp_path)], 4),
+}
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_RUNS.values(), ids=ENTRY_RUNS)
+def test_main_in_process_never_freezes_the_collector(monkeypatch, capsysbinary, tmp_path, argv, code):
+    freezes = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: freezes.append("freeze"))
+    assert main(argv(tmp_path)) == code
+    assert freezes == []
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_RUNS.values(), ids=ENTRY_RUNS)
+def test_console_freezes_once_after_main_and_exits_with_its_code(monkeypatch, capsysbinary, tmp_path, argv, code):
+    events = []
+
+    def recorded_main():
+        events.append("main")
+        result = main()
+        events.append("main returned")
+        return result
+
+    monkeypatch.setattr(sys, "argv", ["qcontexts", *argv(tmp_path)])
+    monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exited:
+        cli.console()
+    assert exited.value.code == code
+    assert events == ["main", "main returned", "freeze"]
+    captured = capsysbinary.readouterr()
+    if code:
+        assert _single_error_line(captured, code)["exit_code"] == code
+    else:
+        assert captured.out == (SCENARIO_DIR.parent / "tests" / "golden" / "three_box.csv").read_bytes()
+
+
+def test_module_entry_prints_the_golden_bytes():
+    source = str(Path(qcontexts.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])}
+    command = [sys.executable, "-m", "qcontexts.cli", "run", THREE_BOX]
+    result = subprocess.run(command, env=env, capture_output=True, timeout=120)
+    golden = SCENARIO_DIR.parent / "tests" / "golden" / "three_box.csv"
+    assert (result.returncode, result.stdout, result.stderr) == (0, golden.read_bytes(), b"")
+
+
+def test_console_script_names_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(SCENARIO_DIR.parent / "pyproject.toml", "rb") as handle:
+        script = tomllib.load(handle)["project"]["scripts"]["qcontexts"]
+    assert script == "qcontexts.cli:console"
+    module, _, name = script.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.console
 
 
 # --- scenario-boundary refusals ------------------------------------------------------
