@@ -16,8 +16,6 @@ ordered, append-only record of nonclick facts closed by at most one click.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -220,11 +218,12 @@ def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
 
 
 def pointer_basis_scored(joint: JointState) -> tuple[SchmidtDecomposition, float]:
-    """pointer_basis_select plus the orthogonality score it measured. The audit (_rebase) runs on
-    the SVD's own orthonormal apparatus columns, completed only when rank-deficient, and refuses
-    a weighted overlap past ALGEBRA_TOL: the direction of a branch of weight c carries round-off
-    of about 2^-53 / c, while its weighted overlaps carry about 2^-53, so the unweighted score
-    can miss 1 by far more than ALGEBRA_TOL on a valid state with a small coefficient."""
+    """pointer_basis_select plus the score its audit bounds: 1 minus the largest weighted overlap
+    c_i c_j |<r_i|r_j>| of two relative states. The audit (_rebase) runs on the SVD's own orthonormal
+    apparatus columns, completed only when rank-deficient, and refuses a weighted overlap past
+    ALGEBRA_TOL: the direction of a branch of weight c carries round-off of about 2^-53 / c, while
+    its weighted overlaps carry about 2^-53, so the unweighted score can miss 1 by far more than
+    ALGEBRA_TOL on a valid state with a small coefficient."""
     schmidt = schmidt_decompose(joint.ambient_amplitudes())
     apparatus = schmidt.apparatus_states
     if apparatus.shape[1] < joint.apparatus_dim:
@@ -233,7 +232,7 @@ def pointer_basis_scored(joint: JointState) -> tuple[SchmidtDecomposition, float
     if weighted > ALGEBRA_TOL:
         overlap = f"weighted relative-state overlap {weighted:.3e} exceeds {ALGEBRA_TOL:.0e}"
         raise ToleranceError(f"recovered apparatus basis scored {score!r}: {overlap}")
-    return schmidt, score
+    return schmidt, 1.0 - weighted
 
 
 def pointer_basis_select(joint: JointState) -> SchmidtDecomposition:
@@ -346,96 +345,42 @@ def detector_law(rate: float, tick: float, horizon: float) -> tuple[int, float]:
     return int(math.floor(ticks)), -math.expm1(-rate * tick)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx; O'Neill's seed_seq), pinned to
-# default_rng(seed + i) by test_pointer.py and test_scenarios.py.
-INIT_A, MULT_A, INIT_B, MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-MIX_MULT_L, MIX_MULT_R, POOL_SIZE, MASK32 = 0xCA01F9DD, 0x4973F715, 4, 0xFFFFFFFF
-_SEED_BLOCK, _MIN_BLOCK = 4096, 16  # seeds hashed at once: at most (flat memory), at least (faster)
-
-
-def _hashmix(init: int, mult: int):
-    """numpy's hashmix: xor in the running constant, step it by mult, multiply by it."""
-    running = itertools.accumulate(itertools.repeat(mult), lambda c, m: c * m & MASK32, initial=init)
-    steps = itertools.pairwise(running)
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        xor, multiplier = next(steps)
-        value = (value ^ xor) * multiplier
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _seed_words(first: int, size: int) -> np.ndarray:
-    """SeedSequence(s).generate_state(4, np.uint64) for s in [first, first + size), a row each.
-    The block must not wrap the low 32-bit word, so that its seeds share their high words."""
-    entropy = [np.arange(size, dtype=np.uint32) + (first & MASK32)]
-    entropy += [np.array([first >> 32 * k & MASK32], np.uint32) for k in range(1, (first.bit_length() + 31) // 32)]
-    hashmix = _hashmix(INIT_A, MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32)) for i in range(POOL_SIZE)]
-    for src in range(max(len(entropy), POOL_SIZE)):  # the pool's words, then any further ones
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                mixed = pool[dst] * MIX_MULT_L - hashmix(pool[src] if src < POOL_SIZE else entropy[src]) * MIX_MULT_R
-                pool[dst] = mixed ^ mixed >> 16
-    hashmix = _hashmix(INIT_B, MULT_B)
-    state = np.stack([hashmix(pool[i % POOL_SIZE]) for i in range(2 * POOL_SIZE)], axis=1)
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _seed_adapter():
-    """The ISeedSequence class that hands PCG64 the words set on an instance; built on first use,
-    so qcontexts imports without numpy.random."""
-
-    class Seeded(np.random.bit_generator.ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return Seeded
-
-
-def _first_click(count: int, p: float, seed: int) -> int:
-    """1-based index of the first of count ticks to click on default_rng(seed)'s stream, or 0."""
-    draw = np.random.default_rng(seed).geometric(p) if p else 0
-    return draw if draw <= count else 0
+_RUN_BLOCK = 4096  # runs drawn at once: memory stays flat however many runs
 
 
 def first_clicks(count: int, p: float, seed: int, runs: int) -> Iterator[np.ndarray]:
     """Blocks of int64 first-click indices: entry i of the blocks laid end to end is the 1-based index
-    of the first of count ticks to click in run i, or 0, for i < runs. Run i makes one geometric draw
-    in p from exactly the stream of default_rng(seed + i); a block's seeds are hashed together
-    (_seed_words) and reach PCG64 through a seed adapter of the block's own. Nothing is drawn when p = 0.
+    of the first of count ticks to click in run i, or 0, for i < runs. The runs draw in order from
+    one stream, default_rng(seed), one geometric(p, size) per block; numpy's geometric draws do not
+    depend on how they are split, so the first n runs do not depend on runs, and run 0 is
+    detector_click_simulation's draw. Nothing is drawn when p = 0.
     """
-    start, stop = seed, seed + runs
-    while start < stop:
-        size = min(stop - start, _SEED_BLOCK, MASK32 + 1 - (start & MASK32))
-        if p == 0.0:
+    rng = np.random.default_rng(seed) if p else None
+    for start in range(0, runs, _RUN_BLOCK):
+        size = min(runs - start, _RUN_BLOCK)
+        if rng is None:
             hits = np.zeros(size, np.int64)
-        elif size < _MIN_BLOCK:
-            hits = np.array([_first_click(count, p, s) for s in range(start, start + size)], np.int64)
-        else:  # run by run, the adapter's words are the next row of the block's hashed seeds
-            seeded, pcg, gen = _seed_adapter()(), np.random.PCG64, np.random.Generator
-            hits = np.array([gen(pcg(seeded)).geometric(p) for seeded.words in _seed_words(start, size)], np.int64)
+        else:
+            hits = rng.geometric(p, size)
             hits[hits > count] = 0
         yield hits
-        start += size
 
 
 def detector_click_simulation(rate: float, tick: float, horizon: float, seed: int) -> FactSequence:
     """Memoryless click process on a tick clock.
 
     Earlier tick boundaries are recorded as nonclick facts and the sequence
-    stops at the click or at the horizon. The first-click index comes from
-    one geometric shot (_first_click, after the detector_law checks), which
-    leaves the per-tick law untouched and keeps long horizons cheap.
-    Deterministic given seed. More than MAX_RECORDED_TICKS facts is an
-    InvariantViolation, raised before any is built. The FactSequence is
-    made without its __post_init__ checks, as JointState.from_amplitudes
-    is: k * tick rises strictly in k up to MAX_RECORDED_TICKS, and a click is last.
+    stops at the click or at the horizon. After the detector_law checks, the
+    first-click index is first_clicks(count, p, seed, 1): one geometric draw
+    from default_rng(seed), which leaves the per-tick law untouched, keeps
+    long horizons cheap, and is run 0 of a detector scenario with this seed.
+    More than MAX_RECORDED_TICKS facts is an InvariantViolation, raised
+    before any is built. The FactSequence is made without its __post_init__
+    checks, as JointState.from_amplitudes is: k * tick rises strictly in k
+    up to MAX_RECORDED_TICKS, and a click is last.
     """
     count, p = detector_law(rate, tick, horizon)
-    click_index = _first_click(count, p, seed) or None
+    click_index = int(next(first_clicks(count, p, seed, 1))[0]) or None
     recorded = count if click_index is None else click_index
     if recorded > MAX_RECORDED_TICKS:
         raise InvariantViolation(f"{recorded} tick facts to record, past {MAX_RECORDED_TICKS}")

@@ -309,3 +309,10 @@ def mixed_schmidt(schmidt, angle: float):
     c, s = np.cos(angle), np.sin(angle)
     apparatus[:, 0], apparatus[:, 1] = c * apparatus[:, 0] + s * apparatus[:, 1], c * apparatus[:, 1] - s * apparatus[:, 0]
     return dataclasses.replace(schmidt, apparatus_states=apparatus)
+
+
+def one_stream_first_clicks(count: int, p: float, seed: int, runs: int) -> list[int]:
+    """Run i's first-click index: draw i of one default_rng(seed).geometric(p, runs) call, 0 past count."""
+    if p == 0.0:
+        return [0] * runs
+    return [d if d <= count else 0 for d in np.random.default_rng(seed).geometric(p, runs).tolist()]

@@ -24,8 +24,8 @@ from qcontexts import (
 )
 from qcontexts import pointer
 from qcontexts.linalg import ALGEBRA_TOL
-from qcontexts.pointer import _SEED_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
-from helpers import mixed_schmidt, random_unitary
+from qcontexts.pointer import _RUN_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
+from helpers import mixed_schmidt, one_stream_first_clicks, random_unitary
 
 RNG = np.random.default_rng(90125)
 
@@ -230,12 +230,19 @@ def test_pointer_bell_flags_non_unique():
     assert schmidt.non_unique
 
 
-def test_pointer_score_is_the_rebase_onto_the_completed_basis():
+def _weighted_score(joint: JointState, basis: np.ndarray) -> float:
+    """1 minus the largest weighted overlap c_i c_j |<r_i|r_j>| of the rebase onto basis."""
+    return 1.0 - pointer._rebase(joint.ambient_amplitudes(), basis)[3]
+
+
+def test_pointer_score_is_the_weighted_score_of_the_rebase_onto_the_completed_basis():
     for system_dim, apparatus_dim in ((2, 2), (2, 4), (3, 5)):
         joint = random_joint(RNG, system_dim, apparatus_dim)
         schmidt, score = pointer_basis_scored(joint)
         completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
-        assert score == rebase_joint(joint, completed).orthogonality_score
+        assert score == _weighted_score(joint, completed)
+        assert 1.0 - ALGEBRA_TOL <= score <= 1.0
+        assert score >= rebase_joint(joint, completed).orthogonality_score  # weights are at most 1
         assert np.array_equal(schmidt.apparatus_states, pointer_basis_select(joint).apparatus_states)
 
 
@@ -267,14 +274,15 @@ def _small_branch_joint(s: float, seed: int) -> JointState:
 @pytest.mark.parametrize("s", [1e-6, 1e-8, 1e-10, 1.1e-12])
 def test_pointer_accepts_a_small_schmidt_coefficient(s):
     """The relative state of weight s carries round-off of about 2^-53 / s, so the unweighted
-    score falls short of 1 by more than ALGEBRA_TOL; the weighted audit accepts the state and
-    the score is still reported as measured."""
+    score falls short of 1 by more than ALGEBRA_TOL; the weighted audit accepts the state, and
+    the score it returns is the weighted one it bounds."""
     for seed in range(5):
         joint = _small_branch_joint(s, seed)
         schmidt, score = pointer_basis_scored(joint)
         np.testing.assert_allclose(schmidt.coefficients, [math.sqrt(0.75 - s * s), 0.5, s], rtol=0, atol=1e-15)
         completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
-        assert score == rebase_joint(joint, completed).orthogonality_score
+        assert score == _weighted_score(joint, completed)
+        assert 1.0 - 1e-14 <= score <= 1.0
 
 
 @pytest.mark.parametrize("s", [0.3, 1e-8])
@@ -406,10 +414,8 @@ def test_detector_facts_past_the_cap_are_refused_before_any_is_built():
     assert sequence.clicked and len(sequence.ticks) == 1
 
 
-# Seeds where the hash changes shape: one zero word, a wrap of the low word (one word to
-# two; then a short block, drawn through default_rng), two words to three, four to five
-# (the first seed with an entropy word past the pool), and seven words.
-SEED_STARTS = [0, 7, 2**32 - 50, 5 * 2**32 - 3, 2**64 - 49, 2**128 - 50, 2**200 + 3]
+# Seeds of one, two, three, four and five 32-bit words.
+SEEDS = [0, 7, 2**32 - 50, 5 * 2**32 - 3, 2**64 - 20, 2**128 - 50, 2**130 + 1]
 
 
 def _concatenated(blocks) -> list[int]:
@@ -419,28 +425,51 @@ def _concatenated(blocks) -> list[int]:
     return np.concatenate(blocks).tolist()
 
 
-def _default_rng_first_clicks(count, p, seed, runs):
-    if p == 0.0:
-        return [0] * runs
-    return [d if (d := int(np.random.default_rng(seed + i).geometric(p))) <= count else 0 for i in range(runs)]
-
-
 @pytest.mark.parametrize("p", [0.00995, 0.5, 1.0, 0.0], ids=["inversion", "search", "certain", "never"])
-@pytest.mark.parametrize("seed", SEED_STARTS)
-def test_first_clicks_draw_exactly_from_default_rng_of_seed_plus_i(seed, p):
-    assert _concatenated(first_clicks(40, p, seed, 100)) == _default_rng_first_clicks(40, p, seed, 100)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_clicks_draw_in_order_from_default_rng_of_seed(seed, p):
+    assert _concatenated(first_clicks(40, p, seed, 100)) == one_stream_first_clicks(40, p, seed, 100)
 
 
-def test_first_clicks_past_one_block_keep_every_stream():
-    runs = _SEED_BLOCK + 100
-    assert _concatenated(first_clicks(40, 0.00995, 11, runs)) == _default_rng_first_clicks(40, 0.00995, 11, runs)
+def test_first_clicks_past_one_block_keep_the_one_stream():
+    runs = _RUN_BLOCK + 100
+    assert _concatenated(first_clicks(40, 0.00995, 11, runs)) == one_stream_first_clicks(40, 0.00995, 11, runs)
 
 
-def test_first_clicks_in_threads_keep_every_stream():
-    # Each block draws through a seed adapter of its own; one shared between threads would hand
-    # a run the seed words another thread set.
-    seeds = [11, 5000, 2**32 - 50, 5 * 2**32 - 3, 2**64 - 49, 2**128 - 50]
-    expected = {seed: _default_rng_first_clicks(40, 0.00995, seed, 1000) for seed in seeds}
+@pytest.mark.parametrize("p", [0.00995, 0.2, 0.34, 0.9, 1e-6])
+def test_first_clicks_are_prefix_stable_across_runs_and_block_splits(monkeypatch, p):
+    runs = 3 * _RUN_BLOCK + 5
+    whole = _concatenated(first_clicks(10**7, p, 2**64 - 20, runs))
+    for prefix in (1, 17, _RUN_BLOCK, _RUN_BLOCK + 1, runs - 1):
+        assert _concatenated(first_clicks(10**7, p, 2**64 - 20, prefix)) == whole[:prefix]
+    for block in (1, 3, 17, 4095):
+        monkeypatch.setattr(pointer, "_RUN_BLOCK", block)
+        assert _concatenated(first_clicks(10**7, p, 2**64 - 20, 5000)) == whole[:5000]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_first_clicks_run_0_is_the_detector_simulation_of_the_seed(seed):
+    for rate, tick, horizon in ((0.0, 0.5, 5.0), (2.0, 0.1, 5.0), (0.3, 0.2, 1.0), (1e3, 0.5, 10.0)):
+        sequence = detector_click_simulation(rate, tick, horizon, seed)
+        count, p = pointer.detector_law(rate, tick, horizon)
+        assert _concatenated(first_clicks(count, p, seed, 7))[0] == (len(sequence.ticks) if sequence.clicked else 0)
+
+
+def test_first_clicks_draw_nothing_when_p_is_0(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    blocks = list(first_clicks(40, 0.0, 7, _RUN_BLOCK + 1))
+    assert [block.size for block in blocks] == [_RUN_BLOCK, 1]
+    assert _concatenated(blocks) == [0] * (_RUN_BLOCK + 1)
+    assert detector_click_simulation(0.0, 0.5, 5.0, seed=7).click_time is None
+
+
+def test_first_clicks_in_threads_draw_the_one_stream_of_each_seed():
+    # Each call owns its generator; a shared one would hand a thread draws another thread made.
+    seeds = [11, 5000, 2**32 - 50, 2**64 - 20, 2**130 + 1]
+    expected = {seed: one_stream_first_clicks(40, 0.00995, seed, 1000) for seed in seeds}
     results = {}
 
     def draw(seed):

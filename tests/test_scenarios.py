@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import qcontexts
 from qcontexts import (
+    FactSequence,
     InvariantViolation,
     Scenario,
     ScenarioError,
@@ -39,9 +40,9 @@ from qcontexts.cli import main
 from qcontexts.contexts import DENOMINATOR_FLOOR, MAX_CHAIN_SAMPLES, MAX_PHASE
 from qcontexts.errors import clipped_repr
 from qcontexts.linalg import ALGEBRA_TOL, COEFFICIENT_DEGENERACY_TOL, CONSTRUCTION_TOL
-from qcontexts.pointer import _SEED_BLOCK, detector_law, spreading_sigma
+from qcontexts.pointer import _RUN_BLOCK, detector_law, spreading_sigma
 from qcontexts.scenarios import MAX_DETECTOR_RUNS, MAX_FILE_BYTES
-from helpers import mixed_schmidt
+from helpers import mixed_schmidt, one_stream_first_clicks
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -712,11 +713,19 @@ def test_loading_and_running_builds_the_spec_once(monkeypatch, kind):
 
 
 def _reference_detector_rows(rate, tick, horizon, seed, runs) -> dict:
-    """The detector report counted from materialized fact sequences, run i on seed + i."""
+    """The detector report counted from checked fact sequences, run i's click at draw i of one stream;
+    run 0's sequence is detector_click_simulation's for the seed."""
+    count, p = detector_law(rate, tick, horizon)
     nonclick_facts = 0
     click_times = []
-    for i in range(runs):
-        sequence = detector_click_simulation(rate, tick, horizon, seed + i)
+    for i, first in enumerate(one_stream_first_clicks(count, p, seed, runs)):
+        if first:
+            ticks = tuple((k * tick, "nonclick") for k in range(1, first)) + ((first * tick, "click"),)
+            sequence = FactSequence(ticks, first * tick)
+        else:
+            sequence = FactSequence(tuple((k * tick, "nonclick") for k in range(1, count + 1)), None)
+        if i == 0:
+            assert sequence == detector_click_simulation(rate, tick, horizon, seed)
         nonclick_facts += len(sequence.ticks) - (1 if sequence.clicked else 0)
         if sequence.clicked:
             click_times.append(sequence.click_time)
@@ -727,7 +736,7 @@ def _reference_detector_rows(rate, tick, horizon, seed, runs) -> dict:
         "nonclick_facts": nonclick_facts,
     }
     if click_times:
-        rows["mean_click_time"] = sum(click_times) / len(click_times)
+        rows["mean_click_time"] = math.fsum(click_times) / len(click_times)
     return rows
 
 
@@ -743,34 +752,31 @@ def test_detector_counts_match_fact_sequences(rate, tick, horizon, seed):
     expected = _reference_detector_rows(rate, tick, horizon, seed, 40)
     assert [label for label, _ in report.rows] == list(expected)
     for label, value in expected.items():
-        assert report.value(label) == float(format_number(value))
-
-
-def _plain_detector_tallies(rate, tick, horizon, seed, runs) -> dict:
-    """The detector's raw tallies, run i drawn alone from default_rng(seed + i) and added in order."""
-    count, p = detector_law(rate, tick, horizon)
-    clicked = nonclick_facts = 0
-    click_time_total = 0.0
-    for i in range(runs):
-        first = int(np.random.default_rng(seed + i).geometric(p)) if p else 0
-        if 0 < first <= count:
-            clicked += 1
-            nonclick_facts += first - 1
-            click_time_total += first * tick
+        if label == "mean_click_time":  # summed in another order: equal to within a few ulps before rounding
+            assert report.value(label) == pytest.approx(value, rel=1e-11)
         else:
-            nonclick_facts += count
+            assert report.value(label) == float(format_number(value))
+    assert report.metadata_dict()["sampler"] == "geometric-stream"
+
+
+def _one_stream_tallies(rate, tick, horizon, seed, runs) -> dict:
+    """The detector's raw tallies, counted from one default_rng(seed).geometric(p, runs) call."""
+    count, p = detector_law(rate, tick, horizon)
+    hits = [first for first in one_stream_first_clicks(count, p, seed, runs) if first]
+    clicked = len(hits)
+    nonclick_facts = sum(first - 1 for first in hits) + (runs - clicked) * count
     tallies = {"runs": runs, "clicked": clicked, "censored": runs - clicked, "nonclick_facts": nonclick_facts}
     if clicked:
-        tallies["mean_click_time"] = click_time_total / clicked
+        tallies["mean_click_time"] = tick * (sum(hits) / clicked)
     return tallies
 
 
 @pytest.mark.parametrize(
     "rate, seed, runs",
-    [(1.0, 7, _SEED_BLOCK + 1), (2.5, 2**32 - 50, 300), (0.3, 2**64 - 20, 100), (0.0, 11, 40)],
-    ids=["two-blocks", "low-word-wrap", "two-to-three-words", "rate-0"],
+    [(1.0, 7, _RUN_BLOCK + 1), (2.5, 2**32 - 50, 300), (0.3, 2**64 - 20, 100), (0.0, 11, 40)],
+    ids=["two-blocks", "seed-near-2^32", "seed-near-2^64", "rate-0"],
 )
-def test_detector_tallies_equal_runs_drawn_one_by_one(monkeypatch, rate, seed, runs):
+def test_detector_tallies_equal_one_stream_drawn_at_once(monkeypatch, rate, seed, runs):
     made, make_report = [], scenarios.make_report
 
     def keeping(scenario, columns, rows, metadata):
@@ -781,10 +787,45 @@ def test_detector_tallies_equal_runs_drawn_one_by_one(monkeypatch, rate, seed, r
     parameters = {"rate": rate, "tick": 0.01, "horizon": 2.0, "seed": seed, "runs": runs}
     run_scenario(Scenario(name="counter", kind="detector", parameters=parameters))
     tallies = {label: value for label, (value,) in made[0]}  # before rounding
-    expected = _plain_detector_tallies(rate, 0.01, 2.0, seed, runs)
+    expected = _one_stream_tallies(rate, 0.01, 2.0, seed, runs)
     assert {label: float(value).hex() for label, value in tallies.items()} == {
         label: float(value).hex() for label, value in expected.items()
     }
+
+
+@pytest.mark.parametrize("rate", [0.3, 2.5, 50.0])
+@pytest.mark.parametrize("tick", [0.01, 0.2])
+@pytest.mark.parametrize("horizon", [0.5, 3.0])
+def test_detector_report_follows_its_law(rate, tick, horizon):
+    """clicked within 5 sigma of its binomial, and the mean click time within 5 standard errors of
+    the geometric law truncated at the horizon's tick count."""
+    runs = 20_000
+    parameters = {"rate": rate, "tick": tick, "horizon": horizon, "seed": 2024, "runs": runs}
+    report = run_scenario(Scenario(name="counter", kind="detector", parameters=parameters))
+    count, p = detector_law(rate, tick, horizon)
+    k = np.arange(1, count + 1)
+    mass = p * (1.0 - p) ** (k - 1)  # P(first click at tick k)
+    q = float(mass.sum())
+    clicked = report.value("clicked")
+    assert abs(clicked - runs * q) <= 5.0 * math.sqrt(runs * q * (1.0 - q)) + 0.5
+    mean = float((k * mass).sum()) / q
+    spread = math.sqrt(float((k * k * mass).sum()) / q - mean * mean)
+    assert abs(report.value("mean_click_time") / tick - mean) <= 5.0 * spread / math.sqrt(clicked) + 1e-9
+    assert report.value("nonclick_facts") == pytest.approx(
+        clicked * (report.value("mean_click_time") / tick - 1.0) + (runs - clicked) * count, rel=1e-10
+    )
+
+
+def test_detector_report_of_huge_finite_times_is_finite(capsysbinary, tmp_path):
+    payload = {
+        "kind": "detector",
+        "name": "big",
+        "parameters": {"horizon": 1.7e308, "rate": 1e-305, "runs": 10000, "seed": 7, "tick": 1e305},
+    }
+    assert main(["run", write_scenario(tmp_path, payload), "--format", "json"]) == 0
+    rows = dict(json.loads(capsysbinary.readouterr().out)["rows"])
+    assert all(math.isfinite(float(value)) for value in rows.values())
+    assert float(rows["clicked"]) > 0 and float(rows["mean_click_time"]) <= 1.7e308
 
 
 def test_detector_checks_its_law_once_per_scenario(monkeypatch):
@@ -1294,7 +1335,7 @@ def test_cli_pointer_with_a_small_schmidt_coefficient_runs(tmp_path, capsysbinar
     assert main(["run", write_scenario(tmp_path, _small_branch_pointer(s)), "--format", "json"]) == 0
     rows = dict(json.loads(capsysbinary.readouterr().out)["rows"])
     assert float(rows["coefficient:3"]) == pytest.approx(s, rel=1e-3)
-    assert float(rows["orthogonality:pointer"]) < 1.0 - ALGEBRA_TOL  # reported as measured
+    assert rows["orthogonality:pointer"] == "1.00000000000"  # 1 minus the weighted overlap the audit bounds
 
 
 def test_cli_pointer_basis_mixing_two_significant_branches_is_a_tolerance_breach(monkeypatch, tmp_path, capsysbinary):
