@@ -91,10 +91,9 @@ def main(argv: list[str] | None = None) -> int:
             scenario = load_scenario(args.file)
             report = run_scenario(scenario, seed=args.seed, samples=args.samples)
             return _write(emit_report(report, args.format), args.out)
-        elif args.command == "preset" and args.action == "list":
+        if args.action == "list":  # argparse requires a command and a preset action
             return _write(("\n".join(preset_names()) + "\n").encode("utf-8"), None)
-        elif args.command == "preset" and args.action == "show":
-            return _write(scenario_to_json(load_preset(args.name)), None)
+        return _write(scenario_to_json(load_preset(args.name)), None)
     except ScenarioError as exc:
         return _fail(EXIT_PARSE, "parse-error", exc)
     except InvariantViolation as exc:
@@ -103,7 +102,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_IMPOSSIBLE, "impossible-postselection", exc)
     except ToleranceError as exc:
         return _fail(EXIT_TOLERANCE, "tolerance-breach", exc)
-    return EXIT_OK
 
 
 def console() -> None:

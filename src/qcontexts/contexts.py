@@ -191,10 +191,15 @@ class Context:
     def _images(self) -> np.ndarray:
         return read_only(self.intermediate.observable.images(self._ket))
 
+    # Read-only born[k] = <s|P_k|s> and joint[k] = ||P_b U_onward P_k s||^2 for the ket s at t:
+    # joint[k] / born[k] is the success of post-selection after a Lüders collapse onto outcome k.
+    # Stacked gemvs and dots per row are the per-outcome matvecs and vdot bit for bit; a d x k gemm is not.
     @cached_property
     def _branches(self) -> tuple[np.ndarray, np.ndarray]:
         post_proj = self.postselection.observable.projector(self.postselection.label)
-        return _branch_table(self._ket, self._images, self._onward, post_proj)
+        branches = np.matmul(post_proj, np.matmul(self._onward, self._images[:, :, None]))
+        joint = np.matmul(branches.transpose(0, 2, 1).conj(), branches).real.ravel()
+        return read_only(projector_weights(self._ket, self._images)), read_only(joint)
 
     @cached_property
     def _abl(self) -> OutcomeDistribution:
@@ -210,17 +215,6 @@ class Context:
     @cached_property
     def _born(self) -> OutcomeDistribution:
         return OutcomeDistribution(tuple(zip(self.intermediate.observable.labels, self._branches[0].tolist())))
-
-
-def _branch_table(state, images, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only born[k] = <s|P_k|s> and joint[k] = ||P_b U P_k s||^2 for the state s at
-    the intermediate time, its images P_k s as rows, the propagator U onward to the
-    post-selection and its projector P_b. joint[k] / born[k] is the success of
-    post-selection after a Lüders collapse onto outcome k. Stacked gemvs and dots
-    per row are the per-outcome matvecs and vdot bit for bit; a d x k gemm is not."""
-    branches = np.matmul(post_proj, np.matmul(onward, images[:, :, None]))
-    joint = np.matmul(branches.transpose(0, 2, 1).conj(), branches).real.ravel()
-    return read_only(projector_weights(state, images)), read_only(joint)
 
 
 def abl_distribution(ctx: Context) -> OutcomeDistribution:
@@ -303,25 +297,20 @@ class TotalProbabilityGap:
     gap: float
 
 
-def total_probability_gap(
-    preparation: StateVector,
-    post_observable: ProjectiveDecomposition,
-    post_label: str,
-    intermediate_observable: ProjectiveDecomposition,
-) -> TotalProbabilityGap:
-    """Violation of the classical total-probability chain (equal times, free Hamiltonian).
+def total_probability_gap(ctx: Context) -> TotalProbabilityGap:
+    """Violation of the classical total-probability chain, read from the context.
 
-    quantum is <a|P_b|a>; classical_chain is sum_i P(b|c_i) P(c_i|a) with
-    every factor a Born value. An intermediate observable holding a
+    quantum is ||P_b U(t2 - t1) a||^2, nothing measured in between;
+    classical_chain is sum_i P(b|c_i) P(c_i|a) over the branch table, the Lüders
+    chain with its evolution (negligible Born weights skipped): in a free context,
+    Born values at equal times. An intermediate observable holding a
     measurement-independent true value would force the two to coincide;
     projective statistics generally keep them apart.
     """
-    if preparation.dim != post_observable.dim or preparation.dim != intermediate_observable.dim:
-        raise InvariantViolation("total-probability gap needs matching dimensions throughout")
-    a, post_proj = preparation.amplitudes, post_observable.projector(post_label)
-    quantum = float(projector_weights(a, (post_proj @ a)[None])[0])
-    identity = np.eye(preparation.dim, dtype=complex)
-    born, joint = _branch_table(a, intermediate_observable.images(a), identity, post_proj)
+    ket = ctx._through @ ctx.preparation.state.amplitudes
+    post_proj = ctx.postselection.observable.projector(ctx.postselection.label)
+    quantum = float(projector_weights(ket, (post_proj @ ket)[None])[0])
+    born, joint = ctx._branches
     classical = float(joint[born > NEGLIGIBLE].sum())
     return TotalProbabilityGap(quantum, classical, quantum - classical)
 
@@ -383,13 +372,12 @@ def interchange_context(ctx: Context) -> Context:
 @dataclass(frozen=True, eq=False)
 class ElementOfReality:
     """An outcome predictable with probability one (certainty criterion), made by element_of_reality:
-    label is one of the observable's, probability lies in [0, 1], and certified holds exactly when it
-    reaches 1 - CERTAINTY_TOL."""
+    label is one of the observable's and probability lies in [1 - CERTAINTY_TOL, 1]; an outcome
+    short of that is no element (element_of_reality returns None)."""
 
     observable: ProjectiveDecomposition
     label: str
     probability: float
-    certified: bool
 
 
 def element_of_reality(
@@ -402,7 +390,7 @@ def element_of_reality(
 
     Without an observable, the question "is the system in its evolved
     state?" is certain by construction: the answer is the time-dependent
-    projector onto the evolved state, returned as a certified element. With
+    projector onto the evolved state, returned as an element. With
     an observable, the outcome whose Born probability reaches certainty is
     returned, or None when every outcome stays genuinely uncertain.
     """
@@ -414,12 +402,12 @@ def element_of_reality(
         evolved = evolve(preparation.state, hamiltonian, at_time - preparation.time)
     if observable is None:
         question = _projector_question(evolved.amplitudes)
-        return ElementOfReality(question, "yes", 1.0, True)
+        return ElementOfReality(question, "yes", 1.0)
     if observable.dim != preparation.state.dim:
         raise InvariantViolation("observable dimension differs from the preparation")
     label, prob = born_distribution(evolved, observable).most_likely()
     if prob >= 1.0 - CERTAINTY_TOL:
-        return ElementOfReality(observable, label, prob, True)
+        return ElementOfReality(observable, label, prob)
     return None
 
 

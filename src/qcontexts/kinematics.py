@@ -39,10 +39,11 @@ CLAMP_TOL = 1e-9
 CERTAINTY_TOL = 1e-9
 
 # A decomposition multiplies out all its k(k-1)/2 projector pairs unless they
-# number more than this; past it, the orthogonality certificate runs. Measured:
-# k rank-1 outcomes at d = k build equally fast either way at k = 9 or 10
-# (36 / 45 pairs), and 6x / 15x faster certified at k = 32 / 64.
-CERTIFY_PAIRS = 36
+# number more than this; past it, the orthogonality certificate runs. Measured
+# on k rank-1 outcomes at d = k (medians of 9 alternating sets, 2-vCPU VM), exact
+# against certified: 81 / 93 us at k = 4 (6 pairs), 110 / 96 us at k = 5 (10),
+# 225 / 124 us at k = 8 (28), and 6x / 15x faster certified at k = 32 / 64.
+CERTIFY_PAIRS = 6
 
 
 @dataclass(frozen=True, eq=False)

@@ -310,9 +310,7 @@ class FactSequence:
             if time <= previous:
                 raise InvariantViolation("fact times must be strictly increasing")
             previous = time
-            if kind == CLICK:
-                if click_at is not None:
-                    raise InvariantViolation("at most one click per sequence")
+            if kind == CLICK:  # final, so at most one: of two clicks the first is not final
                 if index != len(self.ticks) - 1:
                     raise InvariantViolation("a click must be the final fact")
                 click_at = time

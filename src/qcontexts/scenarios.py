@@ -271,7 +271,7 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
 
     gap is untimed: it reads no times, `performed` or `hamiltonian`. Its
     context evolves freely, so the placeholder times 0 < 1 < 2 change no
-    probability and it is the equal-time arrangement the gap is defined on.
+    probability: total_probability_gap reads the equal-time arrangement from it.
     """
     prep_json = _require(params, "preparation", field)
     inter_json = _require(params, "intermediate", field)
@@ -463,8 +463,7 @@ def _run_chain(scenario: Scenario, spec, seed, samples) -> Report:
 
 
 def _run_gap(scenario: Scenario, ctx: Context, seed, samples) -> Report:
-    post = ctx.postselection
-    result = total_probability_gap(ctx.preparation.state, post.observable, post.label, ctx.intermediate.observable)
+    result = total_probability_gap(ctx)
     rows = [(name, (getattr(result, name),)) for name in ("quantum", "classical_chain", "gap")]
     return make_report(scenario, ("value",), rows, {})
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -153,7 +154,7 @@ def reference_decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
 
 
 def branch_table_reference(state, observable: ProjectiveDecomposition, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
-    """contexts._branch_table as a per-outcome loop: the image P_k s and its clamped weight
+    """Context._branches as a per-outcome loop: the image P_k s and its clamped weight
     vdot(s, P_k s), as the former scalar projector_image took them, then
     post_proj @ (onward @ image) and its vdot, one outcome at a time."""
     born = np.empty(len(observable.outcomes))
@@ -165,6 +166,21 @@ def branch_table_reference(state, observable: ProjectiveDecomposition, onward, p
         branch = post_proj @ (onward @ image)
         joint[k] = float(np.real(np.vdot(branch, branch)))
     return born, joint
+
+
+def count_branch_builds(monkeypatch) -> list:
+    """Record every Context whose branch table (the cached Context._branches) is built."""
+    built = []
+    build = Context._branches.func
+
+    def counting(ctx):
+        built.append(ctx)
+        return build(ctx)
+
+    table = functools.cached_property(counting)
+    table.__set_name__(Context, "_branches")
+    monkeypatch.setattr(Context, "_branches", table)
+    return built
 
 
 def abl_reference(ctx: Context) -> OutcomeDistribution:

@@ -45,6 +45,7 @@ from helpers import (
     born_reference,
     branch_table_reference,
     conditional_from_joint,
+    count_branch_builds,
     enumerate_chain,
     heisenberg_discrepancy_reference,
     random_context,
@@ -379,14 +380,14 @@ def test_chain_clips_a_branch_success_that_rounds_past_one():
 
 
 def test_gap_maximal_for_conjugate_chain():
-    result = total_probability_gap(StateVector.basis_state(2, 0), pauli_z(), "+1", pauli_x())
+    result = total_probability_gap(simple_context(StateVector.basis_state(2, 0), pauli_z(), "+1", pauli_x()))
     assert abs(result.quantum - 1.0) < 1e-12
     assert abs(result.classical_chain - 0.5) < 1e-12
     assert abs(result.gap - 0.5) < 1e-12
 
 
 def test_gap_vanishes_for_commuting_triple():
-    result = total_probability_gap(StateVector.basis_state(2, 0), pauli_z(), "+1", pauli_z())
+    result = total_probability_gap(simple_context(StateVector.basis_state(2, 0), pauli_z(), "+1", pauli_z()))
     assert abs(result.gap) < 1e-12
 
 
@@ -398,7 +399,7 @@ def test_gap_angle_sweep():
             Outcome("hit", 1.0, np.outer(b.amplitudes, b.amplitudes.conj())),
             Outcome("miss", 0.0, np.eye(2) - np.outer(b.amplitudes, b.amplitudes.conj())),
         ))
-        result = total_probability_gap(StateVector.basis_state(2, 0), post, "hit", pauli_x())
+        result = total_probability_gap(simple_context(StateVector.basis_state(2, 0), post, "hit", pauli_x()))
         assert abs(result.classical_chain - 0.5) < 1e-12
         assert abs(result.quantum - np.cos(theta) ** 2) < 1e-12
 
@@ -427,9 +428,45 @@ def test_gap_classical_chain_is_the_lueders_chain():
         for label, prob in born_distribution(a, inter).entries:
             if prob > 1e-12:
                 reference += prob * born_distribution(lueders_collapse(a, inter, label), post).probability("b0")
-        assert abs(total_probability_gap(a, post, "b0", inter).classical_chain - reference) < 1e-12
+        assert abs(total_probability_gap(simple_context(a, post, "b0", inter)).classical_chain - reference) < 1e-12
         ranks.update(o.rank for o in inter.outcomes + post.outcomes)
     assert ranks == {1, 2}
+
+
+def test_gap_with_a_hamiltonian_is_the_evolved_post_selection_and_the_evolved_chain():
+    # quantum is the Born weight of b0 after U(t2 - t1); classical_chain evolves to t, collapses, evolves on.
+    rng = np.random.default_rng(4343)
+    for trial in range(30):
+        dim = 2 + trial % 4
+        a = random_state(rng, dim)
+        inter = _random_observable_with_rank_two(rng, dim, "c")
+        post = _random_observable_with_rank_two(rng, dim, "b")
+        h = random_hermitian(rng, dim)
+        ctx = Context(Preparation(a, -0.4), PostSelection(post, "b0", 1.3), Intermediate(inter, 0.1), h)
+        at_t = evolve(a, h, 0.5)
+        chain = 0.0
+        for label, prob in born_distribution(at_t, inter).entries:
+            if prob > 1e-12:
+                onward = evolve(lueders_collapse(at_t, inter, label), h, 1.2)
+                chain += prob * born_distribution(onward, post).probability("b0")
+        result = total_probability_gap(ctx)
+        assert abs(result.quantum - born_distribution(evolve(a, h, 1.7), post).probability("b0")) < 1e-12
+        assert abs(result.classical_chain - chain) < 1e-12
+        assert result.gap == result.quantum - result.classical_chain
+
+
+@pytest.mark.parametrize("theta", [2e-7, 2e-6])
+def test_gap_chain_skips_a_branch_of_negligible_born_weight(theta):
+    # The intermediate outcome c1 has Born weight sin^2(theta) from |0>, and post-selecting c1 after
+    # a collapse onto c0 fails: the chain reaches b only through c1, so only when c1 is not negligible.
+    c0, c1 = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+    basis = ProjectiveDecomposition((Outcome("c0", 0.0, np.outer(c0, c0)), Outcome("c1", 1.0, np.outer(c1, c1))))
+    result = total_probability_gap(simple_context(StateVector.basis_state(2, 0), basis, "c1", basis))
+    assert result.quantum == pytest.approx(np.sin(theta) ** 2, rel=1e-9)
+    if np.sin(theta) ** 2 <= NEGLIGIBLE:
+        assert result.classical_chain < 1e-28
+    else:
+        assert result.classical_chain == pytest.approx(result.quantum, rel=1e-9)
 
 
 def test_gap_zero_when_preparation_is_eigenstate():
@@ -437,7 +474,7 @@ def test_gap_zero_when_preparation_is_eigenstate():
         obs = random_observable(RNG, 3)
         a = prepare_eigenstate(obs, "o1")
         post = random_observable(RNG, 3, prefix="b")
-        result = total_probability_gap(a, post, "b0", obs)
+        result = total_probability_gap(simple_context(a, post, "b0", obs))
         assert abs(result.gap) < 1e-12
 
 
@@ -506,8 +543,8 @@ def test_element_from_evolved_projector():
     prep = Preparation(StateVector.basis_state(2, 0), 0.0)
     h = random_hermitian(RNG, 2)
     element = element_of_reality(prep, h, 1.3)
-    assert element is not None and element.certified and element.probability == 1.0
-    # The certified projector is the evolved state's own question.
+    assert element is not None and element.probability == 1.0
+    # The element's projector is the evolved state's own question.
     evolved = evolve(prep.state, h, 1.3)
     assert born_distribution(evolved, element.observable).probability("yes") > 1.0 - 1e-10
 
@@ -520,7 +557,7 @@ def test_element_absent_for_uncertain_observable():
 def test_element_present_for_aligned_observable():
     prep = Preparation(StateVector.basis_state(2, 0), 0.0)
     element = element_of_reality(prep, None, 1.0, pauli_z())
-    assert element is not None and element.label == "+1" and element.certified
+    assert element is not None and element.label == "+1" and element.probability == 1.0
 
 
 # --- picture consistency --------------------------------------------------------------
@@ -668,6 +705,7 @@ def _query_everything_twice(ctx: Context) -> None:
         sequential_success_probability(ctx)
         sample_chain(ctx, 200, seed=5)
         picture_consistency_check(ctx)
+        total_probability_gap(ctx)
 
 
 def test_context_decomposes_its_hamiltonian_once(monkeypatch):
@@ -679,9 +717,10 @@ def test_context_decomposes_its_hamiltonian_once(monkeypatch):
 
 @pytest.mark.parametrize("free", [False, True])
 def test_context_builds_its_branch_table_once(monkeypatch, free):
-    calls = _count_calls(monkeypatch, "_branch_table")
-    _query_everything_twice(random_context(np.random.default_rng(15), 3, free=free))
-    assert len(calls) == 1
+    built = count_branch_builds(monkeypatch)
+    ctx = random_context(np.random.default_rng(15), 3, free=free)
+    _query_everything_twice(ctx)
+    assert built == [ctx]
 
 
 def test_free_context_never_decomposes(monkeypatch):
@@ -753,7 +792,7 @@ def test_gap_branch_table_is_the_per_outcome_loop_bit_for_bit(dim):
     born, joint = branch_table_reference(a, inter, np.eye(dim, dtype=complex), post_proj)
     quantum = min(max(float(np.real(np.vdot(a, post_proj @ a))), 0.0), 1.0)
     classical = float(joint[born > NEGLIGIBLE].sum())
-    result = total_probability_gap(StateVector(a), post, "b0", inter)
+    result = total_probability_gap(simple_context(StateVector(a), post, "b0", inter))
     assert (result.quantum, result.classical_chain, result.gap) == (quantum, classical, quantum - classical)
 
 

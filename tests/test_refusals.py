@@ -32,7 +32,6 @@ from qcontexts import (
     pauli_z,
     premeasurement_joint,
     sample_chain,
-    total_probability_gap,
     unitary_exponential,
 )
 from qcontexts.cli import main
@@ -62,9 +61,6 @@ REFUSALS = {
     ),
     "sample_chain-cap": (
         lambda: sample_chain(_context(), MAX_CHAIN_SAMPLES + 1, 0), InvariantViolation, "samples must lie in [1, "
-    ),
-    "total_probability_gap-dimension": (
-        lambda: total_probability_gap(UP, pauli_z(), "+1", THREE), InvariantViolation, "needs matching dimensions"
     ),
     "element_of_reality-time": (
         lambda: element_of_reality(Preparation(UP, 1.0), None, 0.5), InvariantViolation, "query time precedes"
@@ -130,7 +126,7 @@ REFUSALS = {
     "SpreadingModel-sigma0": (lambda: SpreadingModel(0.0, 1.0), InvariantViolation, "sigma0 must be positive"),
     "SpreadingModel-mass": (lambda: SpreadingModel(1.0, NAN), InvariantViolation, "mass must be positive"),
     "FactSequence-kind": (lambda: FactSequence(((1.0, "bang"),), None), InvariantViolation, "unknown fact kind"),
-    # The first click fails the final-fact check before a second is seen: "at most one click" cannot be reached.
+    # The first of two clicks is not the final fact: that check is what bounds a record to one click.
     "FactSequence-two-clicks": (
         lambda: FactSequence(((1.0, "click"), (2.0, "click")), 2.0),
         InvariantViolation,

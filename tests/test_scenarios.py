@@ -42,7 +42,7 @@ from qcontexts.errors import clipped_repr
 from qcontexts.linalg import ALGEBRA_TOL, COEFFICIENT_DEGENERACY_TOL, CONSTRUCTION_TOL
 from qcontexts.pointer import _RUN_BLOCK, detector_law, spreading_sigma
 from qcontexts.scenarios import MAX_DETECTOR_RUNS, MAX_FILE_BYTES
-from helpers import mixed_schmidt, one_stream_first_clicks
+from helpers import count_branch_builds, mixed_schmidt, one_stream_first_clicks
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -268,6 +268,14 @@ def test_two_slit_gap_report_values():
     assert report.value("quantum") == 1.0
     assert report.value("classical_chain") == 0.5
     assert report.value("gap") == 0.5
+
+
+def test_gap_scenario_run_twice_builds_one_branch_table(monkeypatch):
+    built = count_branch_builds(monkeypatch)
+    scenario = load_scenario(SCENARIO_DIR / EXAMPLE_FILES["gap"])
+    first, second = run_scenario(scenario), run_scenario(scenario)
+    assert built == [scenario.spec]
+    assert emit_report(first) == emit_report(second)
 
 
 def test_chain_report_columns_and_overrides():
