@@ -18,20 +18,20 @@ happened, its record is merely unknown) or as counterfactual/objective (no
 intermediate measurement was performed) changes nothing quantitative; the
 reading is carried as context metadata only.
 
-A Context is immutable, so it computes once, on first use, and keeps: the
-eigensystem of its Hamiltonian and the propagators over t - t1, t2 - t and
-t2 - t1 (Eigensystem.propagator, certified by the eigensystem; a free context
-decomposes nothing); the images of the ket at t under the intermediate
-projectors, shared by both pictures; the branch table (per intermediate
-outcome, the Born weight and the post-selected branch weight), the source of
-every probability and chain tally; and its ABL and Born answers, one shared,
-immutable OutcomeDistribution each (an unreachable post-selection is not kept).
+A Context is an immutable record, so it computes once, on first use, and keeps: the
+eigensystem of its Hamiltonian and the propagators over t - t1, t2 - t and t2 - t1
+(Eigensystem.propagator, certified by the eigensystem; a free context decomposes
+nothing and shares one identity); the images of the ket at t under the intermediate
+projectors, shared by both pictures; the branch table (per intermediate outcome, the
+Born weight and the post-selected branch weight), the source of every probability
+and chain tally; and its ABL and Born answers, one shared, immutable
+OutcomeDistribution each (an unreachable post-selection is not kept).
+ChainSampleReport and TotalProbabilityGap compare by value, the others by identity.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,6 +56,7 @@ from .linalg import (
     projector_weights,
     read_only,
 )
+from .records import Record, ValueRecord
 
 # Below this total branch weight, post-selection is unreachable rather than
 # merely unlikely; the conditional distribution is undefined.
@@ -70,83 +71,71 @@ MAX_CHAIN_SAMPLES = 10**7
 MAX_PHASE = 4.5e5
 
 
-@dataclass(frozen=True, eq=False)
-class Preparation:
+class Preparation(Record):
     """Pre-selection: the state the system is prepared in, and when."""
 
-    state: StateVector
-    time: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.time):
+    def __init__(self, state: StateVector, time: float):
+        if not np.isfinite(time):
             raise InvariantViolation("preparation time must be finite")
+        self.__dict__.update(state=state, time=time)
 
 
-@dataclass(frozen=True, eq=False)
-class Intermediate:
+class Intermediate(Record):
     """The observable probed between the boundary conditions.
 
     performed=False marks the counterfactual arrangement: the number asked
     about an observable nobody measured. It never changes any probability.
     """
 
-    observable: ProjectiveDecomposition
-    time: float
-    performed: bool = True
-
-    def __post_init__(self):
-        if not np.isfinite(self.time):
+    def __init__(self, observable: ProjectiveDecomposition, time: float, performed: bool = True):
+        if not np.isfinite(time):
             raise InvariantViolation("intermediate time must be finite")
+        self.__dict__.update(observable=observable, time=time, performed=performed)
 
 
-@dataclass(frozen=True, eq=False)
-class PostSelection:
+class PostSelection(Record):
     """Post-selection: the final observable, the retained outcome, and when."""
 
-    observable: ProjectiveDecomposition
-    label: str
-    time: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.time):
+    def __init__(self, observable: ProjectiveDecomposition, label: str, time: float):
+        if not np.isfinite(time):
             raise InvariantViolation("post-selection time must be finite")
-        self.observable.outcome(self.label)  # raises on unknown label
+        observable.outcome(label)  # raises on unknown label
+        self.__dict__.update(observable=observable, label=label, time=time)
 
 
-@dataclass(frozen=True, eq=False)
-class Context:
+class Context(Record):
     """A full preparation / intermediate / post-selection arrangement.
 
     A probability belongs to the whole context, so the intermediate question is
     always part of it. A Hamiltonian must keep dim x max|H_ij| x (t2 - t1)
-    within MAX_PHASE.
+    within MAX_PHASE; None means free (H = 0).
     """
 
-    preparation: Preparation
-    postselection: PostSelection
-    intermediate: Intermediate
-    hamiltonian: HermitianOperator | None = None  # None means free (H = 0)
-
-    def __post_init__(self):
-        dim = self.preparation.state.dim
-        if self.postselection.observable.dim != dim:
+    def __init__(
+        self, preparation: Preparation, postselection: PostSelection, intermediate: Intermediate,
+        hamiltonian: HermitianOperator | None = None,
+    ):
+        dim = preparation.state.dim
+        if postselection.observable.dim != dim:
             raise InvariantViolation("post-selection observable dimension differs from the preparation")
-        if self.intermediate.observable.dim != dim:
+        if intermediate.observable.dim != dim:
             raise InvariantViolation("intermediate observable dimension differs from the preparation")
-        if self.hamiltonian is not None and self.hamiltonian.dim != dim:
-            h = self.hamiltonian.dim
+        if hamiltonian is not None and hamiltonian.dim != dim:
+            h = hamiltonian.dim
             raise InvariantViolation(f"dimension {h} does not match the state ({dim})", field="hamiltonian")
-        t1, t, t2 = self.preparation.time, self.intermediate.time, self.postselection.time
+        t1, t, t2 = preparation.time, intermediate.time, postselection.time
         if not t1 < t < t2:
             raise InvariantViolation(f"times must satisfy t1 < t < t2, got {t1}, {t}, {t2}")
-        if self.hamiltonian is not None:
-            phase = max_abs(self.hamiltonian.matrix) * dim * (t2 - t1)
+        if hamiltonian is not None:
+            phase = max_abs(hamiltonian.matrix) * dim * (t2 - t1)
             if phase > MAX_PHASE:
                 raise InvariantViolation(
                     f"largest entry x dimension x time span is {phase:.3e} rad, past {MAX_PHASE:g}, "
                     "where exp(-iHt) would lose 1e-10 phase accuracy",
                     field="hamiltonian",
                 )
+        self.__dict__.update(preparation=preparation, postselection=postselection, intermediate=intermediate)
+        self.__dict__.update(hamiltonian=hamiltonian)
 
     @property
     def dim(self) -> int:
@@ -164,9 +153,13 @@ class Context:
     def _eigensystem(self) -> Eigensystem:
         return hermitian_eigensystem(self.hamiltonian)
 
+    @cached_property
+    def _identity(self) -> np.ndarray:
+        return read_only(np.eye(self.dim, dtype=complex))
+
     def _propagator(self, duration: float) -> np.ndarray:
         if self.is_free():
-            return read_only(np.eye(self.dim, dtype=complex))
+            return self._identity
         return self._eigensystem.propagator(duration)
 
     # Read-only propagators over the fixed intervals t1 -> t, t -> t2 and t1 -> t2.
@@ -242,16 +235,13 @@ def born_context_distribution(ctx: Context) -> OutcomeDistribution:
     return ctx._born
 
 
-@dataclass(frozen=True)
-class ChainSampleReport:
+class ChainSampleReport(ValueRecord):
     """Post-selected Monte Carlo tallies over the measure-collapse-measure chain, made by sample_chain:
     retained <= requested, and frequencies is None exactly when no run survived post-selection, a
     no-data outcome distinct from a distribution of zeros."""
 
-    requested: int
-    retained: int
-    frequencies: OutcomeDistribution | None
-    seed: int
+    def __init__(self, requested: int, retained: int, frequencies: OutcomeDistribution | None, seed: int):
+        self.__dict__.update(requested=requested, retained=retained, frequencies=frequencies, seed=seed)
 
     @property
     def no_data(self) -> bool:
@@ -288,13 +278,11 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     return ChainSampleReport(samples, retained, frequencies, seed)
 
 
-@dataclass(frozen=True)
-class TotalProbabilityGap:
+class TotalProbabilityGap(ValueRecord):
     """Direct transition probability vs the two-step classical chain, and their difference."""
 
-    quantum: float
-    classical_chain: float
-    gap: float
+    def __init__(self, quantum: float, classical_chain: float, gap: float):
+        self.__dict__.update(quantum=quantum, classical_chain=classical_chain, gap=gap)
 
 
 def total_probability_gap(ctx: Context) -> TotalProbabilityGap:
@@ -369,15 +357,13 @@ def interchange_context(ctx: Context) -> Context:
     return Context(preparation, postselection, ctx.intermediate, None)
 
 
-@dataclass(frozen=True, eq=False)
-class ElementOfReality:
+class ElementOfReality(Record):
     """An outcome predictable with probability one (certainty criterion), made by element_of_reality:
     label is one of the observable's and probability lies in [1 - CERTAINTY_TOL, 1]; an outcome
     short of that is no element (element_of_reality returns None)."""
 
-    observable: ProjectiveDecomposition
-    label: str
-    probability: float
+    def __init__(self, observable: ProjectiveDecomposition, label: str, probability: float):
+        self.__dict__.update(observable=observable, label=label, probability=probability)
 
 
 def element_of_reality(

@@ -5,13 +5,13 @@ resolving the identity — which strictly generalizes the nondegenerate case:
 rank-1 outcomes recover textbook spectra, while rank > 1 outcomes collapse
 by the Lüders convention P|s> / ||P|s>||. Every state returned by an
 operation carries a canonical global phase (first non-negligible amplitude
-real-positive) so equality testing is reproducible.
+real-positive) so equality testing is reproducible. The types are records
+(records.Record); only OutcomeDistribution compares by value.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .linalg import (
     projector_weights,
     unitary_exponential,
 )
+from .records import Record, ValueRecord
 
 # Probabilities may drift past [0, 1] by round-off; clamping beyond this is a bug.
 CLAMP_TOL = 1e-9
@@ -46,18 +47,15 @@ CERTAINTY_TOL = 1e-9
 CERTIFY_PAIRS = 6
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record):
     """Unit-norm complex amplitudes over a finite basis."""
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = as_complex_array(self.amplitudes, 1, "state amplitudes")
+    def __init__(self, amplitudes: np.ndarray):
+        amps = as_complex_array(amplitudes, 1, "state amplitudes")
         if amps.size == 0:
             raise InvariantViolation("state must have at least one amplitude")
         check_unit_norm(amps, "state")
-        object.__setattr__(self, "amplitudes", frozen_copy(amps))
+        self.__dict__.update(amplitudes=frozen_copy(amps))
 
     @property
     def dim(self) -> int:
@@ -79,22 +77,16 @@ class StateVector:
         return cls(amps)
 
 
-@dataclass(frozen=True, eq=False)
-class Outcome:
+class Outcome(Record):
     """One labeled value of an observable, with its orthogonal projector."""
 
-    label: str
-    value: float
-    projector: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
+    def __init__(self, label: str, value: float, projector: np.ndarray):
+        if not isinstance(label, str) or not label:
             raise InvariantViolation("outcome label must be a nonempty string")
-        if not np.isfinite(self.value):
-            raise InvariantViolation(f"outcome value for {clipped_repr(self.label)} must be finite")
-        proj = as_complex_array(self.projector, 2, _projector_name(self.label), square=True)
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "projector", frozen_copy(proj))
+        if not np.isfinite(value):
+            raise InvariantViolation(f"outcome value for {clipped_repr(label)} must be finite")
+        proj = as_complex_array(projector, 2, _projector_name(label), square=True)
+        self.__dict__.update(label=label, value=float(value), projector=frozen_copy(proj))
 
     @property
     def rank(self) -> int:
@@ -160,8 +152,7 @@ def _uncertified(count: int, certificate: tuple[np.ndarray, np.ndarray, np.ndarr
     return zip(rows.tolist(), cols.tolist()), sum_needed
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveDecomposition:
+class ProjectiveDecomposition(Record):
     """Labeled orthogonal projectors resolving the identity.
 
     Each P_i is a Hermitian idempotent and outcomes i < j are orthogonal,
@@ -179,11 +170,8 @@ class ProjectiveDecomposition:
     inputs, first failing check and message are those of the exact checks.
     """
 
-    outcomes: tuple[Outcome, ...]
-    labels: tuple[str, ...] = field(init=False, repr=False)  # set once, from the outcomes
-
-    def __post_init__(self):
-        outcomes = tuple(self.outcomes)
+    def __init__(self, outcomes: tuple[Outcome, ...]):
+        outcomes = tuple(outcomes)
         if not outcomes:
             raise InvariantViolation("decomposition needs at least one outcome")
         labels = tuple(o.label for o in outcomes)
@@ -209,8 +197,7 @@ class ProjectiveDecomposition:
                 raise InvariantViolation(f"projectors for {names} are not orthogonal")
         if sum_needed and max_abs(sum(o.projector for o in outcomes) - np.eye(dim)) > ALGEBRA_TOL:
             raise InvariantViolation("projectors do not sum to the identity")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(outcomes=outcomes, labels=labels)
 
     @property
     def dim(self) -> int:
@@ -284,16 +271,13 @@ def pauli_y() -> ProjectiveDecomposition:
     ))
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Labeled nonnegative probabilities summing to one."""
+class OutcomeDistribution(ValueRecord):
+    """Labeled nonnegative probabilities summing to one; equal to another with equal entries."""
 
-    entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
+    def __init__(self, entries: tuple[tuple[str, float], ...]):
         cleaned = []
         seen = set()
-        for label, prob in self.entries:
+        for label, prob in entries:
             if label in seen:
                 raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
             seen.add(label)
@@ -306,7 +290,7 @@ class OutcomeDistribution:
         total = sum(p for _, p in cleaned)
         if abs(total - 1.0) > 1e-9:
             raise InvariantViolation(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "entries", tuple(cleaned))
+        self.__dict__.update(entries=tuple(cleaned))
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -6,18 +6,18 @@ arrays. Scope is desk scale — dimensions up to a few dozen — so every
 routine favors exactness and reproducibility over asymptotic speed:
 exponentials go through the eigendecomposition rather than a series, and
 degenerate eigenspaces are re-based deterministically so that equal inputs
-always produce identical matrices.
+always produce identical matrices. Its types are identity-compared records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvariantViolation
+from .records import Record
 
 # Construction-time tolerance for type invariants, and the looser tolerance
 # for algebraic identities; double precision leaves ample headroom for both
@@ -150,20 +150,18 @@ def fix_global_phase(vector: np.ndarray) -> np.ndarray:
     return vector * canonical_phases(vector[:, None])[0]
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
+class HermitianOperator(Record):
     """A finite Hermitian matrix; carrier for observables and Hamiltonians."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_array(self.matrix, 2, "Hermitian operator", square=True)
-        defect = hermiticity_defect(m)
+    def __init__(self, matrix: np.ndarray):
+        m = as_complex_array(matrix, 2, "Hermitian operator", square=True)
+        with np.errstate(over="ignore"):  # finite entries near the double range: an inf defect, refused below
+            defect = hermiticity_defect(m)
         if defect > CONSTRUCTION_TOL:
             raise InvariantViolation(
                 f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {CONSTRUCTION_TOL:.0e}"
             )
-        object.__setattr__(self, "matrix", frozen_copy(m))
+        self.__dict__.update(matrix=frozen_copy(m))
 
     @property
     def dim(self) -> int:
@@ -177,13 +175,12 @@ class HermitianOperator:
         return cls(np.zeros((dim, dim)))
 
 
-@dataclass(frozen=True, eq=False)
-class Eigensystem:
+class Eigensystem(Record):
     """Ascending real eigenvalues paired with orthonormal eigenvector columns, read-only; made by
     hermitian_eigensystem. propagator forms exp(-i H t), unchecked when certified (decided once)."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self.__dict__.update(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -274,8 +271,7 @@ def projector_weights(state: np.ndarray, images: np.ndarray) -> np.ndarray:
     return np.clip(weights, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
+class SchmidtDecomposition(Record):
     """Biorthogonal expansion of a bipartite amplitude matrix, made by schmidt_decompose.
 
     Coefficients are descending and nonnegative; column k of system_states pairs with column k
@@ -284,10 +280,11 @@ class SchmidtDecomposition:
     so some paired directions are arbitrary.
     """
 
-    coefficients: np.ndarray
-    system_states: np.ndarray
-    apparatus_states: np.ndarray
-    non_unique: bool
+    def __init__(
+        self, coefficients: np.ndarray, system_states: np.ndarray, apparatus_states: np.ndarray, non_unique: bool
+    ):
+        self.__dict__.update(coefficients=coefficients, system_states=system_states)
+        self.__dict__.update(apparatus_states=apparatus_states, non_unique=non_unique)
 
     @property
     def rank(self) -> int:

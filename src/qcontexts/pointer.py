@@ -12,13 +12,13 @@ reduces to a decomposition plus a score audit.
 Spreading and fact sequences cover the macroscopic side: a free Gaussian
 packet widens like 1/mass at late times, and a detector's life is a strictly
 ordered, append-only record of nonclick facts closed by at most one click.
+SpreadingModel and FactSequence are value records; the others compare by identity.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .linalg import (
     read_only,
     schmidt_decompose,
 )
+from .records import Record, ValueRecord
 
 NONCLICK = "nonclick"
 CLICK = "click"
@@ -68,8 +69,7 @@ def _as_basis(value, name: str) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True, eq=False)
-class JointState:
+class JointState(Record):
     """System (x) apparatus pure state expressed in declared orthonormal bases.
 
     coefficient_matrix[k, l] is the amplitude on system basis state k paired
@@ -77,24 +77,18 @@ class JointState:
     ambient coordinates and may span only part of either factor space.
     """
 
-    coefficient_matrix: np.ndarray
-    system_basis: np.ndarray
-    apparatus_basis: np.ndarray
-
-    def __post_init__(self):
-        coeffs = as_complex_array(self.coefficient_matrix, 2, "coefficient matrix")
-        system = _as_basis(self.system_basis, "system basis")
-        apparatus = _as_basis(self.apparatus_basis, "apparatus basis")
+    def __init__(self, coefficient_matrix: np.ndarray, system_basis: np.ndarray, apparatus_basis: np.ndarray):
+        coeffs = as_complex_array(coefficient_matrix, 2, "coefficient matrix")
+        system = _as_basis(system_basis, "system basis")
+        apparatus = _as_basis(apparatus_basis, "apparatus basis")
         if coeffs.shape != (system.shape[1], apparatus.shape[1]):
             raise InvariantViolation(
                 f"coefficient matrix shape {coeffs.shape} does not match basis counts "
                 f"({system.shape[1]}, {apparatus.shape[1]})"
             )
         check_unit_norm(coeffs, "joint state")
-        object.__setattr__(self, "coefficient_matrix", frozen_copy(coeffs))
-        object.__setattr__(self, "system_basis", frozen_copy(system))
-        object.__setattr__(self, "apparatus_basis", frozen_copy(apparatus))
-        object.__setattr__(self, "_ambient", read_only(system @ coeffs @ apparatus.T))
+        self.__dict__.update(coefficient_matrix=frozen_copy(coeffs), system_basis=frozen_copy(system))
+        self.__dict__.update(apparatus_basis=frozen_copy(apparatus), _ambient=read_only(system @ coeffs @ apparatus.T))
 
     @property
     def system_dim(self) -> int:
@@ -145,8 +139,7 @@ def premeasurement_joint(coefficients, system_basis=None, apparatus_basis=None) 
     return JointState(matrix, system, apparatus)
 
 
-@dataclass(frozen=True, eq=False)
-class RebasedDecomposition:
+class RebasedDecomposition(Record):
     """Expansion of a joint state over a chosen apparatus basis, made by rebase_joint.
 
     Column l of relative_states is the unit system state paired with
@@ -157,10 +150,12 @@ class RebasedDecomposition:
     fies the basis as a pointer basis, so the score keys on the maximum.
     """
 
-    new_apparatus_basis: np.ndarray
-    coefficients: np.ndarray
-    relative_states: np.ndarray
-    orthogonality_score: float
+    def __init__(
+        self, new_apparatus_basis: np.ndarray, coefficients: np.ndarray, relative_states: np.ndarray,
+        orthogonality_score: float,
+    ):
+        self.__dict__.update(new_apparatus_basis=new_apparatus_basis, coefficients=coefficients)
+        self.__dict__.update(relative_states=relative_states, orthogonality_score=orthogonality_score)
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the ambient amplitude matrix sum_l c'_l b_l beta_l^T."""
@@ -246,18 +241,15 @@ def pointer_basis_select(joint: JointState) -> SchmidtDecomposition:
     return pointer_basis_scored(joint)[0]
 
 
-@dataclass(frozen=True)
-class SpreadingModel:
+class SpreadingModel(ValueRecord):
     """Free Gaussian packet: initial width sigma0 and mass, with hbar = 1."""
 
-    sigma0: float
-    mass: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise InvariantViolation(f"sigma0 must be positive, got {self.sigma0!r}")
-        if not (np.isfinite(self.mass) and self.mass > 0):
-            raise InvariantViolation(f"mass must be positive, got {self.mass!r}")
+    def __init__(self, sigma0: float, mass: float):
+        if not (np.isfinite(sigma0) and sigma0 > 0):
+            raise InvariantViolation(f"sigma0 must be positive, got {sigma0!r}")
+        if not (np.isfinite(mass) and mass > 0):
+            raise InvariantViolation(f"mass must be positive, got {mass!r}")
+        self.__dict__.update(sigma0=sigma0, mass=mass)
         try:
             timescale = self.timescale
         except OverflowError:
@@ -288,34 +280,32 @@ def spreading_sigma(model: SpreadingModel, t: float) -> float:
     return width
 
 
-@dataclass(frozen=True)
-class FactSequence:
+class FactSequence(ValueRecord):
     """Detector facts at clock ticks: strictly ordered and append-only.
 
     Immutable by construction — a recorded fact cannot be removed or
     reordered — with at most one click which, if present, closes the record.
     The constructor checks all of this; detector_click_simulation builds
-    its records in order and skips the checks.
+    its records in order and skips the checks. Equal ticks and click_time
+    make equal sequences.
     """
 
-    ticks: tuple[tuple[float, str], ...]
-    click_time: float | None
-
-    def __post_init__(self):
+    def __init__(self, ticks: tuple[tuple[float, str], ...], click_time: float | None):
         previous = -math.inf
         click_at = None
-        for index, (time, kind) in enumerate(self.ticks):
+        for index, (time, kind) in enumerate(ticks):
             if kind not in (NONCLICK, CLICK):
                 raise InvariantViolation(f"unknown fact kind {kind!r}")
             if time <= previous:
                 raise InvariantViolation("fact times must be strictly increasing")
             previous = time
             if kind == CLICK:  # final, so at most one: of two clicks the first is not final
-                if index != len(self.ticks) - 1:
+                if index != len(ticks) - 1:
                     raise InvariantViolation("a click must be the final fact")
                 click_at = time
-        if click_at != self.click_time:
+        if click_at != click_time:
             raise InvariantViolation("click_time must mirror the recorded click")
+        self.__dict__.update(ticks=ticks, click_time=click_time)
 
     @property
     def clicked(self) -> bool:
@@ -373,7 +363,7 @@ def detector_click_simulation(rate: float, tick: float, horizon: float, seed: in
     from default_rng(seed), which leaves the per-tick law untouched, keeps
     long horizons cheap, and is run 0 of a detector scenario with this seed.
     More than MAX_RECORDED_TICKS facts is an InvariantViolation, raised
-    before any is built. The FactSequence is made without its __post_init__
+    before any is built. The FactSequence is made without its constructor's
     checks, as JointState.from_amplitudes is: k * tick rises strictly in k
     up to MAX_RECORDED_TICKS, and a click is last.
     """

@@ -10,17 +10,16 @@ capped counts) and every run reuses it, checking only a seed or count
 override. Reports round and format every value (format_number, precision 12) at
 construction and emit byte-deterministic CSV or JSON (JSON carries numbers as
 decimal strings so serialization never depends on float repr quirks). Presets
-are the scenario files `<name>.json` in the package's `presets/`.
+are the scenario files `<name>.json` in the package's `presets/`. Scenario and
+Report are value records: equal fields (never the derived spec or texts) make equal objects.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +55,7 @@ from .pointer import (
     rebase_joint,
     spreading_sigma,
 )
+from .records import ValueRecord
 
 NAMED_OBSERVABLES = {"X": pauli_x, "Y": pauli_y, "Z": pauli_z}
 
@@ -73,47 +73,37 @@ def format_number(value: float) -> str:
     return np.format_float_positional(value + 0.0, precision=12, unique=False, fractional=False)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(ValueRecord):
     """A named analysis request of one of the supported kinds, validated once.
 
     Construction builds the kind's spec from the raw `parameters` (which are
     kept as given, for serialization); running reuses the spec, so build a
-    new Scenario to change any parameter.
+    new Scenario to change any parameter. The spec is derived, not a field:
+    scenarios with equal fields are equal.
     """
 
-    name: str
-    kind: str
-    parameters: dict
-    description: str = ""
-    spec: object = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, kind: str, parameters: dict, description: str = ""):
+        if not isinstance(name, str) or not name:
             raise ScenarioError("scenario name must be a nonempty string", field="name")
-        if not isinstance(self.kind, str) or self.kind not in KINDS:
-            raise ScenarioError(f"unknown kind {clipped_repr(self.kind)}; expected one of {list(KINDS)}", field="kind")
-        if not isinstance(self.parameters, dict):
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ScenarioError(f"unknown kind {clipped_repr(kind)}; expected one of {list(KINDS)}", field="kind")
+        if not isinstance(parameters, dict):
             raise ScenarioError("parameters must be an object", field="parameters")
-        object.__setattr__(self, "spec", KINDS[self.kind][0](self.parameters))
+        spec = KINDS[kind][0](parameters)
+        self.__dict__.update(name=name, kind=kind, parameters=parameters, description=description, spec=spec)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(ValueRecord):
     """Result table plus metadata. Construction rounds each value to 12 digits (`rows`) and formats each
-    rounded value once into `texts`, the strings emit_report writes (numpy's format is not idempotent)."""
+    rounded value once into `texts`, the strings emit_report writes (numpy's format is not idempotent);
+    texts is derived, not a field."""
 
-    scenario: str
-    kind: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, tuple[float, ...]], ...]
-    metadata: tuple[tuple[str, str], ...]
-    texts: tuple[tuple[str, ...], ...] = dataclasses.field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        rows = tuple((label, tuple(float(format_number(v)) for v in values)) for label, values in self.rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "texts", tuple(tuple(map(format_number, values)) for _, values in rows))
+    def __init__(
+        self, scenario: str, kind: str, columns: tuple[str, ...], rows: tuple, metadata: tuple[tuple[str, str], ...]
+    ):
+        rows = tuple((label, tuple(float(format_number(v)) for v in values)) for label, values in rows)
+        texts = tuple(tuple(map(format_number, values)) for _, values in rows)
+        self.__dict__.update(scenario=scenario, kind=kind, columns=columns, rows=rows, metadata=metadata, texts=texts)
 
     def metadata_dict(self) -> dict[str, str]:
         return dict(self.metadata)

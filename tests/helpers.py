@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -18,6 +17,7 @@ from qcontexts import (
     PostSelection,
     Preparation,
     ProjectiveDecomposition,
+    SchmidtDecomposition,
     StateVector,
     abl_distribution,
     born_distribution,
@@ -324,7 +324,7 @@ def mixed_schmidt(schmidt, angle: float):
     apparatus = schmidt.apparatus_states.copy()
     c, s = np.cos(angle), np.sin(angle)
     apparatus[:, 0], apparatus[:, 1] = c * apparatus[:, 0] + s * apparatus[:, 1], c * apparatus[:, 1] - s * apparatus[:, 0]
-    return dataclasses.replace(schmidt, apparatus_states=apparatus)
+    return SchmidtDecomposition(schmidt.coefficients, schmidt.system_states, apparatus, schmidt.non_unique)
 
 
 def one_stream_first_clicks(count: int, p: float, seed: int, runs: int) -> list[int]:

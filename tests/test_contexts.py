@@ -725,11 +725,14 @@ def test_context_builds_its_branch_table_once(monkeypatch, free):
 
 def test_free_context_never_decomposes(monkeypatch):
     calls = _count_calls(monkeypatch, "hermitian_eigensystem")
-    _query_everything_twice(random_context(np.random.default_rng(12), 3, free=True))
     zero_h = three_box_context()
-    _query_everything_twice(
-        Context(zero_h.preparation, zero_h.postselection, zero_h.intermediate, HermitianOperator.zero(3))
-    )
+    for ctx in (
+        random_context(np.random.default_rng(12), 3, free=True),
+        Context(zero_h.preparation, zero_h.postselection, zero_h.intermediate, HermitianOperator.zero(3)),
+    ):
+        _query_everything_twice(ctx)
+        assert ctx._forward is ctx._onward is ctx._through
+        assert np.array_equal(ctx._forward, np.eye(3)) and not ctx._forward.flags.writeable
     assert calls == []
 
 
@@ -844,8 +847,13 @@ def test_kept_answers_are_the_per_call_build_bit_for_bit(dim, free, rank):
 def test_a_context_answers_each_question_once(monkeypatch, free):
     ctx = random_context(np.random.default_rng(20), 4, free=free)
     abl, born = abl_distribution(ctx), born_context_distribution(ctx)
-    builds = []
-    monkeypatch.setattr(contexts.OutcomeDistribution, "__post_init__", lambda self: builds.append(self))
+    builds, checked_init = [], contexts.OutcomeDistribution.__init__
+
+    def counted_init(self, entries):
+        builds.append(self)
+        checked_init(self, entries)
+
+    monkeypatch.setattr(contexts.OutcomeDistribution, "__init__", counted_init)
     _query_everything_twice(ctx)
     assert abl_distribution(ctx) is abl and born_context_distribution(ctx) is born
     assert len(builds) == 2  # the two chain reports' frequencies, nothing kept rebuilt

@@ -71,6 +71,15 @@ def test_eigensystem_rejects_non_hermitian():
         hermitian_eigensystem(HermitianOperator(np.array([[0, 1], [0, 0]])))
 
 
+@pytest.mark.parametrize("entries", [{(2, 2): 0.1 - 1e308j}, {(0, 1): 1e308, (1, 0): -1e308}], ids=["diagonal", "pair"])
+def test_hermitian_operator_refuses_an_overflowing_asymmetry_without_a_warning(entries):
+    matrix = np.diag([0.3, -0.4, 0.1]).astype(complex)
+    for index, value in entries.items():
+        matrix[index] = value  # finite, but H - H^dag has 2e308 here: past the double range
+    with pytest.raises(InvariantViolation, match="max asymmetry inf exceeds"):
+        HermitianOperator(matrix)
+
+
 def test_eigensystem_unitary_columns_and_trace():
     for dim in (2, 3, 4, 5):
         h = random_hermitian_matrix(RNG, dim)

@@ -1,6 +1,7 @@
 """Tests for joint states, rebasing, pointer selection, spreading, and facts."""
 
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -498,8 +499,8 @@ def test_fact_sequence_is_append_only():
 
 def test_detector_records_equal_their_checked_construction(monkeypatch):
     checks = []
-    checked_init = FactSequence.__post_init__
-    monkeypatch.setattr(FactSequence, "__post_init__", lambda self: checks.append(self))
+    checked_init = FactSequence.__init__
+    monkeypatch.setattr(FactSequence, "__init__", lambda self, ticks, click_time: checks.append(self))
     records = {
         (rate, tick, horizon, seed): detector_click_simulation(rate, tick, horizon, seed)
         for rate in (0.0, 0.3, 2.0, 1e3)
@@ -507,14 +508,15 @@ def test_detector_records_equal_their_checked_construction(monkeypatch):
         for horizon in (0.5, 1.0, 10.0)
         for seed in range(5)
     }
-    assert checks == []  # the simulation runs no __post_init__
-    monkeypatch.setattr(FactSequence, "__post_init__", checked_init)
+    assert checks == []  # the simulation runs no constructor checks
+    monkeypatch.setattr(FactSequence, "__init__", checked_init)
     seen = set()
     for (rate, tick, horizon, seed), record in records.items():
         checked = FactSequence(record.ticks, record.click_time)
         assert type(record) is FactSequence and record == checked and repr(record) == repr(checked)
-        for field in dataclasses.fields(FactSequence):
-            assert type(getattr(record, field.name)) is type(getattr(checked, field.name))
+        assert list(vars(record)) == list(vars(checked)) == list(inspect.signature(FactSequence).parameters)
+        for name, value in vars(record).items():
+            assert type(value) is type(getattr(checked, name))
         assert all(type(time) is float and type(kind) is str for time, kind in record.ticks)
         if rate == 0.0:
             seen.add("rate 0")

@@ -655,6 +655,16 @@ def test_cli_hamiltonian_past_the_phase_range_is_one_invariant_violation_line(tm
     assert f"past {MAX_PHASE:g}" in diagnostic["message"]
 
 
+def test_cli_hamiltonian_whose_hermiticity_defect_overflows_is_one_invariant_violation_line(tmp_path, capsysbinary):
+    payload = json.loads((SCENARIO_DIR.parent / "tests" / "golden" / "inputs" / "hamiltonian_chain.json").read_text())
+    payload["parameters"]["hamiltonian"][2][2] = [0.1, -1e308]  # H - H^dag has 2e308 there: past the double range
+    assert main(["run", write_scenario(tmp_path, payload)]) == 3
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 3)
+    assert diagnostic["error"] == "invariant-violation"
+    assert diagnostic["field"] == "parameters.hamiltonian"
+    assert "max asymmetry inf" in diagnostic["message"]
+
+
 def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation(tmp_path, capsysbinary):
     payload = json.loads((SCENARIO_DIR / EXAMPLE_FILES["detector"]).read_text())
     payload["parameters"]["tick"] = 1e-320  # horizon / tick overflows to inf
