@@ -10,8 +10,6 @@ hashes by identity; a ValueRecord by its fields, equal only to its own class.
 No method is generated: defining a record costs what defining a class does.
 """
 
-from dataclasses import FrozenInstanceError
-
 
 class Record:
     """An immutable plain object; `_fields`, its constructor's parameters, are set per subclass."""
@@ -22,9 +20,11 @@ class Record:
             cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # here, not at import: dataclasses loads copy, ~1 ms of start-up
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:

@@ -2,8 +2,9 @@
 
 Scenario files are JSON. Complex numbers are always [re, im] pairs, states are
 lists of pairs, and observables are either the named dim-2 presets "X" / "Y" /
-"Z" or explicit labeled projector lists. Every embedded state and operator is
-validated against its type invariants when the Scenario is constructed, with
+"Z" (each built once per process, on first use, and shared as an immutable
+decomposition) or explicit labeled projector lists. Every embedded state and
+operator is validated against its type invariants when the Scenario is constructed, with
 the failing field named: construction builds the kind's spec once (contexts,
 joint states and their rebasings, the spreading widths, the detector law, the
 capped counts) and every run reuses it, checking only a seed or count
@@ -179,32 +180,31 @@ def _count(value, field: str, name: str, cap: int) -> int:
     return count
 
 
-def _complex_from_pair(value, field: str) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        if _is_finite_number(value[0]) and _is_finite_number(value[1]):
-            return complex(value[0], value[1])
-    raise ScenarioError(f"complex numbers are finite [re, im] pairs, got {clipped_repr(value)}", field=field)
+def _checked_pairs(value, field: str) -> list:
+    """`value` if it is a nonempty list of [re, im] pairs (lists or tuples) of finite numbers; else a
+    ScenarioError under `field` naming it or its first bad pair."""
+    if not isinstance(value, list) or not value:
+        raise ScenarioError("expected a nonempty list of [re, im] pairs", field=field)
+    for pair in value:
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            if _is_finite_number(pair[0]) and _is_finite_number(pair[1]):
+                continue
+        raise ScenarioError(f"complex numbers are finite [re, im] pairs, got {clipped_repr(pair)}", field=field)
+    return value
 
 
 def _vector_from_json(value, field: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ScenarioError("expected a nonempty list of [re, im] pairs", field=field)
-    return np.array([_complex_from_pair(entry, field) for entry in value], dtype=complex)
+    return np.array([complex(re, im) for re, im in _checked_pairs(value, field)], dtype=complex)
 
 
 def _matrix_from_json(value, field: str) -> np.ndarray:
+    """One array; a row's width is checked right after its pairs, so the first failure is the first in file order."""
     if not isinstance(value, list) or not value:
         raise ScenarioError("expected a nonempty list of rows", field=field)
-    rows = []
-    width = None
     for i, row in enumerate(value):
-        vec = _vector_from_json(row, f"{field}[{i}]")
-        if width is None:
-            width = vec.size
-        elif vec.size != width:
+        if len(_checked_pairs(row, f"{field}[{i}]")) != len(value[0]):
             raise ScenarioError("matrix rows have unequal lengths", field=field)
-        rows.append(vec)
-    return np.array(rows, dtype=complex)
+    return np.array([complex(re, im) for row in value for re, im in row], dtype=complex).reshape(len(value), -1)
 
 
 class _field:
@@ -223,6 +223,12 @@ class _field:
             raise InvariantViolation(exc.message, field=field) from exc
 
 
+@functools.cache
+def _named_observable(name: str) -> ProjectiveDecomposition:
+    """X, Y or Z, built on first use and then shared by every scenario: a decomposition is immutable."""
+    return NAMED_OBSERVABLES[name]()
+
+
 def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
     if isinstance(value, str):
         if value not in NAMED_OBSERVABLES:
@@ -230,7 +236,7 @@ def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
                 f"unknown named observable {clipped_repr(value)}; presets are {sorted(NAMED_OBSERVABLES)}",
                 field=field,
             )
-        return NAMED_OBSERVABLES[value]()
+        return _named_observable(value)
     outcomes_json = _require(value, "outcomes", field)
     if not isinstance(outcomes_json, list) or not outcomes_json:
         raise ScenarioError("outcomes must be a nonempty list", field=f"{field}.outcomes")

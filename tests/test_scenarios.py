@@ -22,6 +22,7 @@ import qcontexts
 from qcontexts import (
     FactSequence,
     InvariantViolation,
+    ProjectiveDecomposition,
     Scenario,
     ScenarioError,
     detector_click_simulation,
@@ -30,6 +31,8 @@ from qcontexts import (
     load_preset,
     load_scenario,
     parse_report,
+    pauli_x,
+    pauli_z,
     preset_names,
     run_scenario,
     scenario_to_json,
@@ -170,6 +173,115 @@ def test_complex_entries_must_be_pairs(tmp_path):
     )
     with pytest.raises(ScenarioError, match=r"\[re, im\]"):
         load_scenario(path)
+
+
+PROJECTOR = "parameters.intermediate.observable.outcomes[0].projector"
+PAIRS = "complex numbers are finite [re, im] pairs, got "
+NOT_PAIRS = "expected a nonempty list of [re, im] pairs"
+AT = ("intermediate", "observable", "outcomes", 0, "projector")
+BOUNDARY_CASES = {  # three_box.json with one raw JSON token at `path`: the field and message of the first error
+    "true": (AT + (1, 2), "[true, 0.0]", f"{PROJECTOR}[1]", PAIRS + "[True, 0.0]"),
+    "nan": (AT + (1, 2), "[NaN, 0.0]", f"{PROJECTOR}[1]", PAIRS + "[nan, 0.0]"),
+    "infinity": (AT + (0, 0), "[0.0, Infinity]", f"{PROJECTOR}[0]", PAIRS + "[0.0, inf]"),
+    "1e400": (AT + (2, 1), "[1e400, 0.0]", f"{PROJECTOR}[2]", PAIRS + "[inf, 0.0]"),
+    "400-digit-integer": (
+        AT + (1, 0),
+        "[1" + "0" * 400 + ", 0]",
+        f"{PROJECTOR}[1]",
+        PAIRS + "[1" + "0" * 198 + "... (list, repr of 406 characters)",
+    ),
+    "string-entry": (AT + (1, 1), '"1.0"', f"{PROJECTOR}[1]", PAIRS + "'1.0'"),
+    "string-in-pair": (AT + (1, 1), '["1.0", 0.0]', f"{PROJECTOR}[1]", PAIRS + "['1.0', 0.0]"),
+    "null-entry": (AT + (2, 2), "null", f"{PROJECTOR}[2]", PAIRS + "None"),
+    "pair-of-one": (AT + (0, 1), "[0.0]", f"{PROJECTOR}[0]", PAIRS + "[0.0]"),
+    "pair-of-three": (AT + (0, 1), "[0.0, 0.0, 0.0]", f"{PROJECTOR}[0]", PAIRS + "[0.0, 0.0, 0.0]"),
+    "empty-row": (AT + (1,), "[]", f"{PROJECTOR}[1]", NOT_PAIRS),
+    "row-not-a-list": (AT + (1,), '{"re": 0.0}', f"{PROJECTOR}[1]", NOT_PAIRS),
+    "empty-matrix": (AT, "[]", PROJECTOR, "expected a nonempty list of rows"),
+    "short-row-before-bad-pair": (
+        AT,
+        '[[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]], [["x", 0], [0, 0], [0, 0]]]',
+        PROJECTOR,
+        "matrix rows have unequal lengths",
+    ),
+    "empty-state": (("preparation", "state"), "[]", "parameters.preparation.state", NOT_PAIRS),
+}
+
+
+@pytest.mark.parametrize("path, token, field, message", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES)
+def test_boundary_parser_reports_the_first_bad_value(tmp_path, path, token, field, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(_shipped_with("abl", path, token))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(scenario)
+    assert (excinfo.value.field, excinfo.value.message) == (field, message)
+    assert str(excinfo.value) == f"{field}: {message}"
+
+
+def _with_pairs(value, pair):
+    """`value` with every [re, im] pair (a list of two floats) rebuilt by `pair`."""
+    if isinstance(value, dict):
+        return {key: _with_pairs(item, pair) for key, item in value.items()}
+    if isinstance(value, list):
+        if len(value) == 2 and all(isinstance(x, float) for x in value):
+            return pair(*value)
+        return [_with_pairs(item, pair) for item in value]
+    return value
+
+
+def _abl_arrays(scenario) -> list[bytes]:
+    ctx = scenario.spec
+    observables = (ctx.intermediate.observable, ctx.postselection.observable)
+    projectors = [o.projector.tobytes() for obs in observables for o in obs.outcomes]
+    return [ctx.preparation.state.amplitudes.tobytes(), *projectors]
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [lambda re, im: (re, im), lambda re, im: [np.float64(re), np.float64(im)], lambda re, im: (np.float64(re), im)],
+    ids=["tuple", "float64", "float64-tuple"],
+)
+def test_scenario_accepts_tuple_and_float64_pairs_bit_for_bit(pair):
+    payload = json.loads((SCENARIO_DIR / "three_box.json").read_text())
+    expected = _abl_arrays(Scenario(name="a", kind="abl", parameters=payload["parameters"]))
+    assert _abl_arrays(Scenario(name="a", kind="abl", parameters=_with_pairs(payload["parameters"], pair))) == expected
+
+
+@pytest.mark.parametrize("entry", [np.int64(1), np.True_], ids=["int64", "numpy-bool"])
+def test_scenario_rejects_numpy_int_and_bool_entries(entry):
+    parameters = json.loads((SCENARIO_DIR / "three_box.json").read_text())["parameters"]
+    parameters["intermediate"]["observable"]["outcomes"][0]["projector"][0][0] = [entry, 0.0]
+    with pytest.raises(ScenarioError) as excinfo:
+        Scenario(name="a", kind="abl", parameters=parameters)
+    assert excinfo.value.field == f"{PROJECTOR}[0]"
+    assert excinfo.value.message == PAIRS + repr([entry, 0.0])
+
+
+def test_named_observables_are_built_once_and_shared(monkeypatch, tmp_path):
+    x_reference, z_reference = pauli_x(), pauli_z()
+    builds, init = [], ProjectiveDecomposition.__init__
+
+    def counted(self, outcomes):
+        init(self, outcomes)
+        builds.append(self)
+
+    monkeypatch.setattr(ProjectiveDecomposition, "__init__", counted)
+    scenarios._named_observable.cache_clear()
+    preset = write_scenario(tmp_path, {"preset": "two-slit"})
+    loaded = [load_scenario(path) for path in (SCENARIO_DIR / "two_slit_gap.json", preset) * 2]
+
+    def same(a, b) -> bool:
+        pairs = zip(a.outcomes, b.outcomes)
+        return a.labels == b.labels and all(np.array_equal(p.projector, q.projector) for p, q in pairs)
+
+    assert [same(b, x_reference) for b in builds].count(True) == 1
+    assert [same(b, z_reference) for b in builds].count(True) == 1
+    x, z = (next(b for b in builds if same(b, reference)) for reference in (x_reference, z_reference))
+    for scenario in loaded:
+        assert scenario.spec.intermediate.observable is z
+        assert scenario.spec.postselection.observable is x
+    assert not any(o.projector.flags.writeable for obs in (x, z) for o in obs.outcomes)
+    assert pauli_x() is not pauli_x()
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -13,7 +13,10 @@ in the checkout (default: the one this file sits in), with T the declared
 the result. The output file holds, per workload, the median and quartiles of
 every end-to-end metric over the seeds with each run's value, the op counts,
 and each run's environment line; `uncommitted_changes` says whether the
-checkout differed from the commit those lines name.
+checkout differed from the commit those lines name, and `pycache` whether
+`src/qcontexts/__pycache__` was there as each run started. Python reads
+those `.pyc` files even under PYTHONDONTWRITEBYTECODE, so such a run starts
+faster than one on a fresh checkout; the first one seen is warned of on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900  # a 25 s run plus four set-up processes takes about a minute
 SEEDS = (1, 2, 3, 4, 5)
+PYCACHE = Path("src", "qcontexts", "__pycache__")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -56,10 +60,15 @@ def uncommitted_changes(checkout: Path) -> bool:
 
 def record(checkout: Path, seconds: float, workloads: list[str]) -> dict:
     out = {"seeds": list(SEEDS), "seconds": seconds, "uncommitted_changes": uncommitted_changes(checkout), "workloads": {}}
+    warned = False
     for workload in workloads:
-        runs = []
+        runs, pycache = [], []
         for seed in SEEDS:
             print(f"{workload} seed {seed}", file=sys.stderr, flush=True)
+            pycache.append((checkout / PYCACHE).is_dir())
+            if pycache[-1] and not warned:
+                print(f"warning: {checkout / PYCACHE} exists: the runs read its .pyc files", file=sys.stderr, flush=True)
+                warned = True
             runs.append(run_once(checkout, workload, seed, seconds))
         names = runs[0][1]["metrics"]
         out["workloads"][workload] = {
@@ -69,6 +78,7 @@ def record(checkout: Path, seconds: float, workloads: list[str]) -> dict:
             },
             "attempted": [r["attempted"] for _, r in runs],
             "failed": [r["failed"] for _, r in runs],
+            "pycache": pycache,
             "environments": [env for env, _ in runs],
         }
     return out
