@@ -11,7 +11,6 @@ from .errors import (
     ImpossibleOutcomeError,
     InvariantViolation,
     ScenarioError,
-    TimeReversalConventionWarning,
     ToleranceError,
 )
 from .linalg import (
@@ -27,30 +26,22 @@ from .kinematics import (
     OutcomeDistribution,
     ProjectiveDecomposition,
     StateVector,
-    born_distribution,
-    evolve,
-    lueders_collapse,
     pauli_x,
     pauli_y,
     pauli_z,
-    prepare_eigenstate,
 )
 from .contexts import (
     ChainSampleReport,
     Context,
-    ElementOfReality,
     Intermediate,
     PostSelection,
     Preparation,
     TotalProbabilityGap,
     abl_distribution,
     born_context_distribution,
-    element_of_reality,
-    interchange_context,
     picture_consistency_check,
     sample_chain,
     sequential_success_probability,
-    time_reverse_context,
     total_probability_gap,
 )
 from .pointer import (
@@ -72,7 +63,6 @@ from .scenarios import (
     format_number,
     load_preset,
     load_scenario,
-    parse_report,
     preset_names,
     run_scenario,
     scenario_to_json,

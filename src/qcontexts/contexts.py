@@ -31,22 +31,12 @@ ChainSampleReport and TotalProbabilityGap compare by value, the others by identi
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, InvariantViolation, TimeReversalConventionWarning, clipped_repr
-from .kinematics import (
-    CERTAINTY_TOL,
-    Outcome,
-    OutcomeDistribution,
-    ProjectiveDecomposition,
-    StateVector,
-    born_distribution,
-    evolve,
-    prepare_eigenstate,
-)
+from .errors import ImpossibleOutcomeError, InvariantViolation, clipped_repr
+from .kinematics import OutcomeDistribution, ProjectiveDecomposition, StateVector
 from .linalg import (
     NEGLIGIBLE,
     Eigensystem,
@@ -301,100 +291,6 @@ def total_probability_gap(ctx: Context) -> TotalProbabilityGap:
     born, joint = ctx._branches
     classical = float(joint[born > NEGLIGIBLE].sum())
     return TotalProbabilityGap(quantum, classical, quantum - classical)
-
-
-def _projector_question(amplitudes: np.ndarray) -> ProjectiveDecomposition:
-    """Two-outcome indicator observable "is the system in this state?" (yes / no)."""
-    projector = np.outer(amplitudes, amplitudes.conj())
-    dim = amplitudes.size
-    if dim == 1:
-        return ProjectiveDecomposition((Outcome("yes", 1.0, projector),))
-    return ProjectiveDecomposition((
-        Outcome("yes", 1.0, projector),
-        Outcome("no", 0.0, np.eye(dim) - projector),
-    ))
-
-
-def time_reverse_context(ctx: Context) -> Context:
-    """Swap preparation with post-selection, conjugate states and projectors, negate times.
-
-    For a vanishing Hamiltonian the conditional distribution is invariant
-    under this map. A nonvanishing Hamiltonian is conjugated as well;
-    whether that models the reversal of a physical measurement process is a
-    convention, so a TimeReversalConventionWarning is emitted. Requires a
-    rank-1 post-selection projector so the reversed preparation is a state.
-    """
-    inter, post = ctx.intermediate, ctx.postselection
-    reversed_prep_state = StateVector(prepare_eigenstate(post.observable, post.label).amplitudes.conj())
-    hamiltonian = ctx.hamiltonian
-    if not ctx.is_free():
-        warnings.warn(
-            "time reversal with a nonvanishing Hamiltonian conjugates it; "
-            "the result is convention-dependent",
-            TimeReversalConventionWarning,
-            stacklevel=2,
-        )
-        hamiltonian = HermitianOperator(hamiltonian.matrix.conj())
-    preparation = Preparation(reversed_prep_state, -post.time)
-    intermediate = Intermediate(inter.observable.conjugated(), -inter.time, inter.performed)
-    post_obs = _projector_question(ctx.preparation.state.amplitudes.conj())
-    postselection = PostSelection(post_obs, "yes", -ctx.preparation.time)
-    return Context(preparation, postselection, intermediate, hamiltonian)
-
-
-def interchange_context(ctx: Context) -> Context:
-    """Exchange the preparation and post-selection roles without conjugation.
-
-    Defined for the free (zero) Hamiltonian, where the conditional rule is
-    symmetric under the exchange. Times are kept.
-    """
-    if not ctx.is_free():
-        raise InvariantViolation("interchange symmetry is defined for the free (zero) Hamiltonian")
-    post = ctx.postselection
-    preparation = Preparation(prepare_eigenstate(post.observable, post.label), ctx.preparation.time)
-    post_obs = _projector_question(ctx.preparation.state.amplitudes)
-    postselection = PostSelection(post_obs, "yes", post.time)
-    return Context(preparation, postselection, ctx.intermediate, None)
-
-
-class ElementOfReality(Record):
-    """An outcome predictable with probability one (certainty criterion), made by element_of_reality:
-    label is one of the observable's and probability lies in [1 - CERTAINTY_TOL, 1]; an outcome
-    short of that is no element (element_of_reality returns None)."""
-
-    def __init__(self, observable: ProjectiveDecomposition, label: str, probability: float):
-        self.__dict__.update(observable=observable, label=label, probability=probability)
-
-
-def element_of_reality(
-    preparation: Preparation,
-    hamiltonian: HermitianOperator | None,
-    at_time: float,
-    observable: ProjectiveDecomposition | None = None,
-) -> ElementOfReality | None:
-    """Certainty check at a later time, from the preparation alone.
-
-    Without an observable, the question "is the system in its evolved
-    state?" is certain by construction: the answer is the time-dependent
-    projector onto the evolved state, returned as an element. With
-    an observable, the outcome whose Born probability reaches certainty is
-    returned, or None when every outcome stays genuinely uncertain.
-    """
-    if at_time < preparation.time:
-        raise InvariantViolation("query time precedes the preparation")
-    if hamiltonian is None or hamiltonian.is_zero():
-        evolved = preparation.state
-    else:
-        evolved = evolve(preparation.state, hamiltonian, at_time - preparation.time)
-    if observable is None:
-        question = _projector_question(evolved.amplitudes)
-        return ElementOfReality(question, "yes", 1.0)
-    if observable.dim != preparation.state.dim:
-        raise InvariantViolation("observable dimension differs from the preparation")
-    label, prob = born_distribution(evolved, observable).most_likely()
-    if prob >= 1.0 - CERTAINTY_TOL:
-        return ElementOfReality(observable, label, prob)
-    return None
 
 
 def picture_consistency_check(ctx: Context) -> float:

@@ -41,7 +41,3 @@ class ToleranceError(RuntimeError):
 
 class ScenarioError(_FieldError):
     """A scenario file failed to parse or is missing required fields."""
-
-
-class TimeReversalConventionWarning(UserWarning):
-    """Reversal with a nonvanishing Hamiltonian rests on a convention choice."""

@@ -1,12 +1,10 @@
-"""States, projective observables, Born statistics, collapse, and evolution.
+"""States, projective observables and outcome distributions.
 
 Observables are projective decompositions — labeled orthogonal projectors
 resolving the identity — which strictly generalizes the nondegenerate case:
-rank-1 outcomes recover textbook spectra, while rank > 1 outcomes collapse
-by the Lüders convention P|s> / ||P|s>||. Every state returned by an
-operation carries a canonical global phase (first non-negligible amplitude
-real-positive) so equality testing is reproducible. The types are records
-(records.Record); only OutcomeDistribution compares by value.
+rank-1 outcomes recover textbook spectra, while rank > 1 outcomes act through
+their projector, the Lüders convention contexts.Context applies. The types are
+records (records.Record); only OutcomeDistribution compares by value.
 """
 
 from __future__ import annotations
@@ -15,29 +13,21 @@ import itertools
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, InvariantViolation, ToleranceError, clipped_repr
+from .errors import InvariantViolation, ToleranceError, clipped_repr
 from .linalg import (
     ALGEBRA_TOL,
     CERTIFY_MARGIN,
     ENTRY_BOUND,
-    NEGLIGIBLE,
-    HermitianOperator,
     as_complex_array,
     check_projector,
     check_unit_norm,
-    fix_global_phase,
     frozen_copy,
     max_abs,
-    projector_weights,
-    unitary_exponential,
 )
 from .records import Record, ValueRecord
 
 # Probabilities may drift past [0, 1] by round-off; clamping beyond this is a bug.
 CLAMP_TOL = 1e-9
-
-# Outcomes at least this close to probability one count as certain.
-CERTAINTY_TOL = 1e-9
 
 # A decomposition multiplies out all its k(k-1)/2 projector pairs unless they
 # number more than this; past it, the orthogonality certificate runs. Measured
@@ -61,21 +51,6 @@ class StateVector(Record):
     def dim(self) -> int:
         return self.amplitudes.size
 
-    @classmethod
-    def normalized(cls, amplitudes) -> "StateVector":
-        """Rescale to unit norm; rejects vectors indistinguishable from zero."""
-        amps = as_complex_array(amplitudes, 1, "state amplitudes")
-        norm = float(np.linalg.norm(amps))
-        if norm <= 1e-9:
-            raise InvariantViolation(f"cannot normalize a near-zero vector (norm {norm!r})")
-        return cls(amps / norm)
-
-    @classmethod
-    def basis_state(cls, dim: int, index: int) -> "StateVector":
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps)
-
 
 class Outcome(Record):
     """One labeled value of an observable, with its orthogonal projector."""
@@ -87,10 +62,6 @@ class Outcome(Record):
             raise InvariantViolation(f"outcome value for {clipped_repr(label)} must be finite")
         proj = as_complex_array(projector, 2, _projector_name(label), square=True)
         self.__dict__.update(label=label, value=float(value), projector=frozen_copy(proj))
-
-    @property
-    def rank(self) -> int:
-        return int(round(float(self.projector.diagonal().real.sum())))  # the trace
 
 
 def _projector_name(label: str) -> str:
@@ -217,35 +188,6 @@ class ProjectiveDecomposition(Record):
         """Rows P_k|s>, one matvec per outcome."""
         return np.stack([o.projector @ state for o in self.outcomes])
 
-    def conjugated(self) -> "ProjectiveDecomposition":
-        """Entrywise complex conjugate of every projector (time-reversal companion)."""
-        return ProjectiveDecomposition(
-            tuple(Outcome(o.label, o.value, o.projector.conj()) for o in self.outcomes)
-        )
-
-    @classmethod
-    def from_states(
-        cls,
-        states: list[StateVector] | tuple[StateVector, ...],
-        labels: list[str] | tuple[str, ...] | None = None,
-        values: list[float] | tuple[float, ...] | None = None,
-    ) -> "ProjectiveDecomposition":
-        """Rank-1 decomposition from orthonormal states spanning the space."""
-        if not states:
-            raise InvariantViolation("need at least one state")
-        dim = states[0].dim
-        if len(states) != dim:
-            raise InvariantViolation(f"{len(states)} states cannot span dimension {dim}")
-        if labels is None:
-            labels = tuple(str(k) for k in range(dim))
-        if values is None:
-            values = tuple(float(k) for k in range(dim))
-        outcomes = tuple(
-            Outcome(label, value, np.outer(s.amplitudes, s.amplitudes.conj()))
-            for s, label, value in zip(states, labels, values)
-        )
-        return cls(outcomes)
-
 
 def pauli_z() -> ProjectiveDecomposition:
     """The {+1, -1} decomposition of sigma_z."""
@@ -302,52 +244,3 @@ class OutcomeDistribution(ValueRecord):
                 return prob
         known = clipped_repr(list(self.labels))
         raise InvariantViolation(f"unknown outcome label {clipped_repr(label)}; known labels: {known}")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
-
-    def most_likely(self) -> tuple[str, float]:
-        return max(self.entries, key=lambda entry: entry[1])
-
-
-def prepare_eigenstate(observable: ProjectiveDecomposition, label: str) -> StateVector:
-    """State spanning a rank-1 outcome projector, with canonical phase: its _range_bases column.
-
-    That column's diagonal entry is the largest, at least 1/(2 dim). Rank > 1 outcomes are rejected:
-    projecting says which subspace, not which state, so the caller must supply the state explicitly.
-    """
-    outcome = observable.outcome(label)
-    if outcome.rank != 1:
-        raise InvariantViolation(
-            f"outcome {clipped_repr(label)} has rank {outcome.rank}: ambiguous preparation, supply a state explicitly"
-        )
-    return StateVector.normalized(fix_global_phase(_range_bases([outcome.projector])[0][:, 0]))
-
-
-def born_distribution(state: StateVector, observable: ProjectiveDecomposition) -> OutcomeDistribution:
-    """Outcome probabilities <s|P_k|s> from the preparation alone."""
-    if state.dim != observable.dim:
-        raise InvariantViolation(f"dimension mismatch: state {state.dim} vs observable {observable.dim}")
-    weights = projector_weights(state.amplitudes, observable.images(state.amplitudes))
-    return OutcomeDistribution(tuple(zip(observable.labels, weights)))
-
-
-def lueders_collapse(state: StateVector, observable: ProjectiveDecomposition, label: str) -> StateVector:
-    """Post-measurement state P_k|s> / ||P_k|s>|| for the labeled outcome."""
-    outcome = observable.outcome(label)
-    if state.dim != observable.dim:
-        raise InvariantViolation(f"dimension mismatch: state {state.dim} vs observable {observable.dim}")
-    image = outcome.projector @ state.amplitudes
-    weight = projector_weights(state.amplitudes, image[None])[0]
-    if weight <= NEGLIGIBLE:
-        raise ImpossibleOutcomeError(
-            f"zero-probability outcome {clipped_repr(label)} (weight {weight:.3e}) marks an impossible branch"
-        )
-    return StateVector.normalized(fix_global_phase(image))
-
-
-def evolve(state: StateVector, hamiltonian: HermitianOperator, duration: float) -> StateVector:
-    """Apply exp(-i H t) to the state (hbar = 1)."""
-    if state.dim != hamiltonian.dim:
-        raise InvariantViolation(f"dimension mismatch: state {state.dim} vs Hamiltonian {hamiltonian.dim}")
-    return StateVector.normalized(fix_global_phase(unitary_exponential(hamiltonian, duration) @ state.amplitudes))

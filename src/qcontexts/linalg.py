@@ -145,11 +145,6 @@ def canonical_phases(columns: np.ndarray) -> np.ndarray:
         screen[rows, cols] = clear
 
 
-def fix_global_phase(vector: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first non-negligible entry is real-positive."""
-    return vector * canonical_phases(vector[:, None])[0]
-
-
 class HermitianOperator(Record):
     """A finite Hermitian matrix; carrier for observables and Hamiltonians."""
 
@@ -169,10 +164,6 @@ class HermitianOperator(Record):
 
     def is_zero(self) -> bool:
         return max_abs(self.matrix) == 0.0
-
-    @classmethod
-    def zero(cls, dim: int) -> "HermitianOperator":
-        return cls(np.zeros((dim, dim)))
 
 
 class Eigensystem(Record):
@@ -285,14 +276,6 @@ class SchmidtDecomposition(Record):
     ):
         self.__dict__.update(coefficients=coefficients, system_states=system_states)
         self.__dict__.update(apparatus_states=apparatus_states, non_unique=non_unique)
-
-    @property
-    def rank(self) -> int:
-        return self.coefficients.size
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the amplitude matrix sum_k c_k a_k alpha_k^T."""
-        return (self.system_states * self.coefficients) @ self.apparatus_states.T
 
 
 def schmidt_decompose(amplitudes: np.ndarray) -> SchmidtDecomposition:

@@ -91,10 +91,6 @@ class JointState(Record):
         self.__dict__.update(apparatus_basis=frozen_copy(apparatus), _ambient=read_only(system @ coeffs @ apparatus.T))
 
     @property
-    def system_dim(self) -> int:
-        return self.system_basis.shape[0]
-
-    @property
     def apparatus_dim(self) -> int:
         return self.apparatus_basis.shape[0]
 
@@ -156,10 +152,6 @@ class RebasedDecomposition(Record):
     ):
         self.__dict__.update(new_apparatus_basis=new_apparatus_basis, coefficients=coefficients)
         self.__dict__.update(relative_states=relative_states, orthogonality_score=orthogonality_score)
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the ambient amplitude matrix sum_l c'_l b_l beta_l^T."""
-        return (self.relative_states * self.coefficients) @ self.new_apparatus_basis.T
 
 
 def _rebase(amplitudes: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -306,10 +298,6 @@ class FactSequence(ValueRecord):
         if click_at != click_time:
             raise InvariantViolation("click_time must mirror the recorded click")
         self.__dict__.update(ticks=ticks, click_time=click_time)
-
-    @property
-    def clicked(self) -> bool:
-        return self.click_time is not None
 
 
 def detector_law(rate: float, tick: float, horizon: float) -> tuple[int, float]:

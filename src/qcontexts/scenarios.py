@@ -10,9 +10,10 @@ joint states and their rebasings, the spreading widths, the detector law, the
 capped counts) and every run reuses it, checking only a seed or count
 override. Reports round and format every value (format_number, precision 12) at
 construction and emit byte-deterministic CSV or JSON (JSON carries numbers as
-decimal strings so serialization never depends on float repr quirks). Presets
-are the scenario files `<name>.json` in the package's `presets/`. Scenario and
-Report are value records: equal fields (never the derived spec or texts) make equal objects.
+decimal strings so serialization never depends on float repr quirks); nothing
+here reads a report back. Presets are the scenario files `<name>.json` in the
+package's `presets/`. Scenario and Report are value records: equal fields
+(never the derived spec or texts) make equal objects.
 """
 
 from __future__ import annotations
@@ -105,16 +106,6 @@ class Report(ValueRecord):
         rows = tuple((label, tuple(float(format_number(v)) for v in values)) for label, values in rows)
         texts = tuple(tuple(map(format_number, values)) for _, values in rows)
         self.__dict__.update(scenario=scenario, kind=kind, columns=columns, rows=rows, metadata=metadata, texts=texts)
-
-    def metadata_dict(self) -> dict[str, str]:
-        return dict(self.metadata)
-
-    def value(self, label: str, column: str = "value") -> float:
-        index = self.columns.index(column)
-        for row_label, values in self.rows:
-            if row_label == label:
-                return values[index]
-        raise KeyError(label)
 
 
 def _tolerance(value: float) -> str:
@@ -542,21 +533,3 @@ def emit_report(report: Report, fmt: str = "csv") -> bytes:
         return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
     raise ScenarioError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
 
-
-def parse_report(data: bytes) -> Report:
-    """Inverse of emit_report for the JSON format."""
-    try:
-        payload = json.loads(data)
-    except ValueError as exc:  # malformed JSON or undecodable bytes
-        raise ScenarioError(f"invalid report JSON: {exc}") from exc
-    try:
-        rows = tuple((row[0], tuple(float(v) for v in row[1:])) for row in payload["rows"])
-        return Report(
-            scenario=payload["scenario"],
-            kind=payload["kind"],
-            columns=tuple(payload["columns"]),
-            rows=rows,
-            metadata=tuple(sorted(payload["metadata"].items())),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed report payload: {exc}") from exc

@@ -1,4 +1,5 @@
-"""Shared test utilities: seeded random objects and brute-force oracles."""
+"""Shared test utilities: seeded random objects, brute-force oracles, and the state constructors,
+Lüders chain and context transforms that only the tests use. These trust their inputs."""
 
 from __future__ import annotations
 
@@ -20,9 +21,7 @@ from qcontexts import (
     SchmidtDecomposition,
     StateVector,
     abl_distribution,
-    born_distribution,
-    evolve,
-    lueders_collapse,
+    unitary_exponential,
 )
 from qcontexts.contexts import DENOMINATOR_FLOOR
 from qcontexts.linalg import (
@@ -31,16 +30,103 @@ from qcontexts.linalg import (
     COEFFICIENT_DEGENERACY_TOL,
     ENTRY_BOUND,
     NEGLIGIBLE,
+    canonical_phases,
     check_projector,
     max_abs,
     orthonormal_extend,
+    projector_weights,
 )
 from qcontexts.pointer import _as_basis
 
 
+def normalized(amplitudes) -> StateVector:
+    """The unit state along `amplitudes`."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+def canonical_state(amplitudes: np.ndarray) -> StateVector:
+    """normalized, after rotating the first non-negligible entry real-positive."""
+    return normalized(amplitudes * canonical_phases(amplitudes[:, None])[0])
+
+
+def basis_state(dim: int, index: int) -> StateVector:
+    return StateVector(np.eye(dim)[index])
+
+
+def zero_operator(dim: int) -> HermitianOperator:
+    return HermitianOperator(np.zeros((dim, dim)))
+
+
+def from_states(states, labels=None) -> ProjectiveDecomposition:
+    """Rank-1 decomposition onto orthonormal states spanning the space, with values 0, 1, ...; labels "0", "1", ...
+    by default."""
+    labels = labels or [str(k) for k in range(len(states))]
+    projectors = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in states]
+    return ProjectiveDecomposition(tuple(Outcome(label, float(k), p) for k, (label, p) in enumerate(zip(labels, projectors))))
+
+
+def prepare_eigenstate(observable: ProjectiveDecomposition, label: str) -> StateVector:
+    """The state a rank-1 outcome projects onto: its largest-diagonal projector column, normalized, canonical phase."""
+    projector = observable.projector(label)
+    return canonical_state(projector[:, np.argmax(projector.diagonal().real)])
+
+
+def born_distribution(state: StateVector, observable: ProjectiveDecomposition) -> OutcomeDistribution:
+    """Outcome probabilities <s|P_k|s> from the state alone."""
+    weights = projector_weights(state.amplitudes, observable.images(state.amplitudes))
+    return OutcomeDistribution(tuple(zip(observable.labels, weights)))
+
+
+def lueders_collapse(state: StateVector, observable: ProjectiveDecomposition, label: str) -> StateVector:
+    """P_k|s> / ||P_k|s>|| with canonical phase; a zero-probability outcome is an impossible branch."""
+    image = observable.projector(label) @ state.amplitudes
+    if projector_weights(state.amplitudes, image[None])[0] <= NEGLIGIBLE:
+        raise ImpossibleOutcomeError(f"zero-probability outcome {label!r}")
+    return canonical_state(image)
+
+
+def evolve(state: StateVector, hamiltonian: HermitianOperator, duration: float) -> StateVector:
+    """exp(-i H t)|s> (hbar = 1) with canonical phase."""
+    return canonical_state(unitary_exponential(hamiltonian, duration) @ state.amplitudes)
+
+
+def projector_question(amplitudes: np.ndarray) -> ProjectiveDecomposition:
+    """The yes / no observable "is the system in this state?"."""
+    yes = np.outer(amplitudes, amplitudes.conj())
+    return ProjectiveDecomposition((Outcome("yes", 1.0, yes), Outcome("no", 0.0, np.eye(amplitudes.size) - yes)))
+
+
+def time_reverse_context(ctx: Context) -> Context:
+    """Swap preparation and post-selection (rank-1), conjugate states, projectors and Hamiltonian, negate times."""
+    inter, post = ctx.intermediate, ctx.postselection
+    conjugated = tuple(Outcome(o.label, o.value, o.projector.conj()) for o in inter.observable.outcomes)
+    return Context(
+        Preparation(StateVector(prepare_eigenstate(post.observable, post.label).amplitudes.conj()), -post.time),
+        PostSelection(projector_question(ctx.preparation.state.amplitudes.conj()), "yes", -ctx.preparation.time),
+        Intermediate(ProjectiveDecomposition(conjugated), -inter.time, inter.performed),
+        None if ctx.hamiltonian is None else HermitianOperator(ctx.hamiltonian.matrix.conj()),
+    )
+
+
+def interchange_context(ctx: Context) -> Context:
+    """Exchange the preparation and (rank-1) post-selection roles of a free context, times kept."""
+    post = ctx.postselection
+    return Context(
+        Preparation(prepare_eigenstate(post.observable, post.label), ctx.preparation.time),
+        PostSelection(projector_question(ctx.preparation.state.amplitudes), "yes", post.time),
+        ctx.intermediate,
+    )
+
+
+def report_value(report, label: str, column: str = "value") -> float:
+    """The stored value in row `label`, column `column` of a Report."""
+    return dict(report.rows)[label][report.columns.index(column)]
+
+
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector.normalized(raw)
+    return normalized(raw)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -54,9 +140,8 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_observable(rng: np.random.Generator, dim: int, prefix: str = "o") -> ProjectiveDecomposition:
     """Nondegenerate observable with rank-1 projectors from a random unitary."""
     basis = random_unitary(rng, dim)
-    states = [StateVector.normalized(basis[:, k]) for k in range(dim)]
-    labels = tuple(f"{prefix}{k}" for k in range(dim))
-    return ProjectiveDecomposition.from_states(states, labels, tuple(float(k) for k in range(dim)))
+    states = [normalized(basis[:, k]) for k in range(dim)]
+    return from_states(states, [f"{prefix}{k}" for k in range(dim)])
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> HermitianOperator:
@@ -89,13 +174,16 @@ def random_context(
 def enumerate_chain(ctx: Context) -> dict[tuple[str, str], float]:
     """Brute-force joint law of (intermediate label, final label).
 
-    Walks the explicit measure-collapse-measure chain with the kinematics
-    primitives, enumerating every branch instead of sampling — an
-    independent route to the same statistics as the closed-form rule.
+    Walks the explicit measure-collapse-measure chain with the Lüders helpers,
+    enumerating every branch instead of sampling — an independent route to the
+    same statistics as the closed-form rule, never reading a Context cache. Each
+    interval's propagator is formed once and applied to every branch.
     """
-    hamiltonian = ctx.hamiltonian or HermitianOperator.zero(ctx.dim)
+    hamiltonian = ctx.hamiltonian or zero_operator(ctx.dim)
     inter = ctx.intermediate
-    evolved = evolve(ctx.preparation.state, hamiltonian, inter.time - ctx.preparation.time)
+    forward = unitary_exponential(hamiltonian, inter.time - ctx.preparation.time)
+    onward = unitary_exponential(hamiltonian, ctx.postselection.time - inter.time)
+    evolved = canonical_state(forward @ ctx.preparation.state.amplitudes)
     first = born_distribution(evolved, inter.observable)
     joint: dict[tuple[str, str], float] = {}
     for c_label, c_prob in first.entries:
@@ -104,7 +192,7 @@ def enumerate_chain(ctx: Context) -> dict[tuple[str, str], float]:
                 joint[(c_label, b_label)] = 0.0
             continue
         collapsed = lueders_collapse(evolved, inter.observable, c_label)
-        arrived = evolve(collapsed, hamiltonian, ctx.postselection.time - inter.time)
+        arrived = canonical_state(onward @ collapsed.amplitudes)
         second = born_distribution(arrived, ctx.postselection.observable)
         for b_label, b_prob in second.entries:
             joint[(c_label, b_label)] = c_prob * b_prob
@@ -249,7 +337,7 @@ def check_entry_bound_reference(arr: np.ndarray, name: str, kind: str) -> None:
 
 
 def fix_global_phase_reference(vector: np.ndarray) -> np.ndarray:
-    """linalg.fix_global_phase as a scalar loop over the entries."""
+    """The vector times its linalg.canonical_phases entry, as a scalar loop over the entries."""
     for entry in vector:
         if abs(entry) > NEGLIGIBLE:
             return vector * (entry.conjugate() / abs(entry))

@@ -29,6 +29,7 @@ from helpers import (
     random_unitary,
     rebase_reference,
     schmidt_reference,
+    zero_operator,
 )
 
 RNG = np.random.default_rng(20260811)
@@ -114,7 +115,7 @@ def test_degenerate_output_deterministic():
 
 
 def test_exponential_of_zero_is_identity():
-    u = unitary_exponential(HermitianOperator.zero(3), 1.7)
+    u = unitary_exponential(zero_operator(3), 1.7)
     np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
 
@@ -169,7 +170,8 @@ def test_schmidt_reconstruction_random():
         raw = RNG.standard_normal((3, 4)) + 1j * RNG.standard_normal((3, 4))
         matrix = raw / np.linalg.norm(raw)
         schmidt = schmidt_decompose(matrix)
-        assert np.max(np.abs(schmidt.reconstruct() - matrix)) < 1e-10
+        rebuilt = (schmidt.system_states * schmidt.coefficients) @ schmidt.apparatus_states.T
+        assert np.max(np.abs(rebuilt - matrix)) < 1e-10
         assert np.all(np.diff(schmidt.coefficients) <= 0)
         assert abs(np.sum(schmidt.coefficients**2) - 1.0) < 1e-12
         for states in (schmidt.system_states, schmidt.apparatus_states):
@@ -372,7 +374,8 @@ def test_phase_kernel_matches_the_scalar_loop(dim):
         expected = np.column_stack([fix_global_phase_reference(column) for column in matrix.T])
         np.testing.assert_array_equal(matrix * linalg.canonical_phases(matrix), expected)
         for k in range(matrix.shape[1]):
-            np.testing.assert_array_equal(linalg.fix_global_phase(matrix[:, k]), expected[:, k])
+            column = matrix[:, k]
+            np.testing.assert_array_equal(column * linalg.canonical_phases(column[:, None])[0], expected[:, k])
 
 
 def _hamiltonians(rng, dim) -> list[np.ndarray]:

@@ -16,6 +16,7 @@ from qcontexts import (
     JointState,
     ToleranceError,
     SpreadingModel,
+    StateVector,
     complete_basis,
     detector_click_simulation,
     pointer_basis_select,
@@ -109,9 +110,31 @@ def test_from_amplitudes_checks_only_the_amplitudes(monkeypatch):
 
 def test_premeasurement_allows_larger_bases():
     joint = premeasurement_joint([0.6, 0.8], np.eye(3), np.eye(4))
-    assert joint.system_dim == 3
+    assert joint.system_basis.shape[0] == 3
     assert joint.apparatus_dim == 4
     assert joint.coefficient_matrix.shape == (3, 4)
+
+
+BASIS_SEQUENCES = {
+    "StateVectors": lambda basis: [StateVector(column) for column in basis.T],
+    "arrays": lambda basis: tuple(basis.T),
+    "lists": lambda basis: [list(column) for column in basis.T],
+}
+
+
+@pytest.mark.parametrize("as_sequence", BASIS_SEQUENCES.values(), ids=BASIS_SEQUENCES.keys())
+def test_premeasurement_takes_a_basis_as_a_sequence_of_states(as_sequence):
+    system, apparatus = HADAMARD, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    expected = premeasurement_joint([0.6, 0.8], system, apparatus)
+    joint = premeasurement_joint([0.6, 0.8], as_sequence(system), as_sequence(apparatus))
+    for field in ("coefficient_matrix", "system_basis", "apparatus_basis"):
+        assert np.array_equal(getattr(joint, field), getattr(expected, field))
+
+
+def test_premeasurement_takes_a_one_dimensional_array_as_one_basis_state():
+    joint = premeasurement_joint([1.0], HADAMARD[:, 1], np.array([0.0, 1.0]))
+    assert joint.system_basis.shape == (2, 1) and joint.apparatus_basis.shape == (2, 1)
+    assert np.array_equal(joint.ambient_amplitudes(), np.outer(HADAMARD[:, 1], [0.0, 1.0]))
 
 
 # --- rebase_joint ----------------------------------------------------------------
@@ -152,7 +175,8 @@ def test_rebase_reconstruction_random():
         joint = random_joint(RNG, system_dim, apparatus_dim)
         basis = random_unitary(RNG, apparatus_dim)
         rebased = rebase_joint(joint, basis)
-        assert np.max(np.abs(rebased.reconstruct() - joint.ambient_amplitudes())) < 1e-10
+        rebuilt = (rebased.relative_states * rebased.coefficients) @ rebased.new_apparatus_basis.T
+        assert np.max(np.abs(rebuilt - joint.ambient_amplitudes())) < 1e-10
         # The apparatus-outcome marginal keeps total probability 1 in any basis.
         assert abs(np.sum(rebased.coefficients**2) - 1.0) < 1e-10
 
@@ -215,14 +239,14 @@ def test_pointer_recovers_declared_apparatus_basis():
         assert not schmidt.non_unique
         # Match recovered vectors to declared ones by overlap, up to phase/order.
         overlaps = np.abs(apparatus.conj().T @ schmidt.apparatus_states)
-        for k in range(schmidt.rank):
+        for k in range(schmidt.coefficients.size):
             assert np.max(overlaps[:, k]) > 1.0 - 1e-9
 
 
 def test_pointer_product_state_flags_non_unique():
     joint = premeasurement_joint([1.0, 0.0])
     schmidt = pointer_basis_select(joint)
-    assert schmidt.rank == 1
+    assert schmidt.coefficients.size == 1
     assert schmidt.non_unique
 
 
@@ -359,7 +383,7 @@ def test_spreading_rejects_an_overflowing_width():
 
 def test_detector_zero_rate_never_clicks():
     sequence = detector_click_simulation(0.0, 0.5, 5.0, seed=1)
-    assert not sequence.clicked
+    assert sequence.click_time is None
     assert sequence.click_time is None
     assert len(sequence.ticks) == 10
     assert all(kind == "nonclick" for _, kind in sequence.ticks)
@@ -389,7 +413,7 @@ def test_detector_click_times_follow_exponential_law():
     times = []
     for seed in range(2000):
         sequence = detector_click_simulation(rate, tick, 10.0, seed=seed)
-        if sequence.clicked:
+        if sequence.click_time is not None:
             times.append(sequence.click_time)
     times.sort()
     n = len(times)
@@ -412,7 +436,7 @@ def test_detector_facts_past_the_cap_are_refused_before_any_is_built():
     assert peak < 1_000_000  # one fact tuple alone is about 100 bytes
     # The cap is on facts recorded, not on the horizon: an early click records few.
     sequence = detector_click_simulation(1e3, 0.5, 0.5 * (MAX_RECORDED_TICKS + 1), seed=1)
-    assert sequence.clicked and len(sequence.ticks) == 1
+    assert sequence.click_time is not None and len(sequence.ticks) == 1
 
 
 # Seeds of one, two, three, four and five 32-bit words.
@@ -453,7 +477,7 @@ def test_first_clicks_run_0_is_the_detector_simulation_of_the_seed(seed):
     for rate, tick, horizon in ((0.0, 0.5, 5.0), (2.0, 0.1, 5.0), (0.3, 0.2, 1.0), (1e3, 0.5, 10.0)):
         sequence = detector_click_simulation(rate, tick, horizon, seed)
         count, p = pointer.detector_law(rate, tick, horizon)
-        assert _concatenated(first_clicks(count, p, seed, 7))[0] == (len(sequence.ticks) if sequence.clicked else 0)
+        assert _concatenated(first_clicks(count, p, seed, 7))[0] == (len(sequence.ticks) if sequence.click_time is not None else 0)
 
 
 def test_first_clicks_draw_nothing_when_p_is_0(monkeypatch):
@@ -520,8 +544,8 @@ def test_detector_records_equal_their_checked_construction(monkeypatch):
         assert all(type(time) is float and type(kind) is str for time, kind in record.ticks)
         if rate == 0.0:
             seen.add("rate 0")
-            assert not record.clicked and len(record.ticks) == int(horizon / tick + 1e-9)
-        elif not record.clicked:
+            assert record.click_time is None and len(record.ticks) == int(horizon / tick + 1e-9)
+        elif record.click_time is None:
             seen.add("no click")
         elif len(record.ticks) == 1:
             seen.add("first tick")

@@ -2,7 +2,7 @@
 
 Each type keeps its constructor signature and attribute names. Assigning or deleting any attribute
 raises dataclasses.FrozenInstanceError. Seven types compare and hash by their fields; the other
-thirteen compare by identity. repr shows the fields, never a derived attribute.
+twelve compare by identity. repr shows the fields, never a derived attribute.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ from qcontexts import (
     ChainSampleReport,
     Context,
     Eigensystem,
-    ElementOfReality,
     FactSequence,
     HermitianOperator,
     Intermediate,
@@ -62,7 +61,6 @@ RECORDS = {
     ),
     ChainSampleReport: ("requested, retained, frequencies, seed", (10, 4, HALVES, 7)),
     TotalProbabilityGap: ("quantum, classical_chain, gap", (0.5, 0.25, 0.25)),
-    ElementOfReality: ("observable, label, probability", (Z, "+1", 1.0)),
     JointState: ("coefficient_matrix, system_basis, apparatus_basis", (np.diag([0.6, 0.8]), np.eye(2), np.eye(2))),
     RebasedDecomposition: (
         "new_apparatus_basis, coefficients, relative_states, orthogonality_score",
@@ -82,7 +80,7 @@ DERIVED = {ProjectiveDecomposition: "labels", Scenario: "spec", Report: "texts"}
 
 def test_every_public_type_is_a_record_and_none_is_a_dataclass():
     public = {value for value in vars(qcontexts).values() if isinstance(value, type) and not issubclass(value, Exception)}
-    assert public == set(RECORDS) and len(RECORDS) == 20 and len(VALUE_TYPES) == 7
+    assert public == set(RECORDS) and len(RECORDS) == 19 and len(VALUE_TYPES) == 7
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
 
 

@@ -22,12 +22,8 @@ from qcontexts import (
     ProjectiveDecomposition,
     SpreadingModel,
     StateVector,
-    born_distribution,
     complete_basis,
-    element_of_reality,
-    evolve,
     hermitian_eigensystem,
-    lueders_collapse,
     pauli_x,
     pauli_z,
     premeasurement_joint,
@@ -36,10 +32,11 @@ from qcontexts import (
 )
 from qcontexts.cli import main
 from qcontexts.contexts import MAX_CHAIN_SAMPLES
+from helpers import basis_state, from_states, zero_operator
 
 NAN, INF = float("nan"), float("inf")
 UP = StateVector([1.0, 0.0])
-THREE = ProjectiveDecomposition.from_states([StateVector.basis_state(3, k) for k in range(3)])
+THREE = from_states([basis_state(3, k) for k in range(3)])
 
 
 def _context(intermediate=pauli_x()) -> Context:
@@ -62,18 +59,7 @@ REFUSALS = {
     "sample_chain-cap": (
         lambda: sample_chain(_context(), MAX_CHAIN_SAMPLES + 1, 0), InvariantViolation, "samples must lie in [1, "
     ),
-    "element_of_reality-time": (
-        lambda: element_of_reality(Preparation(UP, 1.0), None, 0.5), InvariantViolation, "query time precedes"
-    ),
-    "element_of_reality-dimension": (
-        lambda: element_of_reality(Preparation(UP, 0.0), None, 1.0, THREE),
-        InvariantViolation,
-        "observable dimension differs from the preparation",
-    ),
     "StateVector-empty": (lambda: StateVector([]), InvariantViolation, "at least one amplitude"),
-    "StateVector.normalized-zero": (
-        lambda: StateVector.normalized([1e-10, 0.0]), InvariantViolation, "cannot normalize a near-zero vector"
-    ),
     "Outcome-empty-label": (lambda: _outcome(label=""), InvariantViolation, "label must be a nonempty string"),
     "Outcome-value": (lambda: _outcome(value=NAN), InvariantViolation, "outcome value for 'a' must be finite"),
     "ProjectiveDecomposition-empty": (
@@ -87,10 +73,6 @@ REFUSALS = {
         InvariantViolation,
         "projector for 'b' has mismatched dimension",
     ),
-    "from_states-empty": (lambda: ProjectiveDecomposition.from_states([]), InvariantViolation, "at least one state"),
-    "from_states-count": (
-        lambda: ProjectiveDecomposition.from_states([UP]), InvariantViolation, "1 states cannot span dimension 2"
-    ),
     "OutcomeDistribution-duplicate": (
         lambda: OutcomeDistribution((("a", 0.5), ("a", 0.5))), InvariantViolation, "duplicate outcome label 'a'"
     ),
@@ -99,15 +81,6 @@ REFUSALS = {
     ),
     "OutcomeDistribution-unknown": (
         lambda: OutcomeDistribution((("a", 1.0),)).probability("b"), InvariantViolation, "unknown outcome label 'b'"
-    ),
-    "born_distribution-dimension": (
-        lambda: born_distribution(UP, THREE), InvariantViolation, "dimension mismatch: state 2 vs observable 3"
-    ),
-    "lueders_collapse-dimension": (
-        lambda: lueders_collapse(UP, THREE, "0"), InvariantViolation, "dimension mismatch: state 2 vs observable 3"
-    ),
-    "evolve-dimension": (
-        lambda: evolve(UP, HermitianOperator.zero(3), 1.0), InvariantViolation, "state 2 vs Hamiltonian 3"
     ),
     "JointState-shape": (
         lambda: JointState(np.eye(2) / np.sqrt(2), np.eye(3), np.eye(2)),
@@ -138,7 +111,7 @@ REFUSALS = {
         "phase lambda t is not finite",
     ),
     "propagator-zero-times-infinite": (
-        lambda: hermitian_eigensystem(HermitianOperator.zero(2)).propagator(INF),
+        lambda: hermitian_eigensystem(zero_operator(2)).propagator(INF),
         InvariantViolation,
         "phase lambda t is not finite",
     ),

@@ -30,7 +30,6 @@ from qcontexts import (
     format_number,
     load_preset,
     load_scenario,
-    parse_report,
     pauli_x,
     pauli_z,
     preset_names,
@@ -44,8 +43,8 @@ from qcontexts.contexts import DENOMINATOR_FLOOR, MAX_CHAIN_SAMPLES, MAX_PHASE
 from qcontexts.errors import clipped_repr
 from qcontexts.linalg import ALGEBRA_TOL, COEFFICIENT_DEGENERACY_TOL, CONSTRUCTION_TOL
 from qcontexts.pointer import _RUN_BLOCK, detector_law, spreading_sigma
-from qcontexts.scenarios import MAX_DETECTOR_RUNS, MAX_FILE_BYTES
-from helpers import count_branch_builds, mixed_schmidt, one_stream_first_clicks
+from qcontexts.scenarios import MAX_DETECTOR_RUNS, MAX_FILE_BYTES, NAMED_OBSERVABLES
+from helpers import count_branch_builds, mixed_schmidt, one_stream_first_clicks, report_value
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -284,6 +283,47 @@ def test_named_observables_are_built_once_and_shared(monkeypatch, tmp_path):
     assert pauli_x() is not pauli_x()
 
 
+PAULI = {"X": [[0, 1], [1, 0]], "Y": [[0, -1j], [1j, 0]], "Z": [[1, 0], [0, -1]]}
+
+
+def _spelled_out(name: str) -> dict:
+    """A named observable written out: outcome "+1" (value 1) and "-1" (value -1) on (I +- sigma) / 2."""
+    sigma = np.array(PAULI[name], dtype=complex)
+    outcomes = []
+    for label, sign in (("+1", 1.0), ("-1", -1.0)):
+        projector = (np.eye(2) + sign * sigma) / 2
+        pairs = [[[z.real, z.imag] for z in row] for row in projector]
+        outcomes.append({"label": label, "value": sign, "projector": pairs})
+    return {"outcomes": outcomes}
+
+
+@pytest.mark.parametrize("kind", ["abl", "chain", "gap"])
+@pytest.mark.parametrize("name", sorted(NAMED_OBSERVABLES))
+def test_named_observable_reports_as_its_spelled_out_pauli_projectors(tmp_path, name, kind):
+    post_name = {"X": "Y", "Y": "Z", "Z": "X"}[name]  # every name is read as intermediate and as post-selection
+
+    def report(intermediate, postselection):
+        preparation = {"state": [[0.6, 0.0], [0.0, 0.8]]}  # 0.6|0> + 0.8i|1> meets every eigenstate
+        parameters = {
+            "preparation": preparation,
+            "intermediate": {"observable": intermediate},
+            "postselection": {"observable": postselection, "label": "+1"},
+        }
+        if kind != "gap":
+            preparation["time"], parameters["intermediate"]["time"], parameters["postselection"]["time"] = 0.0, 1.0, 2.0
+        if kind == "chain":
+            parameters.update(samples=4000, seed=3)
+        payload = {"name": "pauli", "kind": kind, "parameters": parameters}
+        return run_scenario(load_scenario(write_scenario(tmp_path, payload)))
+
+    named, spelled = report(name, post_name), report(_spelled_out(name), _spelled_out(post_name))
+    assert named.columns == spelled.columns and named.metadata == spelled.metadata
+    assert [label for label, _ in named.rows] == [label for label, _ in spelled.rows]
+    np.testing.assert_allclose(
+        [values for _, values in named.rows], [values for _, values in spelled.rows], rtol=0, atol=1e-12
+    )
+
+
 def test_unknown_kind_rejected(tmp_path):
     path = write_scenario(tmp_path, {"name": "x", "kind": "banana", "parameters": {}})
     with pytest.raises(ScenarioError, match="unknown kind"):
@@ -369,17 +409,17 @@ def test_cli_unhashable_preset_reference_is_a_parse_error(tmp_path, capsysbinary
 
 def test_three_box_report_values():
     report = run_scenario(load_preset("three-box"))
-    assert report.value("abl:box1") == 1.0
-    assert report.value("abl:elsewhere") == 0.0
-    assert abs(report.value("born:box1") - 1 / 3) < 1e-12
-    assert report.metadata_dict()["reading"] == "subjective"
+    assert report_value(report, "abl:box1") == 1.0
+    assert report_value(report, "abl:elsewhere") == 0.0
+    assert abs(report_value(report, "born:box1") - 1 / 3) < 1e-12
+    assert dict(report.metadata)["reading"] == "subjective"
 
 
 def test_two_slit_gap_report_values():
     report = run_scenario(load_preset("two-slit"))
-    assert report.value("quantum") == 1.0
-    assert report.value("classical_chain") == 0.5
-    assert report.value("gap") == 0.5
+    assert report_value(report, "quantum") == 1.0
+    assert report_value(report, "classical_chain") == 0.5
+    assert report_value(report, "gap") == 0.5
 
 
 def test_gap_scenario_run_twice_builds_one_branch_table(monkeypatch):
@@ -394,23 +434,23 @@ def test_chain_report_columns_and_overrides():
     scenario = load_scenario(SCENARIO_DIR / EXAMPLE_FILES["chain"])
     report = run_scenario(scenario, seed=5, samples=2000)
     assert report.columns == ("analytic", "frequency", "zscore")
-    metadata = report.metadata_dict()
+    metadata = dict(report.metadata)
     assert metadata["seed"] == "5"
     assert metadata["samples"] == "2000"
     assert int(metadata["retained"]) > 0
-    assert report.value("box1", "analytic") == 1.0
-    assert report.value("box1", "frequency") == 1.0
+    assert report_value(report, "box1", "analytic") == 1.0
+    assert report_value(report, "box1", "frequency") == 1.0
 
 
 def test_detector_report_counts():
     report = run_scenario(load_preset("geiger"), samples=50)
-    assert report.value("runs") == 50.0
-    assert report.value("clicked") + report.value("censored") == 50.0
+    assert report_value(report, "runs") == 50.0
+    assert report_value(report, "clicked") + report_value(report, "censored") == 50.0
 
 
 def test_reports_carry_version_and_tolerances():
     report = run_scenario(load_preset("two-slit"))
-    metadata = report.metadata_dict()
+    metadata = dict(report.metadata)
     assert "tool_version" in metadata
     assert metadata["tolerance_construction"] == "1e-12"
     assert metadata["tolerance_algebra"] == "1e-10"
@@ -444,7 +484,11 @@ def test_emission_is_deterministic():
 def test_json_round_trip():
     for name in preset_names():
         report = run_scenario(load_preset(name))
-        assert parse_report(emit_report(report, "json")) == report
+        payload = json.loads(emit_report(report, "json"))
+        assert (payload["scenario"], payload["kind"], payload["columns"]) == (report.scenario, report.kind, list(report.columns))
+        assert payload["metadata"] == dict(report.metadata)
+        assert payload["rows"] == [[label, *texts] for (label, _), texts in zip(report.rows, report.texts)]
+        assert [[float(text) for text in row[1:]] for row in payload["rows"]] == [list(values) for _, values in report.rows]
 
 
 def test_a_report_formats_its_values_at_construction_and_emits_without_formatting(monkeypatch):
@@ -462,7 +506,7 @@ def test_a_report_formats_its_values_at_construction_and_emits_without_formattin
 
 
 def test_metadata_tolerances_are_written_from_their_constants(monkeypatch):
-    metadata = {kind: run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES[kind])).metadata_dict()
+    metadata = {kind: dict(run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES[kind])).metadata)
                 for kind in ("abl", "chain", "pointer")}
     for values in metadata.values():
         texts = (values["tolerance_construction"], values["tolerance_algebra"])
@@ -476,7 +520,7 @@ def test_metadata_tolerances_are_written_from_their_constants(monkeypatch):
     monkeypatch.setattr(scenarios, "COEFFICIENT_DEGENERACY_TOL", 5e-9)
     patched = (("abl", "tolerance_denominator", "2e-15"), ("pointer", "tolerance_coefficient_degeneracy", "5e-9"))
     for kind, key, text in patched:
-        assert run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES[kind])).metadata_dict()[key] == text
+        assert dict(run_scenario(load_scenario(SCENARIO_DIR / EXAMPLE_FILES[kind])).metadata)[key] == text
 
 
 def test_unknown_format_rejected():
@@ -646,16 +690,6 @@ def test_cli_spreading_non_finite_width_is_an_invariant_violation(tmp_path, caps
     assert diagnostic["error"] == "invariant-violation"
     assert message in diagnostic["message"]
     assert diagnostic["field"] == field
-
-
-@pytest.mark.parametrize(
-    "data",
-    [b"\xff", b"[1]", b'{"scenario": "s", "kind": "abl", "columns": [], "rows": [], "metadata": []}'],
-    ids=["undecodable", "not-an-object", "metadata-not-an-object"],
-)
-def test_parse_report_rejects_malformed_bytes(data):
-    with pytest.raises(ScenarioError, match="report"):
-        parse_report(data)
 
 
 @pytest.mark.parametrize("name", ["chain", "detector"])
@@ -856,8 +890,8 @@ def _reference_detector_rows(rate, tick, horizon, seed, runs) -> dict:
             sequence = FactSequence(tuple((k * tick, "nonclick") for k in range(1, count + 1)), None)
         if i == 0:
             assert sequence == detector_click_simulation(rate, tick, horizon, seed)
-        nonclick_facts += len(sequence.ticks) - (1 if sequence.clicked else 0)
-        if sequence.clicked:
+        nonclick_facts += len(sequence.ticks) - (sequence.click_time is not None)
+        if sequence.click_time is not None:
             click_times.append(sequence.click_time)
     rows = {
         "runs": runs,
@@ -883,10 +917,10 @@ def test_detector_counts_match_fact_sequences(rate, tick, horizon, seed):
     assert [label for label, _ in report.rows] == list(expected)
     for label, value in expected.items():
         if label == "mean_click_time":  # summed in another order: equal to within a few ulps before rounding
-            assert report.value(label) == pytest.approx(value, rel=1e-11)
+            assert report_value(report, label) == pytest.approx(value, rel=1e-11)
         else:
-            assert report.value(label) == float(format_number(value))
-    assert report.metadata_dict()["sampler"] == "geometric-stream"
+            assert report_value(report, label) == float(format_number(value))
+    assert dict(report.metadata)["sampler"] == "geometric-stream"
 
 
 def _one_stream_tallies(rate, tick, horizon, seed, runs) -> dict:
@@ -936,13 +970,13 @@ def test_detector_report_follows_its_law(rate, tick, horizon):
     k = np.arange(1, count + 1)
     mass = p * (1.0 - p) ** (k - 1)  # P(first click at tick k)
     q = float(mass.sum())
-    clicked = report.value("clicked")
+    clicked = report_value(report, "clicked")
     assert abs(clicked - runs * q) <= 5.0 * math.sqrt(runs * q * (1.0 - q)) + 0.5
     mean = float((k * mass).sum()) / q
     spread = math.sqrt(float((k * k * mass).sum()) / q - mean * mean)
-    assert abs(report.value("mean_click_time") / tick - mean) <= 5.0 * spread / math.sqrt(clicked) + 1e-9
-    assert report.value("nonclick_facts") == pytest.approx(
-        clicked * (report.value("mean_click_time") / tick - 1.0) + (runs - clicked) * count, rel=1e-10
+    assert abs(report_value(report, "mean_click_time") / tick - mean) <= 5.0 * spread / math.sqrt(clicked) + 1e-9
+    assert report_value(report, "nonclick_facts") == pytest.approx(
+        clicked * (report_value(report, "mean_click_time") / tick - 1.0) + (runs - clicked) * count, rel=1e-10
     )
 
 
@@ -967,8 +1001,8 @@ def test_detector_checks_its_law_once_per_scenario(monkeypatch):
 
     monkeypatch.setattr(scenarios, "detector_law", counting)
     scenario = load_scenario(SCENARIO_DIR / EXAMPLE_FILES["detector"])
-    assert run_scenario(scenario).value("runs") == 1000.0
-    assert run_scenario(scenario, seed=3, samples=20).value("runs") == 20.0
+    assert report_value(run_scenario(scenario), "runs") == 1000.0
+    assert report_value(run_scenario(scenario, seed=3, samples=20), "runs") == 20.0
     assert calls == [(1.0, 0.01, 10.0)]
 
 
@@ -995,7 +1029,7 @@ def test_detector_runs_in_flat_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.value("runs") == 1e5
+    assert report_value(report, "runs") == 1e5
     assert peak < 1_000_000  # the 10^5 draws alone, held at once, take several MB
 
 
@@ -1006,8 +1040,8 @@ def test_detector_counts_a_long_record_without_building_it():
     assert time.perf_counter() - start < 1.0
     count, p = detector_law(0.0, 1e-12, 1.0)
     assert p == 0.0 and abs(count - 10**12) <= 1
-    assert report.value("clicked") == 0.0
-    assert report.value("nonclick_facts") == float(count)
+    assert report_value(report, "clicked") == 0.0
+    assert report_value(report, "nonclick_facts") == float(count)
 
 
 def test_cli_import_leaves_numpy_random_unimported():
@@ -1216,8 +1250,7 @@ def test_scenario_boundary_refusal_is_one_parse_error_line(tmp_path, capsysbinar
 
 def test_comma_label_refused_in_csv_renders_in_json(tmp_path, capsysbinary):
     assert main([*COMMA_LABEL(tmp_path), "--format", "json"]) == 0
-    report = parse_report(capsysbinary.readouterr().out)
-    assert report.rows[0][0] == "abl:a,b"
+    assert json.loads(capsysbinary.readouterr().out)["rows"][0][0] == "abl:a,b"
 
 
 # --- fuzzing the parse boundary ----------------------------------------------------

@@ -13,7 +13,8 @@ in the checkout (default: the one this file sits in), with T the declared
 the result. The output file holds, per workload, the median and quartiles of
 every end-to-end metric over the seeds with each run's value, the op counts,
 and each run's environment line; `uncommitted_changes` says whether the
-checkout differed from the commit those lines name, and `pycache` whether
+checkout differed from the commit those lines name (null when `git status`
+fails there, as in a copy made by `git archive`), and `pycache` whether
 `src/qcontexts/__pycache__` was there as each run started. Python reads
 those `.pyc` files even under PYTHONDONTWRITEBYTECODE, so such a run starts
 faster than one on a fresh checkout; the first one seen is warned of on stderr.
@@ -51,11 +52,12 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def uncommitted_changes(checkout: Path) -> bool:
-    """Whether tracked files differ from the commit that each run's environment line names."""
+def uncommitted_changes(checkout: Path) -> bool | None:
+    """Whether tracked files differ from the commit that each run's environment line names;
+    None when `git status` fails, as in a checkout that is not a git repository."""
     command = ["git", "status", "--porcelain", "--untracked-files=no"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, timeout=60)
-    return bool(done.stdout.strip())
+    return None if done.returncode else bool(done.stdout.strip())
 
 
 def record(checkout: Path, seconds: float, workloads: list[str]) -> dict:
