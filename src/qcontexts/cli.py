@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 malformed command line, parse error or unwritable
 --out file or stdout, 3 invariant violation, 4 impossible post-selection / no
 data, 5 internal tolerance breach.
 Failures print one machine-parsable JSON line to stderr, with a `field` key
-when the failure names an input field or `out`. Output bytes are written
-without newline translation so identical runs are byte-identical.
+when the failure names an input field or `out`, and `line` and `column` keys
+for a JSON syntax error. Output bytes are written without newline
+translation so identical runs are byte-identical.
 
 `main(argv)` is the in-process API: it returns the exit code and leaves the
 garbage collector alone. `console()` is the process entry, behind the
@@ -80,6 +81,8 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     diagnostic = {"error": kind, "exit_code": code, "message": str(exc)}
     if getattr(exc, "field", None) is not None:
         diagnostic["field"] = exc.field
+    if isinstance(exc.__cause__, json.JSONDecodeError):  # a JSON syntax error says where, as numbers too
+        diagnostic.update(line=exc.__cause__.lineno, column=exc.__cause__.colno)
     sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
     return code
 

@@ -31,6 +31,7 @@ ChainSampleReport and TotalProbabilityGap compare by value, the others by identi
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -65,7 +66,7 @@ class Preparation(Record):
     """Pre-selection: the state the system is prepared in, and when."""
 
     def __init__(self, state: StateVector, time: float):
-        if not np.isfinite(time):
+        if not math.isfinite(time):
             raise InvariantViolation("preparation time must be finite")
         self.__dict__.update(state=state, time=time)
 
@@ -78,7 +79,7 @@ class Intermediate(Record):
     """
 
     def __init__(self, observable: ProjectiveDecomposition, time: float, performed: bool = True):
-        if not np.isfinite(time):
+        if not math.isfinite(time):
             raise InvariantViolation("intermediate time must be finite")
         self.__dict__.update(observable=observable, time=time, performed=performed)
 
@@ -87,7 +88,7 @@ class PostSelection(Record):
     """Post-selection: the final observable, the retained outcome, and when."""
 
     def __init__(self, observable: ProjectiveDecomposition, label: str, time: float):
-        if not np.isfinite(time):
+        if not math.isfinite(time):
             raise InvariantViolation("post-selection time must be finite")
         observable.outcome(label)  # raises on unknown label
         self.__dict__.update(observable=observable, label=label, time=time)

@@ -10,6 +10,7 @@ records (records.Record); only OutcomeDistribution compares by value.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -58,7 +59,7 @@ class Outcome(Record):
     def __init__(self, label: str, value: float, projector: np.ndarray):
         if not isinstance(label, str) or not label:
             raise InvariantViolation("outcome label must be a nonempty string")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise InvariantViolation(f"outcome value for {clipped_repr(label)} must be finite")
         proj = as_complex_array(projector, 2, _projector_name(label), square=True)
         self.__dict__.update(label=label, value=float(value), projector=frozen_copy(proj))

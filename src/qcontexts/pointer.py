@@ -237,9 +237,9 @@ class SpreadingModel(ValueRecord):
     """Free Gaussian packet: initial width sigma0 and mass, with hbar = 1."""
 
     def __init__(self, sigma0: float, mass: float):
-        if not (np.isfinite(sigma0) and sigma0 > 0):
+        if not (math.isfinite(sigma0) and sigma0 > 0):
             raise InvariantViolation(f"sigma0 must be positive, got {sigma0!r}")
-        if not (np.isfinite(mass) and mass > 0):
+        if not (math.isfinite(mass) and mass > 0):
             raise InvariantViolation(f"mass must be positive, got {mass!r}")
         self.__dict__.update(sigma0=sigma0, mass=mass)
         try:
@@ -307,11 +307,11 @@ def detector_law(rate: float, tick: float, horizon: float) -> tuple[int, float]:
     parameters are checked here, once, however many runs then draw from it;
     a violation names its parameter as the field ("rate", "tick" or "horizon").
     """
-    if not (np.isfinite(rate) and rate >= 0):
+    if not (math.isfinite(rate) and rate >= 0):
         raise InvariantViolation(f"must be nonnegative, got {rate!r}", field="rate")
-    if not (np.isfinite(tick) and tick > 0):
+    if not (math.isfinite(tick) and tick > 0):
         raise InvariantViolation(f"must be positive, got {tick!r}", field="tick")
-    if not (np.isfinite(horizon) and horizon >= tick):
+    if not (math.isfinite(horizon) and horizon >= tick):
         raise InvariantViolation(f"must reach the first tick, got {horizon!r}", field="horizon")
     ticks = horizon / tick + 1e-9
     if not ticks < 2.0**53:

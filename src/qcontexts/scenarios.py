@@ -18,10 +18,12 @@ package's `presets/`. Scenario and Report are value records: equal fields
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -140,6 +142,8 @@ def _require(params: dict, key: str, field: str):
 
 def _is_finite_number(value) -> bool:
     """A JSON number that is a finite double; json.loads also yields NaN, Infinity and unbounded ints."""
+    if type(value) is float:  # every JSON number with a fraction or an exponent
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
@@ -295,16 +299,25 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file (or a {"preset": name} reference). At most MAX_FILE_BYTES + 1
     bytes are read: a longer input (a pipe or a device too) is a ScenarioError, as is JSON nested too deeply."""
-    try:
-        with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size  # a regular file's length; 0 for a pipe or a device
-            raw = handle.read((size if 0 < size <= MAX_FILE_BYTES else MAX_FILE_BYTES) + 1)
+    try:  # os.read, not open(): its file objects cost more than reading a few-KB file
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+        try:
+            info = os.fstat(fd)  # st_size: a regular file's length; 0 for a pipe or a device
+            if stat.S_ISDIR(info.st_mode):  # open()'s check: os.read's EISDIR would not name the path
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            limit = min(info.st_size or MAX_FILE_BYTES, MAX_FILE_BYTES) + 1
+            pieces, count = [], 0  # one piece for a regular file; os.read frees what it leaves unfilled
+            while count < limit and (piece := os.read(fd, limit - count)):
+                pieces.append(piece)
+                count += len(piece)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    if len(raw) > MAX_FILE_BYTES:
+    if count > MAX_FILE_BYTES:
         raise ScenarioError(f"scenario file holds more than {MAX_FILE_BYTES} bytes")
     try:
-        payload = json.loads(raw)
+        payload = json.loads(b"".join(pieces))  # a regular file's one piece itself, not a copy
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # undecodable bytes, or an integer past the interpreter's digit limit

@@ -58,8 +58,6 @@ from helpers import (
     zero_operator,
 )
 
-RNG = np.random.default_rng(404208)
-
 
 def three_box_context(performed=True) -> Context:
     a = StateVector(np.ones(3) / np.sqrt(3))
@@ -140,10 +138,10 @@ def test_reading_metadata_never_changes_numbers():
 # --- abl_distribution ----------------------------------------------------------
 
 
-def test_abl_delta_when_intermediate_repeats_preparation():
-    obs = random_observable(RNG, 3)
+def test_abl_delta_when_intermediate_repeats_preparation(rng):
+    obs = random_observable(rng, 3)
     a = prepare_eigenstate(obs, "o1")
-    post = random_observable(RNG, 3, prefix="b")
+    post = random_observable(rng, 3, prefix="b")
     ctx = simple_context(a, post, "b2", obs)
     dist = abl_distribution(ctx)
     assert abs(dist.probability("o1") - 1.0) < 1e-12
@@ -173,10 +171,10 @@ def test_abl_equal_kernels():
     assert abs(dist.probability("-1") - 0.5) < 1e-12
 
 
-def test_abl_is_bayesian_conditioning_of_the_chain():
+def test_abl_is_bayesian_conditioning_of_the_chain(rng):
     for _ in range(20):
-        dim = int(RNG.integers(2, 5))
-        ctx = random_context(RNG, dim)
+        dim = int(rng.integers(2, 5))
+        ctx = random_context(rng, dim)
         joint = enumerate_chain(ctx)
         expected = conditional_from_joint(
             joint, ctx.postselection.label, ctx.intermediate.observable.labels
@@ -190,7 +188,7 @@ def test_abl_is_bayesian_conditioning_of_the_chain():
 def test_enumerated_chain_forms_one_propagator_per_interval_bit_for_bit(monkeypatch, dim):
     """enumerate_chain forms each interval's propagator once; evolving every branch on its own
     gives the same bits, because each eigendecomposition sees the same Hamiltonian and duration."""
-    rng = np.random.default_rng(7000 + dim)  # its own stream: the module's RNG feeds later tests in order
+    rng = np.random.default_rng(7000 + dim)
     ctx = random_context(rng, dim)
     inter, post = ctx.intermediate, ctx.postselection
     evolved = evolve(ctx.preparation.state, ctx.hamiltonian, inter.time - ctx.preparation.time)
@@ -229,9 +227,9 @@ def test_abl_impossible_postselection():
         abl_distribution(ctx)
 
 
-def test_abl_sums_to_one_random():
+def test_abl_sums_to_one_random(rng):
     for _ in range(20):
-        ctx = random_context(RNG, int(RNG.integers(2, 5)))
+        ctx = random_context(rng, int(rng.integers(2, 5)))
         assert abs(sum(dict(abl_distribution(ctx).entries).values()) - 1.0) < 1e-9
 
 
@@ -296,10 +294,10 @@ def test_chain_retention_tracks_sequential_probability():
     assert abs(report.retained / report.requested - 1.0 / 9.0) < 0.01
 
 
-def test_chain_delta_when_intermediate_repeats_preparation():
-    obs = random_observable(RNG, 3)
+def test_chain_delta_when_intermediate_repeats_preparation(rng):
+    obs = random_observable(rng, 3)
     a = prepare_eigenstate(obs, "o2")
-    ctx = simple_context(a, random_observable(RNG, 3, prefix="b"), "b0", obs)
+    ctx = simple_context(a, random_observable(rng, 3, prefix="b"), "b0", obs)
     report = sample_chain(ctx, 20_000, seed=3)
     assert report.frequencies.probability("o2") == 1.0
 
@@ -324,8 +322,8 @@ def test_chain_no_data():
     assert report.retained == 0
 
 
-def test_chain_deterministic():
-    ctx = random_context(RNG, 3)
+def test_chain_deterministic(rng):
+    ctx = random_context(rng, 3)
     first = sample_chain(ctx, 50_000, seed=77)
     second = sample_chain(ctx, 50_000, seed=77)
     assert first == second
@@ -497,11 +495,11 @@ def test_gap_chain_skips_a_branch_of_negligible_born_weight(theta):
         assert result.classical_chain == pytest.approx(result.quantum, rel=1e-9)
 
 
-def test_gap_zero_when_preparation_is_eigenstate():
+def test_gap_zero_when_preparation_is_eigenstate(rng):
     for _ in range(10):
-        obs = random_observable(RNG, 3)
+        obs = random_observable(rng, 3)
         a = prepare_eigenstate(obs, "o1")
-        post = random_observable(RNG, 3, prefix="b")
+        post = random_observable(rng, 3, prefix="b")
         result = total_probability_gap(simple_context(a, post, "b0", obs))
         assert abs(result.gap) < 1e-12
 
@@ -514,18 +512,18 @@ def test_reverse_three_box_keeps_certainty():
     assert abs(abl_distribution(reversed_ctx).probability("box1") - 1.0) < 1e-12
 
 
-def test_reverse_matches_original_free_case():
+def test_reverse_matches_original_free_case(rng):
     for _ in range(25):
-        ctx = random_context(RNG, int(RNG.integers(2, 5)), free=True)
+        ctx = random_context(rng, int(rng.integers(2, 5)), free=True)
         original = abl_distribution(ctx)
         mirrored = abl_distribution(time_reverse_context(ctx))
         for label, p in original.entries:
             assert abs(mirrored.probability(label) - p) < 1e-10
 
 
-def test_interchange_matches_original_free_case():
+def test_interchange_matches_original_free_case(rng):
     for _ in range(25):
-        ctx = random_context(RNG, int(RNG.integers(2, 5)), free=True)
+        ctx = random_context(rng, int(rng.integers(2, 5)), free=True)
         original = abl_distribution(ctx)
         swapped = abl_distribution(interchange_context(ctx))
         for label, p in original.entries:
@@ -560,14 +558,14 @@ def test_reverse_with_hamiltonian_still_matches():
 # --- picture consistency --------------------------------------------------------------
 
 
-def test_pictures_agree_trivially_when_free():
-    ctx = random_context(RNG, 3, free=True)
+def test_pictures_agree_trivially_when_free(rng):
+    ctx = random_context(rng, 3, free=True)
     assert picture_consistency_check(ctx) < 1e-14
 
 
-def test_pictures_agree_random_hamiltonians():
+def test_pictures_agree_random_hamiltonians(rng):
     for _ in range(20):
-        ctx = random_context(RNG, int(RNG.integers(2, 5)))
+        ctx = random_context(rng, int(rng.integers(2, 5)))
         assert picture_consistency_check(ctx) <= 1e-10
 
 
@@ -655,11 +653,11 @@ def test_picture_check_raises_when_the_heisenberg_route_is_unreachable():
 # --- marginalization identity -----------------------------------------------------------
 
 
-def test_conditioning_marginalizes_back_to_born():
+def test_conditioning_marginalizes_back_to_born(rng):
     # sum_b P_seq(b) P(c_i | b) recovers the unconditioned Born weights.
     for _ in range(15):
-        dim = int(RNG.integers(2, 5))
-        ctx = random_context(RNG, dim)
+        dim = int(rng.integers(2, 5))
+        ctx = random_context(rng, dim)
         born = born_context_distribution(ctx)
         recovered = dict.fromkeys(ctx.intermediate.observable.labels, 0.0)
         for b_label in ctx.postselection.observable.labels:

@@ -41,8 +41,6 @@ from helpers import (
     zero_operator,
 )
 
-RNG = np.random.default_rng(1186)
-
 PLUS = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
@@ -593,10 +591,10 @@ def test_born_global_phase_invariant(phase, seed):
         )
 
 
-def test_born_sums_to_one_random():
+def test_born_sums_to_one_random(rng):
     for dim in (2, 3, 4):
         for _ in range(5):
-            dist = born_distribution(random_state(RNG, dim), random_observable(RNG, dim))
+            dist = born_distribution(random_state(rng, dim), random_observable(rng, dim))
             assert abs(sum(dict(dist.entries).values()) - 1.0) < 1e-9
 
 
@@ -623,10 +621,10 @@ def test_collapse_impossible_branch():
         lueders_collapse(basis_state(2, 0), pauli_z(), "-1")
 
 
-def test_collapse_then_born_is_certain():
+def test_collapse_then_born_is_certain(rng):
     for _ in range(10):
-        state = random_state(RNG, 3)
-        obs = random_observable(RNG, 3)
+        state = random_state(rng, 3)
+        obs = random_observable(rng, 3)
         label, prob = max(born_distribution(state, obs).entries, key=lambda entry: entry[1])
         assert prob > 1e-6
         collapsed = lueders_collapse(state, obs, label)
@@ -636,8 +634,8 @@ def test_collapse_then_born_is_certain():
 # --- evolve ---------------------------------------------------------------------
 
 
-def test_evolve_free_is_identity():
-    state = random_state(RNG, 3)
+def test_evolve_free_is_identity(rng):
+    state = random_state(rng, 3)
     evolved = evolve(state, zero_operator(3), 2.5)
     phase = canonical_phases(state.amplitudes[:, None])[0]
     np.testing.assert_allclose(evolved.amplitudes, state.amplitudes * phase, atol=1e-12)
@@ -652,19 +650,19 @@ def test_evolve_sigma_z_quarter_turn():
     assert abs(dist.probability("-1") - 1.0) < 1e-12
 
 
-def test_evolve_preserves_norm():
+def test_evolve_preserves_norm(rng):
     for _ in range(10):
-        state = random_state(RNG, 4)
-        h = random_hermitian(RNG, 4)
-        evolved = evolve(state, h, float(RNG.uniform(-3, 3)))
+        state = random_state(rng, 4)
+        h = random_hermitian(rng, 4)
+        evolved = evolve(state, h, float(rng.uniform(-3, 3)))
         assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-10
 
 
-def test_evolve_reversible():
+def test_evolve_reversible(rng):
     for _ in range(10):
-        amplitudes = random_state(RNG, 3).amplitudes
+        amplitudes = random_state(rng, 3).amplitudes
         state = StateVector(amplitudes * canonical_phases(amplitudes[:, None])[0])
-        h = random_hermitian(RNG, 3)
-        t = float(RNG.uniform(0.1, 2.0))
+        h = random_hermitian(rng, 3)
+        t = float(rng.uniform(0.1, 2.0))
         back = evolve(evolve(state, h, t), h, -t)
         np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-9)

@@ -32,6 +32,7 @@ from qcontexts import (
 )
 from qcontexts.cli import main
 from qcontexts.contexts import MAX_CHAIN_SAMPLES
+from qcontexts.pointer import detector_law
 from helpers import basis_state, from_states, zero_operator
 
 NAN, INF = float("nan"), float("inf")
@@ -158,3 +159,83 @@ def test_cli_label_that_is_not_a_string_is_one_parse_error_line(tmp_path, capsys
         "message": f"{field}: label must be a string",
     }
 
+
+SCALARS = {
+    "nan": NAN,
+    "inf": INF,
+    "-inf": -INF,
+    "float64-nan": np.float64("nan"),
+    "float32-inf": np.float32("inf"),
+    "1e308": 1e308,
+    "0": 0,
+    "int64-3": np.int64(3),
+    "True": True,
+}
+NONFINITE = ("nan", "inf", "-inf", "float64-nan", "float32-inf")
+
+
+def _nonfinite(message: str, field: str | None = None) -> dict:
+    return {name: (message, field) for name in NONFINITE}
+
+
+# target -> (build from one scalar, {refused input: (message, field)}); every other input of SCALARS is
+# accepted. A message's {!r} is the input's repr.
+SCALAR_CHECKS = {
+    "Outcome-value": (lambda v: Outcome("a", v, np.eye(2)), _nonfinite("outcome value for 'a' must be finite")),
+    "Preparation-time": (lambda v: Preparation(UP, v), _nonfinite("preparation time must be finite")),
+    "Intermediate-time": (lambda v: Intermediate(pauli_x(), v), _nonfinite("intermediate time must be finite")),
+    "PostSelection-time": (
+        lambda v: PostSelection(pauli_z(), "+1", v), _nonfinite("post-selection time must be finite")
+    ),
+    "SpreadingModel-sigma0": (
+        lambda v: SpreadingModel(v, 1.0),
+        {
+            **_nonfinite("sigma0 must be positive, got {!r}"),
+            "1e308": ("2 * mass * sigma0^2 must be a positive finite double, got inf", None),
+            "0": ("sigma0 must be positive, got 0", None),
+        },
+    ),
+    "SpreadingModel-mass": (
+        lambda v: SpreadingModel(1.0, v),
+        {
+            **_nonfinite("mass must be positive, got {!r}"),
+            "1e308": ("2 * mass * sigma0^2 must be a positive finite double, got inf", None),
+            "0": ("mass must be positive, got 0", None),
+        },
+    ),
+    "detector_law-rate": (lambda v: detector_law(v, 0.5, 10.0), _nonfinite("must be nonnegative, got {!r}", "rate")),
+    "detector_law-tick": (
+        lambda v: detector_law(1.0, v, 10.0),
+        {
+            **_nonfinite("must be positive, got {!r}", "tick"),
+            "1e308": ("must reach the first tick, got 10.0", "horizon"),
+            "0": ("must be positive, got 0", "tick"),
+        },
+    ),
+    "detector_law-horizon": (
+        lambda v: detector_law(1.0, 0.5, v),
+        {
+            **_nonfinite("must reach the first tick, got {!r}", "horizon"),
+            "1e308": ("horizon / tick = inf passes 2^53, where tick times stop being distinct", "horizon"),
+            "0": ("must reach the first tick, got 0", "horizon"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCALARS)
+@pytest.mark.parametrize("target", SCALAR_CHECKS)
+def test_scalar_check_accepts_or_refuses_each_kind_of_number(target, name):
+    build, refusals = SCALAR_CHECKS[target]
+    value = SCALARS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if name not in refusals:
+            build(value)
+            return
+        with pytest.raises(InvariantViolation) as excinfo:
+            build(value)
+    message, field = refusals[name]
+    assert (type(excinfo.value), excinfo.value.message, excinfo.value.field) == (
+        InvariantViolation, message.format(value), field
+    )

@@ -1545,6 +1545,24 @@ def test_cli_reads_a_fifo_only_to_the_file_cap(tmp_path, capsysbinary):
     assert MAX_FILE_BYTES < peak < MAX_FILE_BYTES + (4 << 20)  # one buffer of the cap, not the 72 MB fed
 
 
+def test_cli_reads_a_fifo_scenario_in_pieces_to_the_same_bytes(tmp_path, capsysbinary):
+    fifo = tmp_path / "scenario"
+    os.mkfifo(fifo)
+    source = SCENARIO_DIR / EXAMPLE_FILES["abl"]
+    payload = b" " * (1 << 20) + source.read_bytes()  # past a pipe's buffer: the reader gets several pieces
+
+    def feed():
+        with open(fifo, "wb") as handle:
+            handle.write(payload)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    code = main(["run", str(fifo)])
+    writer.join(timeout=60)
+    assert code == 0 and not writer.is_alive()
+    assert capsysbinary.readouterr().out == (SCENARIO_DIR.parent / "tests" / "golden" / "three_box.csv").read_bytes()
+
+
 def test_scenario_file_cap_holds_at_its_byte(tmp_path, capsysbinary, monkeypatch):
     source = SCENARIO_DIR / EXAMPLE_FILES["abl"]
     size = source.stat().st_size
@@ -1560,3 +1578,98 @@ def test_scenario_file_cap_holds_at_its_byte(tmp_path, capsysbinary, monkeypatch
         handle.truncate(MAX_FILE_BYTES + 1)
     assert main(["run", str(huge)]) == 2
     assert "holds more than" in _single_error_line(capsysbinary.readouterr(), 2)["message"]
+
+
+def _empty_file(tmp_path, monkeypatch) -> str:
+    (tmp_path / "empty.json").write_bytes(b"")
+    return str(tmp_path / "empty.json")
+
+
+def _one_byte_over_the_cap(tmp_path, monkeypatch) -> str:
+    source = SCENARIO_DIR / EXAMPLE_FILES["abl"]
+    monkeypatch.setattr(scenarios, "MAX_FILE_BYTES", source.stat().st_size - 1)
+    return str(source)
+
+
+# case -> (make the input, given tmp_path and monkeypatch; its message, given the input's path and the cap)
+FILE_BOUNDARY = {
+    "missing": (
+        lambda tmp_path, monkeypatch: str(tmp_path / "missing.json"),
+        "cannot read scenario file: [Errno 2] No such file or directory: {path!r}",
+    ),
+    "directory": (
+        lambda tmp_path, monkeypatch: str(tmp_path),
+        "cannot read scenario file: [Errno 21] Is a directory: {path!r}",
+    ),
+    "empty": (_empty_file, "invalid JSON at line 1 column 1: Expecting value"),
+    "dev-null": (lambda tmp_path, monkeypatch: os.devnull, "invalid JSON at line 1 column 1: Expecting value"),
+    "over-cap": (_one_byte_over_the_cap, "scenario file holds more than {cap} bytes"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_BOUNDARY)
+def test_cli_file_boundary_prints_its_exact_message(case, tmp_path, monkeypatch, capsysbinary):
+    make, message = FILE_BOUNDARY[case]
+    path = make(tmp_path, monkeypatch)
+    assert main(["run", path]) == 2
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert diagnostic["error"] == "parse-error"
+    assert diagnostic["message"] == message.format(path=path, cap=scenarios.MAX_FILE_BYTES)
+
+
+@pytest.mark.parametrize(
+    "as_given, named",
+    [(str, "'{}'"), (os.fsencode, "b'{}'"), (Path, "'{}'")],
+    ids=["str", "bytes", "Path"],
+)
+def test_load_scenario_names_a_missing_file_as_it_was_given(tmp_path, as_given, named):
+    path = str(tmp_path / "missing.json")
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(as_given(path))
+    expected = "cannot read scenario file: [Errno 2] No such file or directory: " + named.format(path)
+    assert (excinfo.value.message, excinfo.value.field) == (expected, None)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, finite",
+    [
+        (0.0, True),
+        (-0.0, True),
+        (5e-324, True),
+        (1.7976931348623157e308, True),
+        (math.nan, False),
+        (math.inf, False),
+        (-math.inf, False),
+        (1, True),
+        (10**400, False),
+        (True, False),
+        (np.float64(1.0), True),
+        (np.float64("inf"), False),
+        (_Float("inf"), False),
+        ("1", False),
+        (None, False),
+    ],
+)
+def test_is_finite_number_decides_each_kind_of_value(value, finite):
+    assert scenarios._is_finite_number(value) is finite
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [('{"name": "x",}', 1, 14), ('{\n  "name": "x"\n  "kind": "abl"\n}\n', 3, 3)],
+    ids=["one-line", "multi-line"],
+)
+def test_cli_json_syntax_error_says_where_in_numbers(tmp_path, capsysbinary, text, line, column):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    diagnostic = _single_error_line(capsysbinary.readouterr(), 2)
+    assert (diagnostic["line"], diagnostic["column"]) == (line, column)
+    assert diagnostic["message"].startswith(f"invalid JSON at line {line} column {column}: ")
+    path.write_text("[]")  # a refusal of well-formed JSON names no position
+    assert main(["run", str(path)]) == 2
+    assert {"line", "column"}.isdisjoint(_single_error_line(capsysbinary.readouterr(), 2))
