@@ -70,51 +70,32 @@ def _as_basis(value, name: str) -> np.ndarray:
 
 
 class JointState(Record):
-    """System (x) apparatus pure state expressed in declared orthonormal bases.
+    """System (x) apparatus pure state as its read-only amplitude matrix: amplitudes[i, j] is the
+    amplitude on ambient system basis state i paired with ambient apparatus basis state j."""
 
-    coefficient_matrix[k, l] is the amplitude on system basis state k paired
-    with apparatus basis state l; bases hold the states as columns in
-    ambient coordinates and may span only part of either factor space.
-    """
-
-    def __init__(self, coefficient_matrix: np.ndarray, system_basis: np.ndarray, apparatus_basis: np.ndarray):
-        coeffs = as_complex_array(coefficient_matrix, 2, "coefficient matrix")
-        system = _as_basis(system_basis, "system basis")
-        apparatus = _as_basis(apparatus_basis, "apparatus basis")
-        if coeffs.shape != (system.shape[1], apparatus.shape[1]):
-            raise InvariantViolation(
-                f"coefficient matrix shape {coeffs.shape} does not match basis counts "
-                f"({system.shape[1]}, {apparatus.shape[1]})"
-            )
-        check_unit_norm(coeffs, "joint state")
-        self.__dict__.update(coefficient_matrix=frozen_copy(coeffs), system_basis=frozen_copy(system))
-        self.__dict__.update(apparatus_basis=frozen_copy(apparatus), _ambient=read_only(system @ coeffs @ apparatus.T))
+    def __init__(self, amplitudes):
+        m = as_complex_array(amplitudes, 2, "joint amplitudes")
+        check_unit_norm(m, "joint state")
+        self.__dict__["amplitudes"] = frozen_copy(m)
 
     @property
     def apparatus_dim(self) -> int:
-        return self.apparatus_basis.shape[0]
-
-    def ambient_amplitudes(self) -> np.ndarray:
-        """Amplitude matrix over the ambient product basis, entry (i, j); formed once, read-only."""
-        return self._ambient
+        return self.amplitudes.shape[1]
 
     @classmethod
     def from_amplitudes(cls, matrix) -> "JointState":
-        """Joint state straight from an ambient amplitude matrix, over standard bases: exactly
-        orthonormal, so unchecked, and the validated matrix is its own ambient matrix."""
-        m = frozen_copy(as_complex_array(matrix, 2, "joint amplitudes"))
-        check_unit_norm(m, "joint state")
-        joint = object.__new__(cls)
-        system, apparatus = (read_only(np.eye(n, dtype=complex)) for n in m.shape)
-        joint.__dict__.update(coefficient_matrix=m, system_basis=system, apparatus_basis=apparatus, _ambient=m)
-        return joint
+        """JointState(matrix), under the name perfbench/ calls."""
+        return cls(matrix)
 
 
 def premeasurement_joint(coefficients, system_basis=None, apparatus_basis=None) -> JointState:
     """Entangled record state sum_k c_k |a_k> (x) |alpha_k>.
 
     The coefficient matrix is diagonal in the declared bases; bases default
-    to the standard basis of the coefficient count and may be larger.
+    to the standard basis of the coefficient count and may be larger. The
+    coefficients and each given basis are checked here, once, and the
+    amplitude matrix is not checked again: bases orthonormal within
+    ALGEBRA_TOL can leave its norm further off 1 than JointState accepts.
     """
     coeffs = as_complex_array(coefficients, 1, "coefficients")
     if coeffs.size == 0:
@@ -132,7 +113,9 @@ def premeasurement_joint(coefficients, system_basis=None, apparatus_basis=None) 
         )
     matrix = np.zeros((system.shape[1], apparatus.shape[1]), dtype=complex)
     matrix[:n, :n] = np.diag(coeffs)
-    return JointState(matrix, system, apparatus)
+    joint = object.__new__(JointState)
+    joint.__dict__["amplitudes"] = read_only(system @ matrix @ apparatus.T)
+    return joint
 
 
 class RebasedDecomposition(Record):
@@ -188,7 +171,7 @@ def rebase_joint(joint: JointState, new_basis) -> RebasedDecomposition:
             f"new apparatus basis must be complete ({joint.apparatus_dim} columns of "
             f"dimension {joint.apparatus_dim}), got shape {basis.shape}"
         )
-    weights, relative, score, _ = _rebase(joint.ambient_amplitudes(), basis)
+    weights, relative, score, _ = _rebase(joint.amplitudes, basis)
     # _as_basis may hand back the caller's own array; the rest was made here.
     return RebasedDecomposition(frozen_copy(basis), read_only(weights), read_only(relative), score)
 
@@ -211,11 +194,11 @@ def pointer_basis_scored(joint: JointState) -> tuple[SchmidtDecomposition, float
     ALGEBRA_TOL: the direction of a branch of weight c carries round-off of about 2^-53 / c, while
     its weighted overlaps carry about 2^-53, so the unweighted score can miss 1 by far more than
     ALGEBRA_TOL on a valid state with a small coefficient."""
-    schmidt = schmidt_decompose(joint.ambient_amplitudes())
+    schmidt = schmidt_decompose(joint.amplitudes)
     apparatus = schmidt.apparatus_states
     if apparatus.shape[1] < joint.apparatus_dim:
         apparatus = complete_basis(apparatus, joint.apparatus_dim)
-    _, _, score, weighted = _rebase(joint.ambient_amplitudes(), apparatus)
+    _, _, score, weighted = _rebase(joint.amplitudes, apparatus)
     if weighted > ALGEBRA_TOL:
         overlap = f"weighted relative-state overlap {weighted:.3e} exceeds {ALGEBRA_TOL:.0e}"
         raise ToleranceError(f"recovered apparatus basis scored {score!r}: {overlap}")
@@ -352,8 +335,8 @@ def detector_click_simulation(rate: float, tick: float, horizon: float, seed: in
     long horizons cheap, and is run 0 of a detector scenario with this seed.
     More than MAX_RECORDED_TICKS facts is an InvariantViolation, raised
     before any is built. The FactSequence is made without its constructor's
-    checks, as JointState.from_amplitudes is: k * tick rises strictly in k
-    up to MAX_RECORDED_TICKS, and a click is last.
+    checks, as premeasurement_joint makes its JointState: k * tick rises
+    strictly in k up to MAX_RECORDED_TICKS, and a click is last.
     """
     count, p = detector_law(rate, tick, horizon)
     click_index = int(next(first_clicks(count, p, seed, 1))[0]) or None

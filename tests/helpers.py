@@ -390,7 +390,7 @@ def rebase_reference(joint, new_basis) -> tuple[np.ndarray, np.ndarray, float]:
     """pointer.rebase_joint's (weights, relative states, unclamped score) for a complete basis,
     normalizing the significant columns one at a time."""
     basis = _as_basis(new_basis, "new apparatus basis")
-    images = joint.ambient_amplitudes() @ basis.conj()
+    images = joint.amplitudes @ basis.conj()
     weights = np.linalg.norm(images, axis=0)
     relative = np.zeros_like(images)
     significant = []

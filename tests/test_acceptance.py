@@ -239,7 +239,7 @@ def test_09_rebase_reconstruction_and_skewed_overlap():
         joint = JointState.from_amplitudes(raw / np.linalg.norm(raw))
         rebased = rebase_joint(joint, random_unitary(rng, apparatus_dim))
         rebuilt = (rebased.relative_states * rebased.coefficients) @ rebased.new_apparatus_basis.T
-        worst = max(worst, float(np.max(np.abs(rebuilt - joint.ambient_amplitudes()))))
+        worst = max(worst, float(np.max(np.abs(rebuilt - joint.amplitudes))))
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     skewed = rebase_joint(premeasurement_joint([np.sqrt(0.9), np.sqrt(0.1)]), hadamard)
     overlap = abs(np.vdot(skewed.relative_states[:, 0], skewed.relative_states[:, 1]))

@@ -32,8 +32,6 @@ from helpers import (
     zero_operator,
 )
 
-RNG = np.random.default_rng(20260811)
-
 
 def random_hermitian_matrix(rng, dim, scale=1.0):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -59,9 +57,9 @@ def test_eigensystem_sigma_x():
     np.testing.assert_allclose(eig.eigenvectors[:, 1], [s, s], atol=1e-12)
 
 
-def test_eigensystem_reconstruction_random():
+def test_eigensystem_reconstruction_random(rng):
     for _ in range(25):
-        h = random_hermitian_matrix(RNG, 4)
+        h = random_hermitian_matrix(rng, 4)
         eig = hermitian_eigensystem(HermitianOperator(h))
         rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
         assert np.max(np.abs(rebuilt - h)) < 1e-10
@@ -81,9 +79,9 @@ def test_hermitian_operator_refuses_an_overflowing_asymmetry_without_a_warning(e
         HermitianOperator(matrix)
 
 
-def test_eigensystem_unitary_columns_and_trace():
+def test_eigensystem_unitary_columns_and_trace(rng):
     for dim in (2, 3, 4, 5):
-        h = random_hermitian_matrix(RNG, dim)
+        h = random_hermitian_matrix(rng, dim)
         eig = hermitian_eigensystem(HermitianOperator(h))
         v = eig.eigenvectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
@@ -125,17 +123,17 @@ def test_exponential_half_period():
     np.testing.assert_allclose(u, -np.eye(2), atol=1e-12)
 
 
-def test_exponential_is_unitary():
+def test_exponential_is_unitary(rng):
     for _ in range(10):
-        h = HermitianOperator(random_hermitian_matrix(RNG, 4))
+        h = HermitianOperator(random_hermitian_matrix(rng, 4))
         u = unitary_exponential(h, 0.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
 
 
-def test_exponential_composes():
+def test_exponential_composes(rng):
     for _ in range(10):
-        h = HermitianOperator(random_hermitian_matrix(RNG, 3))
-        t1, t2 = RNG.uniform(-2, 2, size=2)
+        h = HermitianOperator(random_hermitian_matrix(rng, 3))
+        t1, t2 = rng.uniform(-2, 2, size=2)
         whole = unitary_exponential(h, t1 + t2)
         split = unitary_exponential(h, t1) @ unitary_exponential(h, t2)
         assert np.max(np.abs(whole - split)) < 1e-9
@@ -165,9 +163,9 @@ def test_schmidt_distinct_coefficients_unique():
     assert not schmidt_decompose(matrix).non_unique
 
 
-def test_schmidt_reconstruction_random():
+def test_schmidt_reconstruction_random(rng):
     for _ in range(25):
-        raw = RNG.standard_normal((3, 4)) + 1j * RNG.standard_normal((3, 4))
+        raw = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         matrix = raw / np.linalg.norm(raw)
         schmidt = schmidt_decompose(matrix)
         rebuilt = (schmidt.system_states * schmidt.coefficients) @ schmidt.apparatus_states.T
@@ -179,13 +177,13 @@ def test_schmidt_reconstruction_random():
             assert np.max(np.abs(gram - np.eye(states.shape[1]))) < 1e-10
 
 
-def test_schmidt_coefficients_local_unitary_invariant():
+def test_schmidt_coefficients_local_unitary_invariant(rng):
     for _ in range(10):
-        raw = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+        raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         matrix = raw / np.linalg.norm(raw)
         base = schmidt_decompose(matrix).coefficients
-        left = random_unitary(RNG, 3)
-        right = random_unitary(RNG, 3)
+        left = random_unitary(rng, 3)
+        right = random_unitary(rng, 3)
         # Local unitaries act as matrix @ transpose on the amplitude matrix.
         rotated = schmidt_decompose(left @ matrix @ right.T).coefficients
         np.testing.assert_allclose(np.sort(rotated), np.sort(base), atol=1e-10)
@@ -201,19 +199,19 @@ def assert_read_only(*arrays):
             arr[(0,) * arr.ndim] = 0.0
 
 
-def test_eigensystem_arrays_are_read_only():
+def test_eigensystem_arrays_are_read_only(rng):
     # Generic, with a degenerate cluster re-based, and all one cluster; the propagators too.
-    for matrix in (random_hermitian_matrix(RNG, 4), np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3))):
+    for matrix in (random_hermitian_matrix(rng, 4), np.diag([1.0, 1.0, 2.0]), np.zeros((3, 3))):
         system = hermitian_eigensystem(HermitianOperator(matrix))
         assert_read_only(system.eigenvalues, system.eigenvectors, system.propagator(0.3))
         assert_read_only(unitary_exponential(HermitianOperator(matrix), 0.3))
 
 
-def test_schmidt_arrays_are_read_only():
+def test_schmidt_arrays_are_read_only(rng):
     # Full rank, rank-deficient (views of part of svd's outputs) and wide.
-    full = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
-    low_rank = np.outer(RNG.standard_normal(3), RNG.standard_normal(4)).astype(complex)
-    wide = RNG.standard_normal((2, 4)) + 1j * RNG.standard_normal((2, 4))
+    full = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    low_rank = np.outer(rng.standard_normal(3), rng.standard_normal(4)).astype(complex)
+    wide = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     for matrix in (full, low_rank, wide):
         schmidt = schmidt_decompose(matrix / np.linalg.norm(matrix))
         assert_read_only(schmidt.coefficients, schmidt.system_states, schmidt.apparatus_states)
@@ -247,9 +245,9 @@ def _decomposition(projector) -> ProjectiveDecomposition:
         (lambda: schmidt_decompose([[NAN, 0.0], [0.0, 0.0]]), "bipartite amplitudes"),
         (lambda: schmidt_decompose(UNIT), "bipartite amplitudes"),
         (lambda: schmidt_decompose(np.ones((2, 2))), "bipartite amplitudes"),
-        (lambda: JointState([[NAN, 0.0], [0.0, 0.0]], np.eye(2), np.eye(2)), "coefficient matrix"),
-        (lambda: JointState(UNIT, np.eye(2), np.eye(2)), "coefficient matrix"),
-        (lambda: JointState(np.ones((2, 2)), np.eye(2), np.eye(2)), "joint state"),
+        (lambda: JointState([[NAN, 0.0], [0.0, 0.0]]), "joint amplitudes"),
+        (lambda: JointState(UNIT), "joint amplitudes"),
+        (lambda: JointState(np.ones((2, 2))), "joint state"),
     ],
     ids=[
         f"{target}-{defect}"

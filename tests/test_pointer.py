@@ -2,10 +2,12 @@
 
 import dataclasses
 import inspect
+import json
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,17 +21,18 @@ from qcontexts import (
     StateVector,
     complete_basis,
     detector_click_simulation,
+    load_scenario,
     pointer_basis_select,
     premeasurement_joint,
     rebase_joint,
     spreading_sigma,
 )
-from qcontexts import pointer
+from qcontexts import kinematics, linalg, pointer
 from qcontexts.linalg import ALGEBRA_TOL
 from qcontexts.pointer import _RUN_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
 from helpers import mixed_schmidt, one_stream_first_clicks, random_unitary
 
-RNG = np.random.default_rng(90125)
+ROOT = Path(__file__).resolve().parent.parent
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -54,21 +57,25 @@ def random_record_joint(rng, dim) -> tuple[JointState, np.ndarray, np.ndarray]:
 
 
 def test_premeasurement_basis_case():
-    joint = premeasurement_joint([1.0, 0.0])
-    ambient = joint.ambient_amplitudes()
-    np.testing.assert_allclose(ambient, [[1, 0], [0, 0]])
+    np.testing.assert_allclose(premeasurement_joint([1.0, 0.0]).amplitudes, [[1, 0], [0, 0]])
 
 
 def test_premeasurement_bell_case():
     joint = premeasurement_joint(np.array([1.0, 1.0]) / np.sqrt(2))
-    np.testing.assert_allclose(joint.ambient_amplitudes(), np.eye(2) / np.sqrt(2))
+    np.testing.assert_allclose(joint.amplitudes, np.eye(2) / np.sqrt(2))
 
 
-def test_premeasurement_unit_norm():
+def _record_amplitudes(coefficients, system, apparatus) -> np.ndarray:
+    """sum_k c_k |a_k> (x) |alpha_k>, with the basis states as columns, one outer product at a time."""
+    return sum(c * np.outer(system[:, k], apparatus[:, k]) for k, c in enumerate(coefficients))
+
+
+def test_premeasurement_unit_norm(rng):
     for _ in range(10):
-        dim = int(RNG.integers(2, 5))
-        joint, _, _ = random_record_joint(RNG, dim)
-        assert abs(np.linalg.norm(joint.coefficient_matrix) - 1.0) < 1e-12
+        dim = int(rng.integers(2, 5))
+        joint, _, _ = random_record_joint(rng, dim)
+        assert abs(np.linalg.norm(joint.amplitudes) - 1.0) < 1e-12
+        assert joint.amplitudes.shape == (dim, dim) and joint.apparatus_dim == dim
 
 
 def test_premeasurement_rejects_unnormalized():
@@ -76,32 +83,30 @@ def test_premeasurement_rejects_unnormalized():
         premeasurement_joint([1.0, 1.0])
 
 
-def test_ambient_amplitudes_are_formed_once_and_read_only():
-    system, apparatus = random_unitary(RNG, 3), random_unitary(RNG, 3)
-    for joint in (premeasurement_joint([0.6, 0.8, 0.0], system, apparatus), random_joint(RNG, 3, 4)):
-        ambient = joint.ambient_amplitudes()
-        assert ambient is joint.ambient_amplitudes()
-        np.testing.assert_allclose(ambient, joint.system_basis @ joint.coefficient_matrix @ joint.apparatus_basis.T)
-        assert not ambient.flags.writeable
+def test_amplitudes_are_the_record_sum_and_read_only(rng):
+    coefficients = [0.6, 0.8, 0.0]
+    system, apparatus = random_unitary(rng, 3), random_unitary(rng, 3)
+    record = premeasurement_joint(coefficients, system, apparatus)
+    np.testing.assert_allclose(record.amplitudes, _record_amplitudes(coefficients, system, apparatus), atol=1e-15)
+    for joint in (record, random_joint(rng, 3, 4)):
+        assert not joint.amplitudes.flags.writeable
         with pytest.raises(ValueError):
-            ambient[0, 0] = 0.0
+            joint.amplitudes[0, 0] = 0.0
 
 
-def test_from_amplitudes_checks_only_the_amplitudes(monkeypatch):
+def test_from_amplitudes_checks_only_the_amplitudes(monkeypatch, rng):
     def no_basis_check(value, name):
         raise AssertionError(f"{name} checked")
 
     monkeypatch.setattr(pointer, "_as_basis", no_basis_check)
-    raw = RNG.standard_normal((3, 4)) + 1j * RNG.standard_normal((3, 4))
+    raw = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     raw /= np.linalg.norm(raw)
-    joint = JointState.from_amplitudes(raw)
+    joint, direct = JointState.from_amplitudes(raw), JointState(raw)
     expected = raw.copy()
     raw[0, 0] = 5.0  # the joint state keeps its own copy
-    assert np.array_equal(joint.coefficient_matrix, expected)
-    assert joint.ambient_amplitudes() is joint.coefficient_matrix
-    for basis, dim in ((joint.system_basis, 3), (joint.apparatus_basis, 4)):
-        assert basis.dtype == complex and not basis.flags.writeable
-        assert np.array_equal(basis, np.eye(dim))
+    for held in (joint.amplitudes, direct.amplitudes):
+        assert np.array_equal(held, expected) and held.dtype == complex and not held.flags.writeable
+    assert joint.apparatus_dim == 4
     with pytest.raises(InvariantViolation, match="joint amplitudes contains non-finite entries"):
         JointState.from_amplitudes(np.full((2, 2), np.nan))
     with pytest.raises(InvariantViolation, match="joint state must be unit norm"):
@@ -110,9 +115,9 @@ def test_from_amplitudes_checks_only_the_amplitudes(monkeypatch):
 
 def test_premeasurement_allows_larger_bases():
     joint = premeasurement_joint([0.6, 0.8], np.eye(3), np.eye(4))
-    assert joint.system_basis.shape[0] == 3
     assert joint.apparatus_dim == 4
-    assert joint.coefficient_matrix.shape == (3, 4)
+    assert np.array_equal(joint.amplitudes, [[0.6, 0, 0, 0], [0, 0.8, 0, 0], [0, 0, 0, 0]])
+    assert np.array_equal(joint.amplitudes, _record_amplitudes([0.6, 0.8], np.eye(3), np.eye(4)))
 
 
 BASIS_SEQUENCES = {
@@ -126,15 +131,66 @@ BASIS_SEQUENCES = {
 def test_premeasurement_takes_a_basis_as_a_sequence_of_states(as_sequence):
     system, apparatus = HADAMARD, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     expected = premeasurement_joint([0.6, 0.8], system, apparatus)
+    np.testing.assert_allclose(expected.amplitudes, _record_amplitudes([0.6, 0.8], system, apparatus), atol=1e-15)
     joint = premeasurement_joint([0.6, 0.8], as_sequence(system), as_sequence(apparatus))
-    for field in ("coefficient_matrix", "system_basis", "apparatus_basis"):
-        assert np.array_equal(getattr(joint, field), getattr(expected, field))
+    assert np.array_equal(joint.amplitudes, expected.amplitudes)
 
 
 def test_premeasurement_takes_a_one_dimensional_array_as_one_basis_state():
     joint = premeasurement_joint([1.0], HADAMARD[:, 1], np.array([0.0, 1.0]))
-    assert joint.system_basis.shape == (2, 1) and joint.apparatus_basis.shape == (2, 1)
-    assert np.array_equal(joint.ambient_amplitudes(), np.outer(HADAMARD[:, 1], [0.0, 1.0]))
+    assert joint.amplitudes.shape == (2, 2) and joint.apparatus_dim == 2
+    assert np.array_equal(joint.amplitudes, np.outer(HADAMARD[:, 1], [0.0, 1.0]))
+
+
+def _pairs(matrix) -> list:
+    """A complex array as nested [re, im] pairs, the scenario files' encoding."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
+
+
+def test_premeasurement_accepts_bases_that_leave_the_amplitudes_past_the_unit_norm_tolerance(tmp_path):
+    """Bases orthonormal within ALGEBRA_TOL pass premeasurement_joint's check, yet leave the
+    amplitude matrix 8e-11 off unit norm, past the 1e-12 JointState checks: the amplitudes
+    premeasurement_joint forms are not checked again. The norm is read as that of the weights
+    over the standard basis, which rebase_joint accepts within 1e-9."""
+    basis = random_unitary(np.random.default_rng(5), 3) * (1 + 4e-11)
+    assert 7e-11 < np.abs(basis.conj().T @ basis - np.eye(3)).max() <= ALGEBRA_TOL
+    joint = premeasurement_joint([0.6, 0.8, 0.0], basis, basis)
+    assert abs(np.linalg.norm(rebase_joint(joint, np.eye(3)).coefficients) - (1 + 8e-11)) <= 1e-12
+    with pytest.raises(InvariantViolation, match="joint state must be unit norm within 1e-12"):
+        JointState.from_amplitudes(_record_amplitudes([0.6, 0.8, 0.0], basis, basis))
+    parameters = {"coefficients": _pairs([0.6, 0.8, 0.0])}
+    parameters["rebases"] = [{"name": "standard", "basis": _pairs(np.eye(3))}]
+    parameters["system_basis"] = parameters["apparatus_basis"] = _pairs(basis.T)  # states as rows
+    path = tmp_path / "near_orthonormal.json"
+    path.write_text(json.dumps({"kind": "pointer", "name": "near-orthonormal", "parameters": parameters}))
+    _, [(_, rebased)] = load_scenario(path).spec
+    assert abs(np.linalg.norm(rebased.coefficients) - (1 + 8e-11)) <= 1e-12
+
+
+def _load_checks(monkeypatch, path) -> tuple[list[str], int]:
+    """Names _as_basis is called with, and the number of check_unit_norm calls, loading path."""
+    bases, norms = [], []
+    as_basis, unit_norm = pointer._as_basis, linalg.check_unit_norm
+    monkeypatch.setattr(pointer, "_as_basis", lambda value, name: bases.append(name) or as_basis(value, name))
+    for module in (kinematics, linalg, pointer):
+        monkeypatch.setattr(module, "check_unit_norm", lambda arr, name: norms.append(name) or unit_norm(arr, name))
+    load_scenario(path)
+    monkeypatch.undo()
+    return bases, len(norms)
+
+
+def test_a_pointer_load_checks_each_basis_once(monkeypatch, tmp_path):
+    shipped = ROOT / "scenarios" / "skewed_record_pointer.json"
+    assert _load_checks(monkeypatch, shipped) == (["new apparatus basis"], 0)
+    payload = json.loads(shipped.read_text())
+    payload["parameters"]["system_basis"] = payload["parameters"]["apparatus_basis"] = _pairs(np.eye(2))
+    path = tmp_path / "declared_bases.json"
+    path.write_text(json.dumps(payload))
+    assert _load_checks(monkeypatch, path) == (["system basis", "apparatus basis", "new apparatus basis"], 0)
+    del payload["parameters"]["system_basis"]
+    path.write_text(json.dumps(payload))
+    assert _load_checks(monkeypatch, path) == (["apparatus basis", "new apparatus basis"], 0)
 
 
 # --- rebase_joint ----------------------------------------------------------------
@@ -168,27 +224,27 @@ def test_rebase_skewed_state_loses_orthogonality():
     assert abs(rebased.orthogonality_score - 0.2) < 1e-12
 
 
-def test_rebase_reconstruction_random():
+def test_rebase_reconstruction_random(rng):
     for _ in range(30):
-        system_dim = int(RNG.integers(2, 5))
-        apparatus_dim = int(RNG.integers(2, 5))
-        joint = random_joint(RNG, system_dim, apparatus_dim)
-        basis = random_unitary(RNG, apparatus_dim)
+        system_dim = int(rng.integers(2, 5))
+        apparatus_dim = int(rng.integers(2, 5))
+        joint = random_joint(rng, system_dim, apparatus_dim)
+        basis = random_unitary(rng, apparatus_dim)
         rebased = rebase_joint(joint, basis)
         rebuilt = (rebased.relative_states * rebased.coefficients) @ rebased.new_apparatus_basis.T
-        assert np.max(np.abs(rebuilt - joint.ambient_amplitudes())) < 1e-10
+        assert np.max(np.abs(rebuilt - joint.amplitudes)) < 1e-10
         # The apparatus-outcome marginal keeps total probability 1 in any basis.
         assert abs(np.sum(rebased.coefficients**2) - 1.0) < 1e-10
 
 
-def test_rebase_requires_complete_basis():
-    joint = random_joint(RNG, 2, 3)
+def test_rebase_requires_complete_basis(rng):
+    joint = random_joint(rng, 2, 3)
     with pytest.raises(InvariantViolation, match="complete"):
         rebase_joint(joint, np.eye(3)[:, :2])
 
 
-def test_rebase_rejects_nonorthonormal_basis():
-    joint = random_joint(RNG, 2, 2)
+def test_rebase_rejects_nonorthonormal_basis(rng):
+    joint = random_joint(rng, 2, 2)
     with pytest.raises(InvariantViolation, match="orthonormal"):
         rebase_joint(joint, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
@@ -206,9 +262,9 @@ def test_rebase_refuses_weights_off_unit_power_from_a_basis_the_orthonormality_c
         rebase_joint(joint, basis)
 
 
-def test_rebase_arrays_are_read_only():
-    joint, _, _ = random_record_joint(RNG, 3)
-    for basis in (np.eye(3), random_unitary(RNG, 3)):
+def test_rebase_arrays_are_read_only(rng):
+    joint, _, _ = random_record_joint(rng, 3)
+    for basis in (np.eye(3), random_unitary(rng, 3)):
         rebased = rebase_joint(joint, basis)
         for arr in (rebased.new_apparatus_basis, rebased.coefficients, rebased.relative_states):
             assert not arr.flags.writeable
@@ -216,13 +272,14 @@ def test_rebase_arrays_are_read_only():
                 arr[(0,) * arr.ndim] = 0.0
 
 
-def test_callers_arrays_stay_writeable_and_unshared():
-    coefficients = np.diag([0.6, 0.8j]).astype(complex)
-    system, apparatus, basis = (random_unitary(RNG, 2) for _ in range(3))
-    joint = JointState(coefficients, system, apparatus)
+def test_callers_arrays_stay_writeable_and_unshared(rng):
+    coefficients = np.array([0.6, 0.8j])
+    system, apparatus, basis = (random_unitary(rng, 2) for _ in range(3))
+    amplitudes = _record_amplitudes(coefficients, system, apparatus)
+    joint, direct = premeasurement_joint(coefficients, system, apparatus), JointState(amplitudes)
     rebased = rebase_joint(joint, basis)
-    held = (joint.coefficient_matrix, joint.system_basis, joint.apparatus_basis, rebased.new_apparatus_basis)
-    for given in (coefficients, system, apparatus, basis):
+    held = (joint.amplitudes, direct.amplitudes, rebased.new_apparatus_basis)
+    for given in (coefficients, system, apparatus, amplitudes, basis):
         assert given.dtype == complex and given.flags.writeable
         assert not any(np.shares_memory(given, stored) for stored in held)
     np.testing.assert_array_equal(rebased.new_apparatus_basis, basis)
@@ -231,10 +288,10 @@ def test_callers_arrays_stay_writeable_and_unshared():
 # --- pointer_basis_select ----------------------------------------------------------
 
 
-def test_pointer_recovers_declared_apparatus_basis():
+def test_pointer_recovers_declared_apparatus_basis(rng):
     for _ in range(10):
-        dim = int(RNG.integers(2, 5))
-        joint, _, apparatus = random_record_joint(RNG, dim)
+        dim = int(rng.integers(2, 5))
+        joint, _, apparatus = random_record_joint(rng, dim)
         schmidt = pointer_basis_select(joint)
         assert not schmidt.non_unique
         # Match recovered vectors to declared ones by overlap, up to phase/order.
@@ -257,12 +314,12 @@ def test_pointer_bell_flags_non_unique():
 
 def _weighted_score(joint: JointState, basis: np.ndarray) -> float:
     """1 minus the largest weighted overlap c_i c_j |<r_i|r_j>| of the rebase onto basis."""
-    return 1.0 - pointer._rebase(joint.ambient_amplitudes(), basis)[3]
+    return 1.0 - pointer._rebase(joint.amplitudes, basis)[3]
 
 
-def test_pointer_score_is_the_weighted_score_of_the_rebase_onto_the_completed_basis():
+def test_pointer_score_is_the_weighted_score_of_the_rebase_onto_the_completed_basis(rng):
     for system_dim, apparatus_dim in ((2, 2), (2, 4), (3, 5)):
-        joint = random_joint(RNG, system_dim, apparatus_dim)
+        joint = random_joint(rng, system_dim, apparatus_dim)
         schmidt, score = pointer_basis_scored(joint)
         completed = complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
         assert score == _weighted_score(joint, completed)
@@ -271,8 +328,8 @@ def test_pointer_score_is_the_weighted_score_of_the_rebase_onto_the_completed_ba
         assert np.array_equal(schmidt.apparatus_states, pointer_basis_select(joint).apparatus_states)
 
 
-def test_pointer_audit_runs_on_the_svd_arrays_and_completes_only_a_short_basis(monkeypatch):
-    full, wide = random_joint(RNG, 4, 4), random_joint(RNG, 2, 4)
+def test_pointer_audit_runs_on_the_svd_arrays_and_completes_only_a_short_basis(monkeypatch, rng):
+    full, wide = random_joint(rng, 4, 4), random_joint(rng, 2, 4)
     calls = []
 
     def refuse_basis_check(value, name):
@@ -319,16 +376,16 @@ def test_pointer_refuses_a_basis_mixing_two_significant_branches(monkeypatch, s)
         pointer_basis_select(joint)
 
 
-def test_random_bases_never_beat_the_pointer_score():
+def test_random_bases_never_beat_the_pointer_score(rng):
     for _ in range(10):
-        dim = int(RNG.integers(2, 4))
-        joint, _, _ = random_record_joint(RNG, dim)
+        dim = int(rng.integers(2, 4))
+        joint, _, _ = random_record_joint(rng, dim)
         schmidt = pointer_basis_select(joint)
         pointer_score = rebase_joint(
             joint, complete_basis(schmidt.apparatus_states, joint.apparatus_dim)
         ).orthogonality_score
         for _ in range(50):
-            challenger = rebase_joint(joint, random_unitary(RNG, dim)).orthogonality_score
+            challenger = rebase_joint(joint, random_unitary(rng, dim)).orthogonality_score
             assert challenger <= pointer_score + 1e-9
 
 

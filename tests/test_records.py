@@ -61,7 +61,7 @@ RECORDS = {
     ),
     ChainSampleReport: ("requested, retained, frequencies, seed", (10, 4, HALVES, 7)),
     TotalProbabilityGap: ("quantum, classical_chain, gap", (0.5, 0.25, 0.25)),
-    JointState: ("coefficient_matrix, system_basis, apparatus_basis", (np.diag([0.6, 0.8]), np.eye(2), np.eye(2))),
+    JointState: ("amplitudes", (np.diag([0.6, 0.8]),)),
     RebasedDecomposition: (
         "new_apparatus_basis, coefficients, relative_states, orthogonality_score",
         (np.eye(2), np.array([0.6, 0.8]), np.eye(2), 1.0),

@@ -14,7 +14,6 @@ from qcontexts import (
     HermitianOperator,
     Intermediate,
     InvariantViolation,
-    JointState,
     Outcome,
     OutcomeDistribution,
     PostSelection,
@@ -82,11 +81,6 @@ REFUSALS = {
     ),
     "OutcomeDistribution-unknown": (
         lambda: OutcomeDistribution((("a", 1.0),)).probability("b"), InvariantViolation, "unknown outcome label 'b'"
-    ),
-    "JointState-shape": (
-        lambda: JointState(np.eye(2) / np.sqrt(2), np.eye(3), np.eye(2)),
-        InvariantViolation,
-        "coefficient matrix shape (2, 2) does not match basis counts (3, 2)",
     ),
     "premeasurement_joint-empty": (
         lambda: premeasurement_joint([]), InvariantViolation, "need at least one coefficient"
