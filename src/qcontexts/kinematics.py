@@ -24,6 +24,7 @@ from .linalg import (
     check_unit_norm,
     frozen_copy,
     max_abs,
+    read_only,
 )
 from .records import Record, ValueRecord
 
@@ -54,7 +55,8 @@ class StateVector(Record):
 
 
 class Outcome(Record):
-    """One labeled value of an observable, with its orthogonal projector."""
+    """One labeled value of an observable, with its orthogonal projector: a read-only view of the
+    checked square array, which may be the caller's own. ProjectiveDecomposition takes the copy."""
 
     def __init__(self, label: str, value: float, projector: np.ndarray):
         if not isinstance(label, str) or not label:
@@ -62,22 +64,22 @@ class Outcome(Record):
         if not math.isfinite(value):
             raise InvariantViolation(f"outcome value for {clipped_repr(label)} must be finite")
         proj = as_complex_array(projector, 2, _projector_name(label), square=True)
-        self.__dict__.update(label=label, value=float(value), projector=frozen_copy(proj))
+        self.__dict__.update(label=label, value=float(value), projector=read_only(proj.view()))
 
 
 def _projector_name(label: str) -> str:
     return f"projector for {clipped_repr(label)}"
 
 
-def _range_bases(projectors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(W, ranks, e): orthonormal range bases V_i of the P_i as the columns of W = [V_1 ... V_k],
-    and e_i = ||P_i - V_i V_i^H||_F; None, certifying nothing, if a diagonal entry is past
-    ENTRY_BOUND (the trace could overflow) or a trace rounds outside [1, dim]. One pass reads the
-    diagonals: traces give ranks, argmaxes pivots. Rank-1 V_i are the pivot columns, normalized
+def _range_bases(projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(W, ranks, e): orthonormal range bases V_i of the rows P_i of the block as the columns of
+    W = [V_1 ... V_k], and e_i = ||P_i - V_i V_i^H||_F; None, certifying nothing, if a diagonal entry
+    is past ENTRY_BOUND (the trace could overflow) or a trace rounds outside [1, dim]. One pass reads
+    the diagonals: traces give ranks, argmaxes pivots. Rank-1 V_i are the pivot columns, normalized
     together as rows; a rank r > 1 takes the QR factor of its r largest-diagonal columns (any
     orthonormal V_i is sound; a poor one leaves more to check exactly). einsum and vdot sum huge
     finite squares to inf without a warning, so such an outcome gets e_i = inf: its exact check."""
-    diagonals = np.array([p.diagonal() for p in projectors]).real
+    diagonals = projectors.diagonal(0, 1, 2).real
     if np.abs(diagonals).max() > ENTRY_BOUND:
         return None
     dim = diagonals.shape[1]
@@ -87,7 +89,7 @@ def _range_bases(projectors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, 
     squares = np.empty(len(projectors))
     ones = np.flatnonzero(ranks == 1).tolist()
     pivots = diagonals[ones].argmax(axis=1).tolist()
-    columns = np.array([projectors[n][:, j] for n, j in zip(ones, pivots)], dtype=complex).reshape(len(ones), dim)
+    columns = projectors[ones, :, pivots]
     rows = columns / np.sqrt(np.einsum("ij,ij->i", columns.conj(), columns).real)[:, None]
     residual = np.empty((dim, dim), dtype=complex)  # one buffer for every rank-1 outcome
     for n, v, w in zip(ones, rows[:, :, None], rows.conj()):
@@ -127,6 +129,9 @@ def _uncertified(count: int, certificate: tuple[np.ndarray, np.ndarray, np.ndarr
 class ProjectiveDecomposition(Record):
     """Labeled orthogonal projectors resolving the identity.
 
+    The projectors are copied once into the read-only (k, d, d) block `projectors`, the rows of its own
+    `outcomes` records, so it shares no memory with a caller's array. NaN passes every comparison below,
+    so an array made non-finite after its Outcome is screened out first, in Outcome's words.
     Each P_i is a Hermitian idempotent and outcomes i < j are orthogonal,
     max|P_i P_j| <= ALGEBRA_TOL. Past CERTIFY_PAIRS, one batched pass
     (_range_bases) takes an orthonormal range basis V_i of each P_i and
@@ -146,34 +151,43 @@ class ProjectiveDecomposition(Record):
         outcomes = tuple(outcomes)
         if not outcomes:
             raise InvariantViolation("decomposition needs at least one outcome")
-        labels = tuple(o.label for o in outcomes)
+        labels = tuple([o.label for o in outcomes])
         if len(set(labels)) != len(labels):
             raise InvariantViolation(f"outcome labels must be unique, got {clipped_repr(list(labels))}")
         k, dim = len(outcomes), outcomes[0].projector.shape[0]
         matched = next((n for n, o in enumerate(outcomes) if o.projector.shape != (dim, dim)), k)
+        block = read_only(np.array([o.projector for o in outcomes[:matched]]))
+        if not math.isfinite(np.vdot(block, block).real) and not np.isfinite(block).all():
+            n = int(np.isfinite(block).all(axis=(1, 2)).argmin())
+            raise InvariantViolation(f"{_projector_name(labels[n])} contains non-finite entries")
         certify = matched == k and k * (k - 1) // 2 > CERTIFY_PAIRS
-        certificate = _range_bases([o.projector for o in outcomes]) if certify else None
+        certificate = _range_bases(block) if certify else None
         exact = range(matched)
         if certificate is not None:  # a NaN bound is no certificate
             e = certificate[2]
             exact = np.flatnonzero(~(3 * e + e * e <= ALGEBRA_TOL - CERTIFY_MARGIN)).tolist()
         for n in exact:  # in order, so the first failure is the exact checks' first
-            check_projector(outcomes[n].projector, _projector_name(outcomes[n].label))
+            check_projector(block[n], _projector_name(labels[n]))
         if matched < k:
-            raise InvariantViolation(f"{_projector_name(outcomes[matched].label)} has mismatched dimension")
+            raise InvariantViolation(f"{_projector_name(labels[matched])} has mismatched dimension")
         pairs, sum_needed = _uncertified(k, certificate)
         for i, j in pairs:
-            a, b = outcomes[i], outcomes[j]
-            if max_abs(a.projector @ b.projector) > ALGEBRA_TOL:
-                names = f"{clipped_repr(a.label)} and {clipped_repr(b.label)}"
+            if max_abs(block[i] @ block[j]) > ALGEBRA_TOL:
+                names = f"{clipped_repr(labels[i])} and {clipped_repr(labels[j])}"
                 raise InvariantViolation(f"projectors for {names} are not orthogonal")
-        if sum_needed and max_abs(sum(o.projector for o in outcomes) - np.eye(dim)) > ALGEBRA_TOL:
-            raise InvariantViolation("projectors do not sum to the identity")
-        self.__dict__.update(outcomes=outcomes, labels=labels)
+        if sum_needed:
+            total = np.add.reduce(block)
+            total.ravel()[:: dim + 1] -= 1  # minus the identity, in place
+            if max_abs(total) > ALGEBRA_TOL:
+                raise InvariantViolation("projectors do not sum to the identity")
+        held = [object.__new__(Outcome) for _ in outcomes]  # unchecked: the block's rows passed the checks
+        for n, given in enumerate(outcomes):
+            held[n].__dict__.update(label=given.label, value=given.value, projector=block[n])
+        self.__dict__.update(outcomes=tuple(held), labels=labels, projectors=block)
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0].projector.shape[0]
+        return self.projectors.shape[1]
 
     def outcome(self, label: str) -> Outcome:
         for o in self.outcomes:
@@ -186,8 +200,8 @@ class ProjectiveDecomposition(Record):
         return self.outcome(label).projector
 
     def images(self, state: np.ndarray) -> np.ndarray:
-        """Rows P_k|s>, one matvec per outcome."""
-        return np.stack([o.projector @ state for o in self.outcomes])
+        """Rows P_k|s>: one stacked product, each row the matvec P_k @ s bit for bit."""
+        return np.matmul(self.projectors, state)
 
 
 def pauli_z() -> ProjectiveDecomposition:

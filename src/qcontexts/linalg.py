@@ -263,7 +263,7 @@ def projector_weights(state: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 
 class SchmidtDecomposition(Record):
-    """Biorthogonal expansion of a bipartite amplitude matrix, made by schmidt_decompose.
+    """Biorthogonal expansion of a bipartite amplitude matrix, made by schmidt_svd.
 
     Coefficients are descending and nonnegative; column k of system_states pairs with column k
     of apparatus_states; the arrays are read-only. non_unique is set when this is not the only
@@ -279,7 +279,14 @@ class SchmidtDecomposition(Record):
 
 
 def schmidt_decompose(amplitudes: np.ndarray) -> SchmidtDecomposition:
-    """Singular-value decomposition of a unit-norm bipartite amplitude matrix.
+    """schmidt_svd of a bipartite amplitude matrix, checked first: finite, 2-D, unit norm within 1e-12."""
+    matrix = as_complex_array(amplitudes, 2, "bipartite amplitudes")
+    check_unit_norm(matrix, "bipartite amplitudes")
+    return schmidt_svd(matrix)
+
+
+def schmidt_svd(matrix: np.ndarray) -> SchmidtDecomposition:
+    """schmidt_decompose without its checks, for an amplitude matrix validated elsewhere.
 
     Entry (i, j) of the input is the amplitude on system index i, apparatus
     index j. Zero coefficients are truncated; phases are fixed on the system
@@ -287,8 +294,6 @@ def schmidt_decompose(amplitudes: np.ndarray) -> SchmidtDecomposition:
     compensating phase pushed into the apparatus vector, so output is
     deterministic and the reconstruction identity is exact to round-off.
     """
-    matrix = as_complex_array(amplitudes, 2, "bipartite amplitudes")
-    check_unit_norm(matrix, "bipartite amplitudes")
     left, values, right_h = np.linalg.svd(matrix, full_matrices=False)
     full = min(matrix.shape)
     rank = max(int(np.sum(values > NEGLIGIBLE)), 1)

@@ -35,7 +35,7 @@ from .linalg import (
     max_abs,
     orthonormal_extend,
     read_only,
-    schmidt_decompose,
+    schmidt_svd,
 )
 from .records import Record, ValueRecord
 
@@ -193,8 +193,9 @@ def pointer_basis_scored(joint: JointState) -> tuple[SchmidtDecomposition, float
     apparatus columns, completed only when rank-deficient, and refuses a weighted overlap past
     ALGEBRA_TOL: the direction of a branch of weight c carries round-off of about 2^-53 / c, while
     its weighted overlaps carry about 2^-53, so the unweighted score can miss 1 by far more than
-    ALGEBRA_TOL on a valid state with a small coefficient."""
-    schmidt = schmidt_decompose(joint.amplitudes)
+    ALGEBRA_TOL on a valid state with a small coefficient. The joint state is trusted as validated,
+    its norm up to about 1e-10 off 1 (premeasurement_joint): _rebase bounds the power within 1e-9."""
+    schmidt = schmidt_svd(joint.amplitudes)
     apparatus = schmidt.apparatus_states
     if apparatus.shape[1] < joint.apparatus_dim:
         apparatus = complete_basis(apparatus, joint.apparatus_dim)

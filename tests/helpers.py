@@ -242,13 +242,14 @@ def reference_decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
 
 
 def branch_table_reference(state, observable: ProjectiveDecomposition, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:
-    """Context._branches as a per-outcome loop: the image P_k s and its clamped weight
-    vdot(s, P_k s), as the former scalar projector_image took them, then
-    post_proj @ (onward @ image) and its vdot, one outcome at a time."""
+    """Context._branches as a per-outcome loop: the image P_k s, P_k a fresh copy of the projector
+    (not a row of the decomposition's block), and its clamped weight vdot(s, P_k s), as the former
+    scalar projector_image took them, then post_proj @ (onward @ image) and its vdot, one outcome
+    at a time."""
     born = np.empty(len(observable.outcomes))
     joint = np.empty(len(observable.outcomes))
     for k, outcome in enumerate(observable.outcomes):
-        image = outcome.projector @ state
+        image = np.array(outcome.projector) @ state
         weight = float(np.real(np.vdot(state, image)))
         born[k] = min(max(weight, 0.0), 1.0)
         branch = post_proj @ (onward @ image)

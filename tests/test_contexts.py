@@ -772,6 +772,12 @@ def _pinned_context(dim: int, free: bool, rank: int) -> Context:
 def test_branch_table_is_the_per_outcome_loop_bit_for_bit(dim, free, rank):
     ctx = _pinned_context(dim, free, rank)
     prepared = ctx._forward @ ctx.preparation.state.amplitudes
+    # The stacked images against P_k @ s with each P_k allocated on its own, not a row of the block.
+    copies = [np.array(o.projector) for o in ctx.intermediate.observable.outcomes]
+    assert not any(np.shares_memory(p, ctx.intermediate.observable.projectors) for p in copies)
+    images = np.array([p @ prepared for p in copies])
+    assert np.array_equal(ctx.intermediate.observable.images(prepared), images)
+    assert np.array_equal(ctx._images, images)
     post_proj = ctx.postselection.observable.projector("b0")
     born, joint = branch_table_reference(prepared, ctx.intermediate.observable, ctx._onward, post_proj)
     assert np.array_equal(ctx._ket, prepared)

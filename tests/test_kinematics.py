@@ -329,7 +329,7 @@ def test_projector_is_certified_only_when_its_bound_clears_the_margin(kind, targ
     clean = _block_outcomes(_near_identity_unitary(rng, 16), [2, 3] + [1] * 11, {})
     assert _exactly_checked(clean) == []
     outcomes = clean[:4] + (_with_defect(clean[4], kind, target),) + clean[5:]
-    e = kinematics._range_bases([o.projector for o in outcomes])[2][4]
+    e = kinematics._range_bases(np.array([o.projector for o in outcomes]))[2][4]
     assert (3 * e + e * e <= ALGEBRA_TOL - CERTIFY_MARGIN) == certified
     assert _exactly_checked(outcomes) == ([] if certified else ["c4"])
     assert decomposition_error(outcomes) == reference_decomposition_error(outcomes)
@@ -466,7 +466,7 @@ def test_mixed_ranks_take_the_batched_rows_and_the_qr_bases():
     rng = np.random.default_rng(1188)
     ranks = [1, 2, 1, 3] + [1] * 14
     outcomes = _block_outcomes(random_unitary(rng, 21), ranks, {})
-    w, got_ranks, e = kinematics._range_bases([o.projector for o in outcomes])
+    w, got_ranks, e = kinematics._range_bases(np.array([o.projector for o in outcomes]))
     assert w.shape == (21, 21) and list(got_ranks) == ranks
     assert np.all(e < 1e-14)
     starts = np.cumsum([0, *ranks])
@@ -538,6 +538,55 @@ def test_distribution_clamps_roundoff_but_flags_bugs():
     assert dist.probability("b") == 0.0
     with pytest.raises(ToleranceError, match="clamping"):
         OutcomeDistribution((("a", 1.1), ("b", -0.1)))
+
+
+# --- one read-only block per decomposition ---------------------------------------
+
+
+def _caller_projectors(k: int) -> list[np.ndarray]:
+    """k rank-1 projectors of a random basis of dimension k, each a writeable array of the caller's."""
+    u = random_unitary(np.random.default_rng(310 + k), k)
+    return [np.outer(u[:, n], u[:, n].conj()) for n in range(k)]
+
+
+@pytest.mark.parametrize("k", [2, 8], ids=["exact", "certified"])
+def test_a_decomposition_holds_its_projectors_in_one_read_only_block_of_its_own(k):
+    """An Outcome keeps a read-only view of the caller's array; the decomposition copies them all
+    into one block, whose rows are every projector it hands out, and shares no memory with them."""
+    given = _caller_projectors(k)
+    outcomes = tuple(Outcome(f"c{n}", float(n), p) for n, p in enumerate(given))
+    for o, p in zip(outcomes, given):
+        assert np.shares_memory(o.projector, p) and not o.projector.flags.writeable and p.flags.writeable
+    decomposition = ProjectiveDecomposition(outcomes)
+    block = decomposition.projectors
+    assert block.shape == (k, k, k) and not block.flags.writeable
+    assert not any(np.shares_memory(block, p) for p in given)
+    for n, (mine, o) in enumerate(zip(decomposition.outcomes, outcomes)):
+        assert mine is not o and (mine.label, mine.value) == (o.label, o.value)
+        for row in (mine.projector, decomposition.projector(o.label)):
+            assert row.base is block and row.ctypes.data == block[n].ctypes.data and not row.flags.writeable
+    held = block.copy()
+    for p in given:
+        p[:] = np.nan
+    assert np.array_equal(decomposition.projectors, held)
+    assert all(np.array_equal(o.projector, held[n]) for n, o in enumerate(decomposition.outcomes))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("k", [2, 8], ids=["exact", "certified"])
+def test_a_caller_array_made_non_finite_after_its_outcome_is_refused_by_the_decomposition(k, entry):
+    """NaN passes every > ALGEBRA_TOL comparison, so the block is screened before any check: one
+    InvariantViolation naming the outcome, as Outcome words it, and no RuntimeWarning."""
+    given = _caller_projectors(k)
+    outcomes = tuple(Outcome(f"c{n}", float(n), p) for n, p in enumerate(given))
+    given[1][entry] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation) as refused:
+            ProjectiveDecomposition(outcomes)
+    assert str(refused.value) == "projector for 'c1' contains non-finite entries"
+    with pytest.raises(InvariantViolation, match=str(refused.value)):
+        Outcome("c1", 1.0, given[1])
 
 
 # --- prepare_eigenstate --------------------------------------------------------

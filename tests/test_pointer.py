@@ -28,6 +28,7 @@ from qcontexts import (
     spreading_sigma,
 )
 from qcontexts import kinematics, linalg, pointer
+from qcontexts.cli import main
 from qcontexts.linalg import ALGEBRA_TOL
 from qcontexts.pointer import _RUN_BLOCK, MAX_RECORDED_TICKS, first_clicks, pointer_basis_scored
 from helpers import mixed_schmidt, one_stream_first_clicks, random_unitary
@@ -152,7 +153,8 @@ def test_premeasurement_accepts_bases_that_leave_the_amplitudes_past_the_unit_no
     """Bases orthonormal within ALGEBRA_TOL pass premeasurement_joint's check, yet leave the
     amplitude matrix 8e-11 off unit norm, past the 1e-12 JointState checks: the amplitudes
     premeasurement_joint forms are not checked again. The norm is read as that of the weights
-    over the standard basis, which rebase_joint accepts within 1e-9."""
+    over the standard basis, which rebase_joint accepts within 1e-9. The file that declares
+    those bases loads and runs: the pointer selection trusts the joint state it was given."""
     basis = random_unitary(np.random.default_rng(5), 3) * (1 + 4e-11)
     assert 7e-11 < np.abs(basis.conj().T @ basis - np.eye(3)).max() <= ALGEBRA_TOL
     joint = premeasurement_joint([0.6, 0.8, 0.0], basis, basis)
@@ -166,6 +168,7 @@ def test_premeasurement_accepts_bases_that_leave_the_amplitudes_past_the_unit_no
     path.write_text(json.dumps({"kind": "pointer", "name": "near-orthonormal", "parameters": parameters}))
     _, [(_, rebased)] = load_scenario(path).spec
     assert abs(np.linalg.norm(rebased.coefficients) - (1 + 8e-11)) <= 1e-12
+    assert main(["run", str(path), "--out", str(tmp_path / "report.csv")]) == 0
 
 
 def _load_checks(monkeypatch, path) -> tuple[list[str], int]:
@@ -369,8 +372,8 @@ def test_pointer_accepts_a_small_schmidt_coefficient(s):
 
 @pytest.mark.parametrize("s", [0.3, 1e-8])
 def test_pointer_refuses_a_basis_mixing_two_significant_branches(monkeypatch, s):
-    decompose = pointer.schmidt_decompose
-    monkeypatch.setattr(pointer, "schmidt_decompose", lambda amplitudes: mixed_schmidt(decompose(amplitudes), 1e-6))
+    decompose = pointer.schmidt_svd
+    monkeypatch.setattr(pointer, "schmidt_svd", lambda amplitudes: mixed_schmidt(decompose(amplitudes), 1e-6))
     joint = _small_branch_joint(s, 7) if s < 0.1 else premeasurement_joint([0.9, math.sqrt(0.19)])
     with pytest.raises(ToleranceError, match="weighted relative-state overlap"):
         pointer_basis_select(joint)

@@ -1509,8 +1509,8 @@ def test_cli_pointer_basis_mixing_two_significant_branches_is_a_tolerance_breach
     golden = SCENARIO_DIR.parent / "tests" / "golden" / "skewed_record_pointer.csv"
     assert capsysbinary.readouterr().out == golden.read_bytes()
 
-    decompose = pointer.schmidt_decompose
-    monkeypatch.setattr(pointer, "schmidt_decompose", lambda amplitudes: mixed_schmidt(decompose(amplitudes), 1e-6))
+    decompose = pointer.schmidt_svd
+    monkeypatch.setattr(pointer, "schmidt_svd", lambda amplitudes: mixed_schmidt(decompose(amplitudes), 1e-6))
     assert main(["run", source]) == 5
     diagnostic = _single_error_line(capsysbinary.readouterr(), 5)
     assert diagnostic["error"] == "tolerance-breach"
