@@ -90,7 +90,7 @@ class PostSelection(Record):
     def __init__(self, observable: ProjectiveDecomposition, label: str, time: float):
         if not math.isfinite(time):
             raise InvariantViolation("post-selection time must be finite")
-        observable.outcome(label)  # raises on unknown label
+        observable.index(label)  # raises on unknown label
         self.__dict__.update(observable=observable, label=label, time=time)
 
 
@@ -263,9 +263,9 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     retained = int(counts.sum())
     if retained == 0:
         return ChainSampleReport(samples, 0, None, seed)
-    frequencies = OutcomeDistribution(
-        tuple((label, counts[k] / retained) for k, label in enumerate(ctx.intermediate.observable.labels))
-    )
+    # Counts up to 10^7 are exact doubles, so the int quotient is numpy's counts[k] / retained bit for bit.
+    frequencies = [count / retained for count in counts.tolist()]
+    frequencies = OutcomeDistribution(tuple(zip(ctx.intermediate.observable.labels, frequencies)))
     return ChainSampleReport(samples, retained, frequencies, seed)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -119,18 +120,21 @@ def _uncertified(count: int, certificate: tuple[np.ndarray, np.ndarray, np.ndarr
     else:
         starts = np.cumsum([0, *ranks[:-1]])
         block_norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(gram) ** 2, starts, axis=0), starts, axis=1))
-    bound = block_norms + e[:, None] + e[None, :] + np.outer(e, e)
-    rows, cols = np.nonzero(np.triu(bound > ALGEBRA_TOL - CERTIFY_MARGIN, 1))
+    bound = block_norms + e[:, None] + e[None, :] + np.multiply.outer(e, e)
+    rows, cols = np.nonzero(bound > ALGEBRA_TOL - CERTIFY_MARGIN)
+    upper = rows < cols  # row-major order, as the upper triangle's nonzeros
     square = w.shape[0] == w.shape[1]  # the ranks sum to dim
-    sum_needed = not square or np.linalg.norm(gram - np.eye(len(gram))) + e.sum() > ALGEBRA_TOL - CERTIFY_MARGIN
-    return zip(rows.tolist(), cols.tolist()), sum_needed
+    gram.ravel()[:: len(gram) + 1] -= 1  # W^H W - I, in place: block_norms no longer reads it
+    sum_needed = not square or math.sqrt(np.vdot(gram, gram).real) + e.sum() > ALGEBRA_TOL - CERTIFY_MARGIN
+    return zip(rows[upper].tolist(), cols[upper].tolist()), sum_needed
 
 
 class ProjectiveDecomposition(Record):
     """Labeled orthogonal projectors resolving the identity.
 
-    The projectors are copied once into the read-only (k, d, d) block `projectors`, the rows of its own
-    `outcomes` records, so it shares no memory with a caller's array. NaN passes every comparison below,
+    The projectors are copied once into the read-only (k, d, d) block `projectors`, so it shares no memory
+    with a caller's array; `labels` and `values` keep the rest, and the `outcomes` records, rows of the block,
+    are built on first read (a run reads `labels` and `projectors` only). NaN passes every comparison below,
     so an array made non-finite after its Outcome is screened out first, in Outcome's words.
     Each P_i is a Hermitian idempotent and outcomes i < j are orthogonal,
     max|P_i P_j| <= ALGEBRA_TOL. Past CERTIFY_PAIRS, one batched pass
@@ -180,24 +184,28 @@ class ProjectiveDecomposition(Record):
             total.ravel()[:: dim + 1] -= 1  # minus the identity, in place
             if max_abs(total) > ALGEBRA_TOL:
                 raise InvariantViolation("projectors do not sum to the identity")
-        held = [object.__new__(Outcome) for _ in outcomes]  # unchecked: the block's rows passed the checks
-        for n, given in enumerate(outcomes):
-            held[n].__dict__.update(label=given.label, value=given.value, projector=block[n])
-        self.__dict__.update(outcomes=tuple(held), labels=labels, projectors=block)
+        self.__dict__.update(labels=labels, values=tuple([o.value for o in outcomes]), projectors=block)
+
+    @cached_property
+    def outcomes(self) -> tuple[Outcome, ...]:
+        held = [object.__new__(Outcome) for _ in self.labels]  # unchecked: the block's rows passed the checks
+        for record, label, value, row in zip(held, self.labels, self.values, self.projectors):
+            record.__dict__.update(label=label, value=value, projector=row)
+        return tuple(held)
 
     @property
     def dim(self) -> int:
         return self.projectors.shape[1]
 
-    def outcome(self, label: str) -> Outcome:
-        for o in self.outcomes:
-            if o.label == label:
-                return o
+    def index(self, label: str) -> int:
+        """The position of `label` among the outcomes; raises on an unknown label."""
+        if label in self.labels:
+            return self.labels.index(label)
         known = clipped_repr(list(self.labels))
         raise InvariantViolation(f"unknown outcome label {clipped_repr(label)}; known labels: {known}")
 
     def projector(self, label: str) -> np.ndarray:
-        return self.outcome(label).projector
+        return self.projectors[self.index(label)]
 
     def images(self, state: np.ndarray) -> np.ndarray:
         """Rows P_k|s>: one stacked product, each row the matvec P_k @ s bit for bit."""
@@ -232,22 +240,31 @@ class OutcomeDistribution(ValueRecord):
     """Labeled nonnegative probabilities summing to one; equal to another with equal entries."""
 
     def __init__(self, entries: tuple[tuple[str, float], ...]):
-        cleaned = []
-        seen = set()
-        for label, prob in entries:
-            if label in seen:
-                raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
-            seen.add(label)
-            prob = float(prob)
-            if prob < -CLAMP_TOL or prob > 1.0 + CLAMP_TOL:
-                raise ToleranceError(
-                    f"probability for {clipped_repr(label)} is {prob!r}; clamping beyond {CLAMP_TOL:.0e} means a bug"
-                )
-            cleaned.append((str(label), min(max(prob, 0.0), 1.0)))
-        total = sum(p for _, p in cleaned)
-        if abs(total - 1.0) > 1e-9:
+        entries = tuple(entries)
+        try:  # whole lists by built-ins: dict takes the pairs and hashes the labels; a NaN fails the sum
+            table = dict(entries)
+            probs = [*map(float, table.values())]
+            total = sum(probs)
+            ordered = sorted(probs)
+            low, high = ordered[0], ordered[-1]
+            valid = len(table) == len(entries) and -CLAMP_TOL <= low <= high <= 1.0 + CLAMP_TOL
+        except (TypeError, ValueError, OverflowError, IndexError):  # IndexError: no entries
+            valid = False
+        if valid and (low < 0.0 or high > 1.0):  # round-off past [0, 1]: clamp, then sum again
+            probs = [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs]
+            total = sum(probs)
+        if not (valid and -1e-9 <= total - 1.0 <= 1e-9):
+            seen = set()
+            for label, prob in entries:  # the per-entry checks, to name the first failure in entry order
+                if label in seen:
+                    raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
+                seen.add(label)
+                prob = float(prob)
+                if not -CLAMP_TOL <= prob <= 1.0 + CLAMP_TOL:
+                    clamp = f"clamping beyond {CLAMP_TOL:.0e} means a bug"
+                    raise ToleranceError(f"probability for {clipped_repr(label)} is {prob!r}; {clamp}")
             raise InvariantViolation(f"probabilities sum to {total!r}, not 1")
-        self.__dict__.update(entries=tuple(cleaned))
+        self.__dict__["entries"] = tuple(zip(map(str, table), probs))
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -182,7 +182,9 @@ class Eigensystem(Record):
         """Whether every propagator passes check_unitary by CERTIFY_MARGIN: max|U U^H - I| <= e (2 + e)
         for e = ||V^H V - I||_F, as U U^H - I = (V V^H - I) + V D (V^H V - I) D^H V^H, V V^H has the
         spectrum of V^H V and ||V||_2^2 <= 1 + e."""
-        e = float(np.linalg.norm(self.eigenvectors.conj().T @ self.eigenvectors - np.eye(self.dim)))
+        gram = self.eigenvectors.conj().T @ self.eigenvectors
+        gram.ravel()[:: self.dim + 1] -= 1  # V^H V - I, in place
+        e = math.sqrt(np.vdot(gram, gram).real)
         return e * (2.0 + e) <= ALGEBRA_TOL - CERTIFY_MARGIN
 
     def propagator(self, duration: float) -> np.ndarray:

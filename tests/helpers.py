@@ -24,9 +24,12 @@ from qcontexts import (
     unitary_exponential,
 )
 from qcontexts.contexts import DENOMINATOR_FLOOR
+from qcontexts.errors import ToleranceError, clipped_repr
+from qcontexts.kinematics import CLAMP_TOL
 from qcontexts.linalg import (
     _CLUSTER_TOL,
     ALGEBRA_TOL,
+    CERTIFY_MARGIN,
     COEFFICIENT_DEGENERACY_TOL,
     ENTRY_BOUND,
     NEGLIGIBLE,
@@ -239,6 +242,47 @@ def reference_decomposition_error(outcomes: tuple[Outcome, ...]) -> str | None:
     if max_abs(total - np.eye(total.shape[0])) > ALGEBRA_TOL:
         return "projectors do not sum to the identity"
     return None
+
+
+def uncertified_reference(count: int, certificate) -> tuple[list[tuple[int, int]], bool]:
+    """kinematics._uncertified for a certificate, with the expressions it had before they were made
+    lean: np.outer, np.triu over the bound's mask, and np.linalg.norm of W^H W - np.eye."""
+    w, ranks, e = certificate
+    gram = w.conj().T @ w
+    if len(gram) == count:
+        block_norms = np.abs(gram)
+    else:
+        starts = np.cumsum([0, *ranks[:-1]])
+        block_norms = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(gram) ** 2, starts, axis=0), starts, axis=1))
+    bound = block_norms + e[:, None] + e[None, :] + np.outer(e, e)
+    rows, cols = np.nonzero(np.triu(bound > ALGEBRA_TOL - CERTIFY_MARGIN, 1))
+    square = w.shape[0] == w.shape[1]
+    sum_needed = not square or np.linalg.norm(gram - np.eye(len(gram))) + e.sum() > ALGEBRA_TOL - CERTIFY_MARGIN
+    return list(zip(rows.tolist(), cols.tolist())), bool(sum_needed)
+
+
+def certified_reference(eigenvectors: np.ndarray) -> bool:
+    """Eigensystem.certified with its former expression: np.linalg.norm of V^H V - np.eye."""
+    e = float(np.linalg.norm(eigenvectors.conj().T @ eigenvectors - np.eye(eigenvectors.shape[1])))
+    return e * (2.0 + e) <= ALGEBRA_TOL - CERTIFY_MARGIN
+
+
+def distribution_reference(entries) -> tuple[tuple[str, float], ...]:
+    """OutcomeDistribution's entries by its per-entry loop, every entry checked in order: the
+    constructor as it stood before it checked whole lists, with NaN refused as out of range."""
+    cleaned, seen = [], set()
+    for label, prob in entries:
+        if label in seen:
+            raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
+        seen.add(label)
+        prob = float(prob)
+        if not -CLAMP_TOL <= prob <= 1.0 + CLAMP_TOL:
+            raise ToleranceError(f"probability for {clipped_repr(label)} is {prob!r}; clamping beyond 1e-09 means a bug")
+        cleaned.append((str(label), min(max(prob, 0.0), 1.0)))
+    total = sum(p for _, p in cleaned)
+    if abs(total - 1.0) > 1e-9:
+        raise InvariantViolation(f"probabilities sum to {total!r}, not 1")
+    return tuple(cleaned)
 
 
 def branch_table_reference(state, observable: ProjectiveDecomposition, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,7 @@ from qcontexts import (
     sequential_success_probability,
     total_probability_gap,
 )
+from qcontexts.errors import clipped_repr
 from qcontexts.linalg import NEGLIGIBLE
 import helpers
 from helpers import (
@@ -783,6 +784,56 @@ def test_branch_table_is_the_per_outcome_loop_bit_for_bit(dim, free, rank):
     assert np.array_equal(ctx._ket, prepared)
     assert np.array_equal(ctx._branches[0], born)
     assert np.array_equal(ctx._branches[1], joint)
+
+
+def test_a_run_builds_no_outcome_record_and_a_later_read_gives_the_records():
+    """A d32 run reads labels and projectors only. Read afterwards, outcomes are the records the
+    constructor used to build: the labels, the float values and read-only rows of the block, one
+    tuple on every read. The chain frequencies are numpy's counts[k] / retained bit for bit."""
+    rng = np.random.default_rng(3232)
+    u, w = random_unitary(rng, 32), random_unitary(rng, 32)
+    given = tuple(Outcome(f"c{n}", n, np.outer(u[:, n], u[:, n].conj())) for n in range(32))
+    upper = w[:, :16] @ w[:, :16].conj().T
+    post = ProjectiveDecomposition((Outcome("b", 1, upper), Outcome("other", 0, np.eye(32) - upper)))
+    ctx = Context(
+        Preparation(random_state(rng, 32), 0.0), PostSelection(post, "b", 1.5),
+        Intermediate(ProjectiveDecomposition(given), 0.7), random_hermitian(rng, 32),
+    )
+    abl_distribution(ctx)
+    born_context_distribution(ctx)
+    chain = sample_chain(ctx, 10_000, 5)
+    picture_consistency_check(ctx)
+    total_probability_gap(ctx)
+    observables = (ctx.intermediate.observable, ctx.postselection.observable)
+    assert not any("outcomes" in vars(observable) for observable in observables)
+    for label, frequency in chain.frequencies.entries:
+        assert frequency == np.int64(round(frequency * chain.retained)) / chain.retained
+    for observable, outcomes in zip(observables, (given, post.outcomes)):
+        records = observable.outcomes
+        assert observable.outcomes is records and len(records) == len(observable.labels)
+        assert [(r.label, r.value) for r in records] == [(o.label, float(o.value)) for o in outcomes]
+        for n, record in enumerate(records):
+            assert type(record) is Outcome and type(record.value) is float
+            block = observable.projectors
+            assert record.projector.base is block and record.projector.ctypes.data == block[n].ctypes.data
+            assert not record.projector.flags.writeable
+
+
+def test_unknown_labels_are_refused_in_the_same_words_without_building_records():
+    """index, projector and PostSelection find a label among the labels and name an unknown one,
+    with the known labels clipped past 200 characters (k = 32), building no outcome record."""
+    for observable in (pauli_z(), random_observable(np.random.default_rng(3), 32, prefix="c")):
+        known = clipped_repr(list(observable.labels))
+        for unknown in ("x", ["+1"]):
+            message = f"unknown outcome label {clipped_repr(unknown)}; known labels: {known}"
+            for refused in (observable.index, observable.projector, lambda label: PostSelection(observable, label, 1.0)):
+                with pytest.raises(InvariantViolation) as caught:
+                    refused(unknown)
+                assert str(caught.value) == message
+        assert "outcomes" not in vars(observable)
+    with pytest.raises(InvariantViolation, match=r"^unknown outcome label 'x'; known labels: \['\+1', '-1'\]$"):
+        pauli_z().projector("x")
+    assert pauli_z().index("-1") == 1 and pauli_z().projector("-1")[1, 1] == 1.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 32, 64])

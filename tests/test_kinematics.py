@@ -30,6 +30,7 @@ from helpers import (
     basis_state,
     born_distribution,
     decomposition_error,
+    distribution_reference,
     evolve,
     lueders_collapse,
     prepare_eigenstate,
@@ -38,6 +39,7 @@ from helpers import (
     random_state,
     random_unitary,
     reference_decomposition_error,
+    uncertified_reference,
     zero_operator,
 )
 
@@ -485,6 +487,78 @@ def test_mixed_ranks_take_the_batched_rows_and_the_qr_bases():
         assert _exactly_checked(defective) == (["c1", "c4"] if error is None else ["c1"])
         assert decomposition_error(defective) == reference_decomposition_error(defective)
         assert (decomposition_error(defective) or "").startswith(error or "")
+
+
+def _lean_bound_cases() -> list[tuple[Outcome, ...]]:
+    """The perturbed rank-1 and the mixed-rank cases above: whole, one outcome dropped, leaking,
+    with tilted pairs near the tolerance, and with rank-2 outcomes only."""
+    rng = np.random.default_rng(1190)
+    cases = []
+    for dim in (12, 32):
+        base = _block_outcomes(random_unitary(rng, dim), [1] * dim, {})
+        for eps in (1e-13, 1e-11, 3e-11, 1e-10, 2e-10):
+            for hermitian in (True, False):
+                cases.append(tuple(_perturbed(o, rng, eps, hermitian) if n % 3 == 0 else o for n, o in enumerate(base)))
+    whole = _block_outcomes(random_unitary(rng, 24), [2, 3] + [1] * 19, {})
+    cases += [whole, whole[1:], whole[:5] + (_leaking(whole[5], 3e-11),) + whole[6:]]
+    cases.append(_block_outcomes(random_unitary(rng, 21), [1, 2, 1, 3] + [1] * 14, {}))
+    cases.append(_block_outcomes(random_unitary(rng, 20), [2] * 10, {}))
+    for delta in (-0.05, 0.0, 0.5):
+        cases.append(_with_overlap(_near_identity_unitary(rng, 16), [2] + [1] * 14, 3, 11, 1e-10 * (1.0 + delta)))
+    return cases
+
+
+def test_lean_certificate_bounds_decide_as_the_former_expressions():
+    """_uncertified's np.multiply.outer, rows < cols filter and in-place Gram defect give the pairs,
+    in order, and the sum decision of np.outer, np.triu and np.linalg.norm (uncertified_reference)."""
+    decisions = []
+    for outcomes in _lean_bound_cases():
+        certificate = kinematics._range_bases(np.array([o.projector for o in outcomes]))
+        pairs, sum_needed = kinematics._uncertified(len(outcomes), certificate)
+        expected = uncertified_reference(len(outcomes), certificate)
+        assert (list(pairs), bool(sum_needed)) == expected
+        decisions.append(expected)
+    assert any(pairs for pairs, _ in decisions) and any(not pairs for pairs, _ in decisions)
+    assert {summed for _, summed in decisions} == {True, False}
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (("a", 0.25), ("b", 0.75)),
+        (("a", 1.0 + 1e-13), ("b", -1e-13)),
+        (("a", -0.0), ("b", 1.0)),
+        ((1, 0.5), ("1", 0.5)),
+        (("a", np.float64(0.5)), ("b", 1)),
+        (("a", "0.5"), ("b", 0.5)),
+        (),
+        (("a", 0.5), ("a", 2.0)),
+        (("a", 2.0), ("a", 0.5)),
+        (("a", 0.5), ("b", "x"), ("c", 2.0)),
+        (("a", 2.0), ("b", "x")),
+        (("a", 0.5), ("b", 0.5, 0.0)),
+        (("a", 0.5), ("b",)),
+        (("a", 0.5), ([], 0.5)),
+        (("a", 0.6), ("b", 0.6)),
+        (("a", math.nan), ("b", 1.0)),
+        (("a", 1.0), ("b", -math.inf)),
+        (("a", math.inf), ("b", -math.inf)),
+        (("a", 0.5), ("b", 10**400)),
+    ],
+)
+def test_distribution_accepts_and_names_the_first_failure_as_the_per_entry_loop(entries):
+    """Whole-list checks keep the per-entry loop's entries, or its first failure's type and message."""
+    def outcome(build):
+        try:
+            accepted = build(entries)
+        except Exception as exc:  # the failure itself is what is compared
+            return type(exc), str(exc)
+        assert all(type(label) is str and type(p) is float for label, p in accepted)
+        return accepted
+
+    expected = outcome(distribution_reference)
+    assert outcome(lambda e: OutcomeDistribution(e).entries) == expected
+    assert outcome(lambda e: OutcomeDistribution(iter(e)).entries) == expected
 
 
 LONG = "L" * 1_000

@@ -23,6 +23,7 @@ from qcontexts import (
 )
 from helpers import (
     as_complex_array_reference,
+    certified_reference,
     check_entry_bound_reference,
     eigensystem_reference,
     fix_global_phase_reference,
@@ -394,6 +395,21 @@ def test_eigensystem_phases_match_the_per_column_loop(dim):
         values, vectors = eigensystem_reference(operator)
         np.testing.assert_array_equal(eig.eigenvalues, values)
         np.testing.assert_array_equal(eig.eigenvectors, vectors)
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_certified_decides_as_the_former_norm_expression(dim):
+    """The in-place Gram defect and math.sqrt of its vdot decide as np.linalg.norm(V^H V - np.eye) did,
+    on the random and clustered spectra above with eigenvectors scaled by 1 + s across the bound."""
+    decisions = set()
+    for h in _hamiltonians(np.random.default_rng(dim), dim):
+        system = hermitian_eigensystem(HermitianOperator((h + h.conj().T) / 2))
+        for scale in (0.0, 1e-12, 5e-12, 1e-11, 2e-11, 1e-10, 1e-6):
+            vectors = system.eigenvectors * (1.0 + scale)
+            expected = certified_reference(vectors)
+            assert linalg.Eigensystem(system.eigenvalues, vectors).certified == expected
+            decisions.add(expected)
+    assert decisions == {True, False}
 
 
 def _joints(rng, dim) -> list[np.ndarray]:

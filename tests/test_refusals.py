@@ -21,6 +21,7 @@ from qcontexts import (
     ProjectiveDecomposition,
     SpreadingModel,
     StateVector,
+    ToleranceError,
     complete_basis,
     hermitian_eigensystem,
     pauli_x,
@@ -78,6 +79,19 @@ REFUSALS = {
     ),
     "OutcomeDistribution-sum": (
         lambda: OutcomeDistribution((("a", 0.5), ("b", 0.25))), InvariantViolation, "probabilities sum to 0.75"
+    ),
+    # NaN and infinities are out of range, as past-tolerance probabilities are; NaN also passed the sum.
+    "OutcomeDistribution-nan": (
+        lambda: OutcomeDistribution((("a", NAN),)), ToleranceError, "probability for 'a' is nan; clamping beyond 1e-09"
+    ),
+    "OutcomeDistribution-nan-beside-one": (
+        lambda: OutcomeDistribution((("a", NAN), ("b", 1.0))), ToleranceError, "probability for 'a' is nan; clamping"
+    ),
+    "OutcomeDistribution-inf": (
+        lambda: OutcomeDistribution((("a", 1.0), ("b", INF))), ToleranceError, "probability for 'b' is inf; clamping"
+    ),
+    "OutcomeDistribution-minus-inf": (
+        lambda: OutcomeDistribution((("a", -INF), ("b", INF))), ToleranceError, "probability for 'a' is -inf; clamping"
     ),
     "OutcomeDistribution-unknown": (
         lambda: OutcomeDistribution((("a", 1.0),)).probability("b"), InvariantViolation, "unknown outcome label 'b'"
