@@ -264,8 +264,8 @@ def sample_chain(ctx: Context, samples: int, seed: int) -> ChainSampleReport:
     if retained == 0:
         return ChainSampleReport(samples, 0, None, seed)
     # Counts up to 10^7 are exact doubles, so the int quotient is numpy's counts[k] / retained bit for bit.
-    frequencies = [count / retained for count in counts.tolist()]
-    frequencies = OutcomeDistribution(tuple(zip(ctx.intermediate.observable.labels, frequencies)))
+    labels = ctx.intermediate.observable.labels
+    frequencies = OutcomeDistribution(tuple(zip(labels, [count / retained for count in counts.tolist()])))
     return ChainSampleReport(samples, retained, frequencies, seed)
 
 

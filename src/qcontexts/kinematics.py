@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -186,12 +185,15 @@ class ProjectiveDecomposition(Record):
                 raise InvariantViolation("projectors do not sum to the identity")
         self.__dict__.update(labels=labels, values=tuple([o.value for o in outcomes]), projectors=block)
 
-    @cached_property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        held = [object.__new__(Outcome) for _ in self.labels]  # unchecked: the block's rows passed the checks
+    def __getattr__(self, name: str):
+        """Builds the `outcomes` field on its first read, unchecked: the block's rows passed the checks."""
+        if name != "outcomes":
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        held = [object.__new__(Outcome) for _ in self.labels]
         for record, label, value, row in zip(held, self.labels, self.values, self.projectors):
             record.__dict__.update(label=label, value=value, projector=row)
-        return tuple(held)
+        self.__dict__["outcomes"] = outcomes = tuple(held)
+        return outcomes
 
     @property
     def dim(self) -> int:
@@ -240,31 +242,22 @@ class OutcomeDistribution(ValueRecord):
     """Labeled nonnegative probabilities summing to one; equal to another with equal entries."""
 
     def __init__(self, entries: tuple[tuple[str, float], ...]):
-        entries = tuple(entries)
-        try:  # whole lists by built-ins: dict takes the pairs and hashes the labels; a NaN fails the sum
-            table = dict(entries)
-            probs = [*map(float, table.values())]
-            total = sum(probs)
-            ordered = sorted(probs)
-            low, high = ordered[0], ordered[-1]
-            valid = len(table) == len(entries) and -CLAMP_TOL <= low <= high <= 1.0 + CLAMP_TOL
-        except (TypeError, ValueError, OverflowError, IndexError):  # IndexError: no entries
-            valid = False
-        if valid and (low < 0.0 or high > 1.0):  # round-off past [0, 1]: clamp, then sum again
-            probs = [0.0 if p < 0.0 else 1.0 if p > 1.0 else p for p in probs]
-            total = sum(probs)
-        if not (valid and -1e-9 <= total - 1.0 <= 1e-9):
-            seen = set()
-            for label, prob in entries:  # the per-entry checks, to name the first failure in entry order
-                if label in seen:
-                    raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
-                seen.add(label)
-                prob = float(prob)
-                if not -CLAMP_TOL <= prob <= 1.0 + CLAMP_TOL:
-                    clamp = f"clamping beyond {CLAMP_TOL:.0e} means a bug"
-                    raise ToleranceError(f"probability for {clipped_repr(label)} is {prob!r}; {clamp}")
+        cleaned = []
+        seen = set()
+        for label, prob in entries:
+            if label in seen:
+                raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
+            seen.add(label)
+            prob = float(prob)
+            if not -CLAMP_TOL <= prob <= 1.0 + CLAMP_TOL:  # refuses NaN and infinities too
+                raise ToleranceError(
+                    f"probability for {clipped_repr(label)} is {prob!r}; clamping beyond {CLAMP_TOL:.0e} means a bug"
+                )
+            cleaned.append((str(label), 0.0 if prob < 0.0 else 1.0 if prob > 1.0 else prob))
+        total = sum([p for _, p in cleaned])
+        if abs(total - 1.0) > 1e-9:
             raise InvariantViolation(f"probabilities sum to {total!r}, not 1")
-        self.__dict__["entries"] = tuple(zip(map(str, table), probs))
+        self.__dict__.update(entries=tuple(cleaned))
 
     @property
     def labels(self) -> tuple[str, ...]:

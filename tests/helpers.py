@@ -24,8 +24,6 @@ from qcontexts import (
     unitary_exponential,
 )
 from qcontexts.contexts import DENOMINATOR_FLOOR
-from qcontexts.errors import ToleranceError, clipped_repr
-from qcontexts.kinematics import CLAMP_TOL
 from qcontexts.linalg import (
     _CLUSTER_TOL,
     ALGEBRA_TOL,
@@ -265,24 +263,6 @@ def certified_reference(eigenvectors: np.ndarray) -> bool:
     """Eigensystem.certified with its former expression: np.linalg.norm of V^H V - np.eye."""
     e = float(np.linalg.norm(eigenvectors.conj().T @ eigenvectors - np.eye(eigenvectors.shape[1])))
     return e * (2.0 + e) <= ALGEBRA_TOL - CERTIFY_MARGIN
-
-
-def distribution_reference(entries) -> tuple[tuple[str, float], ...]:
-    """OutcomeDistribution's entries by its per-entry loop, every entry checked in order: the
-    constructor as it stood before it checked whole lists, with NaN refused as out of range."""
-    cleaned, seen = [], set()
-    for label, prob in entries:
-        if label in seen:
-            raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
-        seen.add(label)
-        prob = float(prob)
-        if not -CLAMP_TOL <= prob <= 1.0 + CLAMP_TOL:
-            raise ToleranceError(f"probability for {clipped_repr(label)} is {prob!r}; clamping beyond 1e-09 means a bug")
-        cleaned.append((str(label), min(max(prob, 0.0), 1.0)))
-    total = sum(p for _, p in cleaned)
-    if abs(total - 1.0) > 1e-9:
-        raise InvariantViolation(f"probabilities sum to {total!r}, not 1")
-    return tuple(cleaned)
 
 
 def branch_table_reference(state, observable: ProjectiveDecomposition, onward, post_proj) -> tuple[np.ndarray, np.ndarray]:

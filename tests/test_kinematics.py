@@ -30,7 +30,6 @@ from helpers import (
     basis_state,
     born_distribution,
     decomposition_error,
-    distribution_reference,
     evolve,
     lueders_collapse,
     prepare_eigenstate,
@@ -520,45 +519,6 @@ def test_lean_certificate_bounds_decide_as_the_former_expressions():
         decisions.append(expected)
     assert any(pairs for pairs, _ in decisions) and any(not pairs for pairs, _ in decisions)
     assert {summed for _, summed in decisions} == {True, False}
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        (("a", 0.25), ("b", 0.75)),
-        (("a", 1.0 + 1e-13), ("b", -1e-13)),
-        (("a", -0.0), ("b", 1.0)),
-        ((1, 0.5), ("1", 0.5)),
-        (("a", np.float64(0.5)), ("b", 1)),
-        (("a", "0.5"), ("b", 0.5)),
-        (),
-        (("a", 0.5), ("a", 2.0)),
-        (("a", 2.0), ("a", 0.5)),
-        (("a", 0.5), ("b", "x"), ("c", 2.0)),
-        (("a", 2.0), ("b", "x")),
-        (("a", 0.5), ("b", 0.5, 0.0)),
-        (("a", 0.5), ("b",)),
-        (("a", 0.5), ([], 0.5)),
-        (("a", 0.6), ("b", 0.6)),
-        (("a", math.nan), ("b", 1.0)),
-        (("a", 1.0), ("b", -math.inf)),
-        (("a", math.inf), ("b", -math.inf)),
-        (("a", 0.5), ("b", 10**400)),
-    ],
-)
-def test_distribution_accepts_and_names_the_first_failure_as_the_per_entry_loop(entries):
-    """Whole-list checks keep the per-entry loop's entries, or its first failure's type and message."""
-    def outcome(build):
-        try:
-            accepted = build(entries)
-        except Exception as exc:  # the failure itself is what is compared
-            return type(exc), str(exc)
-        assert all(type(label) is str and type(p) is float for label, p in accepted)
-        return accepted
-
-    expected = outcome(distribution_reference)
-    assert outcome(lambda e: OutcomeDistribution(e).entries) == expected
-    assert outcome(lambda e: OutcomeDistribution(iter(e)).entries) == expected
 
 
 LONG = "L" * 1_000

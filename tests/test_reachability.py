@@ -13,8 +13,7 @@ def test_every_exported_name_is_loaded_outside_the_tests():
     """Each public non-module name of qcontexts is loaded as a Name or an Attribute, and each public
     method or property an exported class defines as an Attribute, somewhere in src/qcontexts (past
     __init__.py) or perfbench/. A necessary condition only: a load matches any name or attribute
-    it shares a spelling with. A record's fields are exempt, held in its dict or computed on first
-    read: Record.__repr__ reads each by getattr, which no scan of loads sees."""
+    it shares a spelling with."""
     sources = [p for p in (ROOT / "src" / "qcontexts").glob("*.py") if p.name != "__init__.py"]
     names, attributes = set(), set()
     for path in [*sources, *(ROOT / "perfbench").glob("*.py")]:
@@ -27,6 +26,5 @@ def test_every_exported_name_is_loaded_outside_the_tests():
     unreached = [n for n in exported if n not in names | attributes]
     for name, value in exported.items():
         if isinstance(value, type):
-            exempt = attributes | set(getattr(value, "_fields", ()))
-            unreached += [f"{name}.{m}" for m in vars(value) if not m.startswith("_") and m not in exempt]
+            unreached += [f"{name}.{m}" for m in vars(value) if not m.startswith("_") and m not in attributes]
     assert unreached == []
