@@ -245,7 +245,7 @@ class OutcomeDistribution(ValueRecord):
         cleaned = []
         seen = set()
         for label, prob in entries:
-            if label in seen:
+            if (label := str(label)) in seen:  # checked as stored
                 raise InvariantViolation(f"duplicate outcome label {clipped_repr(label)}")
             seen.add(label)
             prob = float(prob)
@@ -253,7 +253,7 @@ class OutcomeDistribution(ValueRecord):
                 raise ToleranceError(
                     f"probability for {clipped_repr(label)} is {prob!r}; clamping beyond {CLAMP_TOL:.0e} means a bug"
                 )
-            cleaned.append((str(label), 0.0 if prob < 0.0 else 1.0 if prob > 1.0 else prob))
+            cleaned.append((label, 0.0 if prob < 0.0 else 1.0 if prob > 1.0 else prob))
         total = sum([p for _, p in cleaned])
         if abs(total - 1.0) > 1e-9:
             raise InvariantViolation(f"probabilities sum to {total!r}, not 1")

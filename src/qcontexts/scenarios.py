@@ -202,20 +202,13 @@ def _matrix_from_json(value, field: str) -> np.ndarray:
     return np.array([complex(re, im) for row in value for re, im in row], dtype=complex).reshape(len(value), -1)
 
 
-class _field:
-    """Name the input field `path` in an InvariantViolation raised inside the block;
+def _built(path: str, make, *args):
+    """make(*args), naming the input field `path` in an InvariantViolation it raises;
     a field the violation already names is taken as relative to `path`."""
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        if kind is not None and issubclass(kind, InvariantViolation):
-            field = self.path if exc.field is None else f"{self.path}.{exc.field}"
-            raise InvariantViolation(exc.message, field=field) from exc
+    try:
+        return make(*args)
+    except InvariantViolation as exc:
+        raise InvariantViolation(exc.message, field=path if exc.field is None else f"{path}.{exc.field}") from exc
 
 
 @functools.cache
@@ -243,18 +236,14 @@ def _observable_from_json(value, field: str) -> ProjectiveDecomposition:
             raise ScenarioError("label must be a string", field=f"{prefix}.label")
         out_value = _real_from_json(_require(entry, "value", prefix), f"{prefix}.value")
         projector = _matrix_from_json(_require(entry, "projector", prefix), f"{prefix}.projector")
-        with _field(prefix):
-            outcomes.append(Outcome(label, out_value, projector))
-    with _field(field):
-        return ProjectiveDecomposition(tuple(outcomes))
+        outcomes.append(_built(prefix, Outcome, label, out_value, projector))
+    return _built(field, ProjectiveDecomposition, tuple(outcomes))
 
 
 def _hamiltonian_from_json(value, field: str) -> HermitianOperator | None:
     if value is None:
         return None
-    matrix = _matrix_from_json(value, field)
-    with _field(field):
-        return HermitianOperator(matrix)
+    return _built(field, HermitianOperator, _matrix_from_json(value, field))
 
 
 def _context_from_params(params: dict, timed: bool = True, field: str = "parameters") -> Context:
@@ -268,8 +257,7 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
     inter_json = _require(params, "intermediate", field)
     post_json = _require(params, "postselection", field)
     vector = _vector_from_json(_require(prep_json, "state", f"{field}.preparation"), f"{field}.preparation.state")
-    with _field(f"{field}.preparation.state"):
-        state = StateVector(vector)
+    state = _built(f"{field}.preparation.state", StateVector, vector)
     observable = _observable_from_json(
         _require(inter_json, "observable", f"{field}.intermediate"), f"{field}.intermediate.observable"
     )
@@ -290,10 +278,8 @@ def _context_from_params(params: dict, timed: bool = True, field: str = "paramet
         if not isinstance(performed, bool):
             raise ScenarioError("performed must be a boolean", field=f"{field}.intermediate.performed")
         hamiltonian = _hamiltonian_from_json(params.get("hamiltonian"), f"{field}.hamiltonian")
-    with _field(f"{field}.postselection.label"):
-        post = PostSelection(post_obs, label, t2)
-    with _field(field):
-        return Context(Preparation(state, t1), post, Intermediate(observable, t, performed), hamiltonian)
+    post = _built(f"{field}.postselection.label", PostSelection, post_obs, label, t2)
+    return _built(field, Context, Preparation(state, t1), post, Intermediate(observable, t, performed), hamiltonian)
 
 
 def load_scenario(path) -> Scenario:
@@ -380,8 +366,7 @@ def _build_pointer(params: dict):
     apparatus_basis = params.get("apparatus_basis")
     sys_matrix = None if system_basis is None else _matrix_from_json(system_basis, f"{field}.system_basis").T
     app_matrix = None if apparatus_basis is None else _matrix_from_json(apparatus_basis, f"{field}.apparatus_basis").T
-    with _field(field):
-        joint = premeasurement_joint(coefficients, sys_matrix, app_matrix)
+    joint = _built(field, premeasurement_joint, coefficients, sys_matrix, app_matrix)
     rebases = []
     rebases_json = params.get("rebases", [])
     if not isinstance(rebases_json, list):
@@ -392,8 +377,7 @@ def _build_pointer(params: dict):
         if not isinstance(name, str) or not name:
             raise ScenarioError("rebase name must be a nonempty string", field=f"{prefix}.name")
         basis = _matrix_from_json(_require(entry, "basis", prefix), f"{prefix}.basis").T
-        with _field(f"{prefix}.basis"):
-            rebases.append((name, rebase_joint(joint, basis)))
+        rebases.append((name, _built(f"{prefix}.basis", rebase_joint, joint, basis)))
     return joint, rebases
 
 
@@ -405,13 +389,8 @@ def _build_spreading(params: dict):
     if not isinstance(times_json, list) or not times_json:
         raise ScenarioError("times must be a nonempty list", field=f"{field}.times")
     times = [_real_from_json(t, f"{field}.times[{i}]") for i, t in enumerate(times_json)]
-    with _field(field):
-        model = SpreadingModel(sigma0, mass)
-    rows = []
-    for i, t in enumerate(times):
-        with _field(f"{field}.times[{i}]"):
-            rows.append((format_number(t), (spreading_sigma(model, t),)))
-    return rows
+    model = _built(field, SpreadingModel, sigma0, mass)
+    return [(format_number(t), (_built(f"{field}.times[{i}]", spreading_sigma, model, t),)) for i, t in enumerate(times)]
 
 
 def _build_detector(params: dict):
@@ -421,8 +400,7 @@ def _build_detector(params: dict):
     horizon = _real_from_json(_require(params, "horizon", field), f"{field}.horizon")
     seed = _integer(params.get("seed", 0), f"{field}.seed", 0)
     runs = _count(params.get("runs", 1), f"{field}.runs", "runs", MAX_DETECTOR_RUNS)
-    with _field(field):
-        count, p = detector_law(rate, tick, horizon)
+    count, p = _built(field, detector_law, rate, tick, horizon)
     return count, p, tick, seed, runs
 
 
@@ -531,7 +509,7 @@ def emit_report(report: Report, fmt: str = "csv") -> bytes:
     if fmt == "csv":
         lines = ["label," + ",".join(report.columns)]
         for (label, _), texts in zip(report.rows, report.texts):
-            if "," in label or "\n" in label:
+            if "," in label or "\n" in label or "\r" in label:
                 raise ScenarioError(f"label {clipped_repr(label)} cannot be rendered in CSV")
             lines.append(label + "," + ",".join(texts))
         return ("\n".join(lines) + "\n").encode("utf-8")

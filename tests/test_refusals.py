@@ -77,6 +77,9 @@ REFUSALS = {
     "OutcomeDistribution-duplicate": (
         lambda: OutcomeDistribution((("a", 0.5), ("a", 0.5))), InvariantViolation, "duplicate outcome label 'a'"
     ),
+    "OutcomeDistribution-duplicate-as-stored": (
+        lambda: OutcomeDistribution(((1, 0.5), ("1", 0.5))), InvariantViolation, "duplicate outcome label '1'"
+    ),
     "OutcomeDistribution-sum": (
         lambda: OutcomeDistribution((("a", 0.5), ("b", 0.25))), InvariantViolation, "probabilities sum to 0.75"
     ),

@@ -818,8 +818,14 @@ def test_cli_detector_tick_count_past_double_precision_is_an_invariant_violation
     assert "2^53" in _single_error_line(capsysbinary.readouterr(), 3)["message"]
 
 
-# Each check on a detector law, a spreading time, a Hamiltonian's dimension or a count's cap: (kind,
-# parameter changes, the field it names, a piece of its message). All fire while the file is loaded.
+def _one_outcome(label: str, diagonal) -> dict:
+    """An explicit observable of one outcome, whose projector is diag(diagonal)."""
+    return {"outcomes": [{"label": label, "value": 1.0, "projector": _diagonal_projector_json(diagonal)}]}
+
+
+# Each check on a detector law, a spreading time, a Hamiltonian's dimension, a count's cap, an outcome, a
+# post-selection or a context: (kind, parameter changes, the field it names, a piece of its message). All fire
+# while the file is loaded.
 SPEC_CHECKS = {
     "chain-samples-past-the-cap": (
         "chain", {"samples": MAX_CHAIN_SAMPLES + 1}, "parameters.samples",
@@ -840,6 +846,22 @@ SPEC_CHECKS = {
     "abl-hamiltonian-dimension": (
         "abl", {"hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}, "parameters.hamiltonian",
         "dimension 2 does not match the state (3)",
+    ),
+    "gap-outcome-empty-label": (
+        "gap", {"intermediate": {"observable": _one_outcome("", [1.0])}},
+        "parameters.intermediate.observable.outcomes[0]", "outcome label must be a nonempty string",
+    ),
+    "gap-postselection-observable": (
+        "gap", {"postselection": {"label": "a", "observable": _one_outcome("a", [1.0, 0.0])}},
+        "parameters.postselection.observable", "projectors do not sum to the identity",
+    ),
+    "gap-postselection-label": (
+        "gap", {"postselection": {"label": "b", "observable": "X"}}, "parameters.postselection.label",
+        "unknown outcome label 'b'",
+    ),
+    "gap-context-dimension": (
+        "gap", {"intermediate": {"observable": _one_outcome("a", [1.0])}}, "parameters",
+        "intermediate observable dimension differs from the preparation",
     ),
 }
 
@@ -1212,6 +1234,7 @@ def _first_outcome(parameters) -> dict:
 
 OBSERVABLE = "parameters.intermediate.observable"
 COMMA_LABEL = _edited_example("abl", lambda p: _first_outcome(p).update(label="a,b"))
+CARRIAGE_RETURN_LABEL = _edited_example("abl", lambda p: _first_outcome(p).update(label="a\rb"))
 BOUNDARY_REFUSALS = {
     "projector-rows-unequal": (
         _edited_example("abl", lambda p: _first_outcome(p)["projector"][1].pop()), f"{OBSERVABLE}.outcomes[0].projector"
@@ -1237,6 +1260,7 @@ BOUNDARY_REFUSALS = {
     "missing-file": (lambda tmp_path: ["run", str(tmp_path / "absent.json")], None),
     "directory": (lambda tmp_path: ["run", str(tmp_path)], None),
     "comma-label-in-csv": (COMMA_LABEL, None),
+    "carriage-return-label-in-csv": (CARRIAGE_RETURN_LABEL, None),
 }
 
 
@@ -1249,8 +1273,9 @@ def test_scenario_boundary_refusal_is_one_parse_error_line(tmp_path, capsysbinar
 
 
 def test_comma_label_refused_in_csv_renders_in_json(tmp_path, capsysbinary):
-    assert main([*COMMA_LABEL(tmp_path), "--format", "json"]) == 0
-    assert json.loads(capsysbinary.readouterr().out)["rows"][0][0] == "abl:a,b"
+    for argv, label in ((COMMA_LABEL, "abl:a,b"), (CARRIAGE_RETURN_LABEL, "abl:a\rb")):
+        assert main([*argv(tmp_path), "--format", "json"]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["rows"][0][0] == label
 
 
 # --- fuzzing the parse boundary ----------------------------------------------------
